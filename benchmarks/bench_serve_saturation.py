@@ -203,7 +203,7 @@ def measure(threads: int, jobs_per_thread: int, workdir: Path) -> Dict[str, obje
         submit_wall = perf_counter() - t0
         client = ServeClient("127.0.0.1", svc.port)
         infos = [
-            client.wait(job_id, timeout=600.0, poll=0.1)
+            client.wait(job_id, timeout=600.0)
             for job_id in gen.accepted_ids
         ]
         drain_wall = perf_counter() - t0
@@ -212,7 +212,7 @@ def measure(threads: int, jobs_per_thread: int, workdir: Path) -> Dict[str, obje
         executed_ids = sorted({cid for i in infos for cid in i["cells"]})
         # post-saturation probe: fixed grid, stable digest
         probe = client.submit(cells=list(PROBE_SPECS))
-        probe_info = client.wait(probe["job"], timeout=600.0, poll=0.1)
+        probe_info = client.wait(probe["job"], timeout=600.0)
         probe_ids = sorted(probe_info["cells"])
         # server-side view, fetched while the service is still alive
         admission = client.snapshot()["serve"]["admission"]

@@ -101,7 +101,7 @@ def main() -> int:
     )
     print(f"submitted quick job {quick['job']} and bulk job {bulk['job']} "
           f"({len(bulk['cells'])} cells)")
-    info = client.wait(quick["job"], timeout=120.0, poll=0.1)
+    info = client.wait(quick["job"], timeout=120.0)
     print(f"quick job finished first: {info['status']} "
           f"({info['done']}/{info['total']} cells)")
 
@@ -132,7 +132,7 @@ def main() -> int:
           f"{[(dict(l), v) for l, v in jobs_metric]}")
 
     for job in [bulk] + accepted:
-        client.wait(job["job"], timeout=300.0, poll=0.1)
+        client.wait(job["job"], timeout=300.0)
 
     # -- 4. graceful drain + exactly-once merge ---------------------------
     client.drain()

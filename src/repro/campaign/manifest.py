@@ -49,7 +49,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import BinaryIO, Dict, List, Optional, Set, Tuple, Union
 
 MANIFEST_VERSION = 1
 
@@ -146,6 +146,95 @@ class ManifestScan:
         return claim.lease < self.clock
 
 
+class IncompatibleManifest(ValueError):
+    """The file is not a manifest this reader understands (unknown header
+    version, or a headerless file predating the format): every record in it
+    is disregarded."""
+
+
+def _decode(data: bytes) -> str:
+    # never fails: invalid UTF-8 becomes lone surrogates, so a damaged line
+    # costs that line (or nothing), and decoding a whole file or one line at
+    # a time gives the same lines
+    return data.decode("utf-8", "surrogateescape")
+
+
+def fold_line(scan: ManifestScan, index: int, line: str) -> Optional[CellRecord]:
+    """Fold one manifest line into ``scan``; the manifest's only line parser.
+
+    ``index`` is the line's position in the file (0 for the first line,
+    blank lines included).  Returns the terminal record when the line is
+    one, else None.  Torn or unparseable lines are skipped; raises
+    :class:`IncompatibleManifest` when the file must be treated as empty.
+    """
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        raw = json.loads(line)
+    except ValueError:
+        return None  # torn write (crash mid-append): costs one record
+    if not isinstance(raw, dict):
+        return None
+    kind = raw.get("kind")
+    if kind == KIND_HEADER:
+        if raw.get("version") != MANIFEST_VERSION:
+            raise IncompatibleManifest(f"manifest version {raw.get('version')!r}")
+        return None
+    if index == 0:
+        raise IncompatibleManifest("headerless file predates the format")
+    if kind == KIND_TICK:
+        try:
+            scan.clock = max(scan.clock, int(raw["clock"]))
+        except (KeyError, TypeError, ValueError):
+            pass
+        try:
+            if "gen" in raw:
+                scan.max_gen = max(scan.max_gen, int(raw["gen"]))
+        except (TypeError, ValueError):
+            pass
+        return None
+    if kind == KIND_CLAIM:
+        trace = raw.get("trace")
+        try:
+            claim = ClaimRecord(
+                cell_id=raw["cell_id"],
+                worker=str(raw.get("worker", "?")),
+                gen=int(raw["gen"]),
+                clock=int(raw["clock"]),
+                lease=int(raw["lease"]),
+                spec=raw.get("spec"),
+                trace=trace if isinstance(trace, str) else None,
+            )
+        except (KeyError, TypeError, ValueError):
+            return None
+        scan.clock = max(scan.clock, claim.clock)
+        scan.max_gen = max(scan.max_gen, claim.gen)
+        if claim.beats(scan.claims.get(claim.cell_id)):
+            scan.claims[claim.cell_id] = claim
+        return None
+    if kind is not None:
+        return None  # span or unknown overlay kind from a newer writer
+    try:
+        rec = CellRecord(
+            cell_id=raw["cell_id"],
+            workload=raw["workload"],
+            scheme=raw["scheme"],
+            status=raw["status"],
+            attempts=int(raw.get("attempts", 1)),
+            elapsed=float(raw.get("elapsed", 0.0)),
+            summary=raw.get("summary"),
+            error=raw.get("error"),
+            cached=bool(raw.get("cached", False)),
+            diagnosis=raw.get("diagnosis"),
+            report=raw.get("report"),
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
+    scan.records[rec.cell_id] = rec
+    return rec
+
+
 class Manifest:
     """Append-only JSONL progress log keyed by cell id."""
 
@@ -161,133 +250,28 @@ class Manifest:
         Returns ``{}`` for a missing file, a version-incompatible file, or a
         file with no parseable records.
         """
-        if not self.path.exists():
-            return {}
-        out: Dict[str, CellRecord] = {}
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return {}
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write (crash mid-append): skip this cell
-            if not isinstance(raw, dict):
-                continue
-            if raw.get("kind") == KIND_HEADER:
-                if raw.get("version") != MANIFEST_VERSION:
-                    return {}  # incompatible manifest: treat as empty
-                continue
-            if i == 0:
-                return {}  # headerless file predates the manifest format
-            if "kind" in raw:
-                continue  # claim/tick/future overlay records: not terminal
-            try:
-                rec = CellRecord(
-                    cell_id=raw["cell_id"],
-                    workload=raw["workload"],
-                    scheme=raw["scheme"],
-                    status=raw["status"],
-                    attempts=int(raw.get("attempts", 1)),
-                    elapsed=float(raw.get("elapsed", 0.0)),
-                    summary=raw.get("summary"),
-                    error=raw.get("error"),
-                    cached=bool(raw.get("cached", False)),
-                    diagnosis=raw.get("diagnosis"),
-                    report=raw.get("report"),
-                )
-            except (KeyError, TypeError, ValueError):
-                continue
-            out[rec.cell_id] = rec
-        return out
+        return self.scan().records
 
     def scan(self) -> ManifestScan:
         """Parse the manifest as a work queue: terminal records, winning
         claims, and the logical-clock high-water mark.
 
         Torn lines (a crash mid-append — including a torn *claim* as the
-        very last record) are skipped exactly as in :meth:`records`; a
-        duplicate claim for one cell resolves by
-        :meth:`ClaimRecord.beats` (higher generation wins).  Returns an
-        empty scan for a missing or version-incompatible file.
+        very last record) are skipped; a duplicate claim for one cell
+        resolves by :meth:`ClaimRecord.beats` (higher generation wins).
+        Returns an empty scan for a missing or version-incompatible file.
+        :class:`ManifestFollower` runs the same fold incrementally.
         """
         out = ManifestScan()
-        if not self.path.exists():
-            return out
         try:
-            lines = self.path.read_text().splitlines()
+            data = self.path.read_bytes()
         except OSError:
             return out
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write: costs one record, not the queue
-            if not isinstance(raw, dict):
-                continue
-            kind = raw.get("kind")
-            if kind == KIND_HEADER:
-                if raw.get("version") != MANIFEST_VERSION:
-                    return ManifestScan()
-                continue
-            if i == 0:
-                return ManifestScan()  # headerless: predates the format
-            if kind == KIND_TICK:
-                try:
-                    out.clock = max(out.clock, int(raw["clock"]))
-                except (KeyError, TypeError, ValueError):
-                    pass
-                try:
-                    if "gen" in raw:
-                        out.max_gen = max(out.max_gen, int(raw["gen"]))
-                except (TypeError, ValueError):
-                    pass
-                continue
-            if kind == KIND_CLAIM:
-                trace = raw.get("trace")
-                try:
-                    claim = ClaimRecord(
-                        cell_id=raw["cell_id"],
-                        worker=str(raw.get("worker", "?")),
-                        gen=int(raw["gen"]),
-                        clock=int(raw["clock"]),
-                        lease=int(raw["lease"]),
-                        spec=raw.get("spec"),
-                        trace=trace if isinstance(trace, str) else None,
-                    )
-                except (KeyError, TypeError, ValueError):
-                    continue
-                out.clock = max(out.clock, claim.clock)
-                out.max_gen = max(out.max_gen, claim.gen)
-                if claim.beats(out.claims.get(claim.cell_id)):
-                    out.claims[claim.cell_id] = claim
-                continue
-            if kind is not None:
-                continue  # unknown overlay kind from a newer writer
-            try:
-                rec = CellRecord(
-                    cell_id=raw["cell_id"],
-                    workload=raw["workload"],
-                    scheme=raw["scheme"],
-                    status=raw["status"],
-                    attempts=int(raw.get("attempts", 1)),
-                    elapsed=float(raw.get("elapsed", 0.0)),
-                    summary=raw.get("summary"),
-                    error=raw.get("error"),
-                    cached=bool(raw.get("cached", False)),
-                    diagnosis=raw.get("diagnosis"),
-                    report=raw.get("report"),
-                )
-            except (KeyError, TypeError, ValueError):
-                continue
-            out.records[rec.cell_id] = rec
+        try:
+            for i, line in enumerate(_decode(data).split("\n")):
+                fold_line(out, i, line)
+        except IncompatibleManifest:
+            return ManifestScan()
         return out
 
     def header(self) -> Optional[dict]:
@@ -402,3 +386,161 @@ class Manifest:
             fh.flush()
             if durable:
                 os.fsync(fh.fileno())
+
+
+class JsonlTailer:
+    """Incremental reader of a growing JSONL file.
+
+    Each :meth:`poll` returns the records appended since the last poll
+    (:meth:`poll_lines` the raw lines).  Handles the failure shapes the
+    manifest and spool writers can produce:
+
+    * **torn trailing line** — an incomplete final line (no newline yet) is
+      buffered, not returned; it is emitted once the writer completes it;
+    * **record appended mid-read** — only complete newline-terminated lines
+      are consumed, so a concurrent append is picked up whole next poll;
+    * **rotation / truncation** — an inode change or a shrink below the
+      current offset resets the tailer to offset zero of the new file.  A
+      truncate-and-rewrite that regrows *to or past* the current offset
+      between polls (same inode, no observable shrink) is caught by two
+      anchors: the first bytes of the file and the last bytes consumed are
+      remembered and re-checked on every poll, so a replaced file resets
+      the tailer instead of yielding bytes from a stale offset.  (A rewrite
+      that reproduces both anchors byte for byte cannot be told apart
+      without re-reading the whole file.)
+
+    Every reset bumps :attr:`resets`, so a reader folding state over the
+    lines knows to restart its fold.  Unparseable *complete* lines (torn by
+    a crash mid-file) are skipped by :meth:`poll`, as the manifest reader
+    does.
+    """
+
+    #: bytes of the file head (and of the consumed tail) remembered to
+    #: detect truncate-and-rewrite
+    ANCHOR_BYTES = 64
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = Path(path)
+        #: times the tailer restarted from offset zero
+        self.resets = 0
+        self._pos = 0
+        self._buf = b""
+        self._sig: Optional[Tuple[int, int]] = None  # (st_dev, st_ino)
+        self._head = b""  # first bytes of the file identity we are tailing
+        self._tail = b""  # last bytes consumed, ending at _pos
+
+    def _reset(self) -> None:
+        self.resets += 1
+        self._pos = 0
+        self._buf = b""
+        self._head = b""
+        self._tail = b""
+
+    def _same_file(self, fh: BinaryIO) -> bool:
+        if fh.read(len(self._head)) != self._head:
+            return False
+        fh.seek(self._pos - len(self._tail))
+        return fh.read(len(self._tail)) == self._tail
+
+    def poll_lines(self) -> List[bytes]:
+        """Complete lines appended since the last poll (newline stripped)."""
+        try:
+            st = os.stat(self.path)
+        except OSError:
+            self._reset()
+            self._sig = None
+            return []
+        sig = (st.st_dev, st.st_ino)
+        if sig != self._sig or st.st_size < self._pos:
+            self._reset()
+            self._sig = sig
+        try:
+            with open(self.path, "rb") as fh:
+                if self._pos and not self._same_file(fh):
+                    # same inode, size >= our offset, different bytes: the
+                    # file was truncated and rewritten between polls
+                    self._reset()
+                fh.seek(self._pos)
+                chunk = fh.read()
+        except OSError:
+            return []
+        if not chunk:
+            return []
+        if self._pos == 0:
+            self._head = chunk[: self.ANCHOR_BYTES]
+        self._pos += len(chunk)
+        self._tail = (self._tail + chunk)[-self.ANCHOR_BYTES :]
+        lines = (self._buf + chunk).split(b"\n")
+        self._buf = lines.pop()  # torn trailing line (b"" when newline-final)
+        return lines
+
+    def poll(self) -> List[dict]:
+        """JSON objects appended since the last poll."""
+        out: List[dict] = []
+        for line in self.poll_lines():
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(rec, dict):
+                out.append(rec)
+        return out
+
+
+class ManifestFollower:
+    """:meth:`Manifest.scan` kept current from a byte offset.
+
+    Each :meth:`poll` folds only the lines appended since the previous one
+    (through :func:`fold_line`, the parser :meth:`Manifest.scan` runs over
+    the whole file), so following a manifest costs O(new lines), not
+    O(file).  A tailer reset (rotation, truncation, rewrite) restarts the
+    fold from the new header.
+
+    :attr:`done` keeps only the ids of terminal cells; the parsed records
+    wait in ``scan.records`` until :meth:`take_records` hands them out, so
+    a long-lived follower holds each summary once, briefly.
+    """
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self._tailer = JsonlTailer(path)
+        self._resets = self._tailer.resets
+        self._index = 0  # file line number of the next line folded
+        self._valid = True
+        #: winning claims, clock and max_gen of the whole file; ``records``
+        #: holds only terminal records not yet taken
+        self.scan = ManifestScan()
+        #: ids of every terminal cell in the file
+        self.done: Set[str] = set()
+
+    def poll(self) -> None:
+        """Fold the lines appended since the previous poll."""
+        lines = self._tailer.poll_lines()
+        if self._tailer.resets != self._resets:
+            self._resets = self._tailer.resets
+            self._restart()
+        if not self._valid:
+            return  # incompatible file: nothing in it counts until a reset
+        for line in lines:
+            try:
+                rec = fold_line(self.scan, self._index, _decode(line))
+            except IncompatibleManifest:
+                self._restart()
+                self._valid = False
+                return
+            self._index += 1
+            if rec is not None:
+                self.done.add(rec.cell_id)
+
+    def take_records(self) -> Dict[str, CellRecord]:
+        """Terminal records folded since the previous call."""
+        out, self.scan.records = self.scan.records, {}
+        return out
+
+    def _restart(self) -> None:
+        self._index = 0
+        self._valid = True
+        self.scan = ManifestScan()
+        self.done = set()

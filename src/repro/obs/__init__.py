@@ -60,7 +60,6 @@ from repro.obs.spans import (
 )
 from repro.obs.telemetry import (
     CampaignView,
-    JsonlTailer,
     TelemetryAggregator,
     TelemetryServer,
     TelemetrySpool,
@@ -95,7 +94,6 @@ __all__ = [
     "render_html",
     "write_html",
     "TelemetrySpool",
-    "JsonlTailer",
     "TelemetryAggregator",
     "TelemetryServer",
     "WorkerTelemetry",

@@ -58,7 +58,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 TELEMETRY_VERSION = 1
 
@@ -215,90 +215,9 @@ class TelemetrySpool:
 # ----------------------------------------------------------------------
 
 
-class JsonlTailer:
-    """Incremental reader of a growing JSONL file.
-
-    Each :meth:`poll` returns the records appended since the last poll.
-    Handles the three failure shapes the spool/manifest writers can produce:
-
-    * **torn trailing line** — an incomplete final line (no newline yet) is
-      buffered, not parsed; it is emitted once the writer completes it;
-    * **record appended mid-read** — only complete newline-terminated lines
-      are consumed, so a concurrent append is picked up whole next poll;
-    * **rotation / truncation** — an inode change or a shrink below the
-      current offset resets the tailer to offset zero of the new file.  A
-      truncate-and-rewrite that regrows *past* the current offset between
-      polls (same inode, no observable shrink) is caught by the head
-      anchor: the first bytes of the file are remembered and re-checked, so
-      a replaced head resets the tailer instead of yielding bytes from a
-      stale offset in the middle of unrelated content.
-
-    Unparseable *complete* lines (torn by a crash mid-file) are skipped, as
-    the manifest reader does.
-    """
-
-    #: bytes of the file head remembered to detect truncate-and-rewrite
-    ANCHOR_BYTES = 64
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._pos = 0
-        self._buf = b""
-        self._sig: Optional[Tuple[int, int]] = None  # (st_dev, st_ino)
-        self._anchor = b""  # head of the file identity we are tailing
-
-    def _reset(self) -> None:
-        self._pos = 0
-        self._buf = b""
-        self._anchor = b""
-
-    def poll(self) -> List[dict]:
-        try:
-            st = os.stat(self.path)
-        except OSError:
-            self._reset()
-            self._sig = None
-            return []
-        sig = (st.st_dev, st.st_ino)
-        if sig != self._sig or st.st_size < self._pos:
-            self._reset()
-            self._sig = sig
-        if st.st_size <= self._pos:
-            return []
-        try:
-            with open(self.path, "rb") as fh:
-                if self._anchor and fh.read(len(self._anchor)) != self._anchor:
-                    # Same inode, size >= our offset, different head: the
-                    # file was truncated and rewritten between polls.
-                    # Restart from the new head rather than buffering
-                    # garbage from the stale offset.
-                    self._reset()
-                fh.seek(self._pos)
-                chunk = fh.read()
-        except OSError:
-            return []
-        if self._pos == 0:
-            self._anchor = chunk[: self.ANCHOR_BYTES]
-        self._pos += len(chunk)
-        data = self._buf + chunk
-        lines = data.split(b"\n")
-        self._buf = lines.pop()  # torn trailing line (b"" when newline-final)
-        out: List[dict] = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue
-            if isinstance(rec, dict):
-                out.append(rec)
-        return out
-
-
 class SpoolTailer:
-    """A :class:`JsonlTailer` that understands spool generations.
+    """A :class:`~repro.campaign.manifest.JsonlTailer` that understands
+    spool generations.
 
     Header lines switch the current ``(worker, pid, gen)``; data records are
     de-duplicated by ``(gen, seq)`` — append-only writers emit monotonically
@@ -307,6 +226,8 @@ class SpoolTailer:
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
+        from repro.campaign.manifest import JsonlTailer
+
         self._tailer = JsonlTailer(path)
         self.worker: Optional[str] = None
         self.pid: Optional[int] = None
@@ -799,6 +720,8 @@ class TelemetryAggregator:
         manifest_path: Optional[Union[str, Path]] = None,
         stale_after: float = DEFAULT_STALE_AFTER,
     ) -> None:
+        from repro.campaign.manifest import JsonlTailer
+
         self.spool_dir = Path(spool_dir)
         self.view = CampaignView(stale_after=stale_after)
         self._tailers: Dict[str, SpoolTailer] = {}

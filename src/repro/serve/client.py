@@ -2,16 +2,18 @@
 
 :class:`ServeClient` speaks the HTTP side of the protocol with stdlib
 ``http.client`` — one connection per request, so it needs no pooling and
-survives a server drain mid-session.  :class:`LoadGenerator` drives
-saturation experiments: N threads submitting jobs as fast as admission
-allows, recording per-submit latency and shed (429) counts for
-``benchmarks/bench_serve_saturation.py``.
+survives a server drain mid-session.  :meth:`ServeClient.wait` instead sends
+one JSONL ``wait`` op on the same port and blocks until the job ends.
+:class:`LoadGenerator` drives saturation experiments: N threads submitting
+jobs as fast as admission allows, recording per-submit latency and shed
+(429) counts for ``benchmarks/bench_serve_saturation.py``.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -37,7 +39,7 @@ class DrainingError(ServeError):
 
 
 class ServeClient:
-    """Minimal blocking client: submit, poll, wait, inspect."""
+    """Minimal blocking client: submit, wait, inspect."""
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self.host = host
@@ -126,18 +128,28 @@ class ServeClient:
         finally:
             conn.close()
 
-    def wait(
-        self, job_id: str, timeout: float = 300.0, poll: float = 0.25
-    ) -> dict:
-        """Poll until the job leaves queued/running (or raise on timeout)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            info = self.job(job_id)
-            if info.get("status") not in ("queued", "running"):
-                return info
-            if time.monotonic() >= deadline:
-                raise ServeError(f"job {job_id} still {info.get('status')}")
-            time.sleep(poll)
+    def wait(self, job_id: str, timeout: float = 300.0) -> dict:
+        """Block until the job leaves queued/running (or raise on timeout).
+
+        One request to the JSONL ``wait`` op on the same port: the server
+        answers the moment the job finishes, so no poll interval is added
+        to the job's latency.
+        """
+        req = {"op": "wait", "job": job_id, "timeout": timeout}
+        with socket.create_connection(
+            (self.host, self.port), timeout=timeout + self.timeout
+        ) as sock:
+            sock.sendall(json.dumps(req).encode() + b"\n")
+            with sock.makefile("rb") as fh:
+                line = fh.readline()
+        if not line:
+            raise ServeError(f"wait for job {job_id}: connection closed")
+        reply = json.loads(line)
+        if not reply.pop("ok", False):
+            if reply.get("error") == "timeout":
+                raise ServeError(f"job {job_id} still {reply.get('status')}")
+            raise ServeError(f"wait for job {job_id} failed: {reply}")
+        return reply
 
     def healthz(self) -> tuple:
         return self._request("GET", "/healthz")

@@ -6,7 +6,10 @@ tears its pool down at the end; the service needs the same process workers
 *unbounded* stream of cells.  :class:`ServePool` wraps the executor's
 :class:`~repro.campaign.executor._Worker` slots in a pump thread:
 
-* cells come in through a thread-safe inbox (:meth:`submit`);
+* cells come in through a thread-safe inbox (:meth:`submit`), which also
+  wakes the pump: its one blocking point waits on the busy workers' pipes
+  plus a wake socket, bounded by the nearest cell deadline, so a cell for
+  an idle slot is assigned at once rather than after a poll timeout;
 * results leave through an ``on_result`` callback fired from the pump
   thread — the asyncio scheduler hands in a callback that trampolines onto
   its event loop via ``loop.call_soon_threadsafe``;
@@ -25,11 +28,13 @@ abrupt-death path during drain testing.
 from __future__ import annotations
 
 import queue
+import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 import multiprocessing
 
@@ -46,6 +51,9 @@ from repro.campaign.spec import Cell
 #: pool-level result status for a worker that died mid-cell (not a manifest
 #: status: the scheduler maps it to a retry or a terminal error)
 STATUS_CRASH = "crash"
+
+#: seconds before the pump retries a free slot that could not take work
+RETRY_INTERVAL = 0.1
 
 
 @dataclass
@@ -82,7 +90,11 @@ class ServePool:
         self._ctx = multiprocessing.get_context(
             start_method or _default_start_method()
         )
-        self._inbox: "queue.Queue[Optional[Tuple[Cell, int]]]" = queue.Queue()
+        self._inbox: "queue.Queue[Tuple[Cell, int]]" = queue.Queue()
+        # self-pipe: submit()/stop() write a byte to wake the pump
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         self._on_result: Optional[Callable[[PoolResult], None]] = None
         self._workers: List[Optional[_Worker]] = [None] * jobs
         self._stop = threading.Event()
@@ -104,6 +116,7 @@ class ServePool:
     def submit(self, cell: Cell, attempt: int) -> None:
         self._idle.clear()
         self._inbox.put((cell, attempt))
+        self._wake()
 
     @property
     def queued(self) -> int:
@@ -131,11 +144,10 @@ class ServePool:
         """Stop the pump; with ``drain``, let in-flight cells finish first."""
         if drain:
             self._drain.set()
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline:
-                if self._idle.wait(timeout=0.1):
-                    break
+            self._wake()
+            self._idle.wait(timeout)
         self._stop.set()
+        self._wake()
         if self._thread is not None:
             self._thread.join(timeout=max(5.0, timeout))
             self._thread = None
@@ -144,6 +156,8 @@ class ServePool:
                 if w is not None:
                     w.shutdown()
                     self._workers[i] = None
+        self._wake_r.close()
+        self._wake_w.close()
 
     def kill_workers(self) -> None:
         """Abruptly kill every live worker (chaos/emergency path)."""
@@ -176,38 +190,46 @@ class ServePool:
             self._workers[slot] = w
         return w
 
+    def _wake(self) -> None:
+        """Make the pump re-evaluate now (new cell, drain, or stop)."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # buffer full (a wake is already pending) or pool stopped
+
+    def _reap(self, i: int, w: _Worker) -> None:
+        """Surface a dead worker's cell as a crash; the slot respawns lazily."""
+        if w.busy:
+            cell, attempt = w.take_task()
+            self._emit(
+                PoolResult(
+                    cell,
+                    attempt,
+                    STATUS_CRASH,
+                    f"worker process died (exitcode {w.proc.exitcode})",
+                    0.0,
+                    worker=f"w{i}",
+                )
+            )
+        w.kill()
+        with self._lock:
+            self._workers[i] = None
+
     def _loop(self) -> None:  # noqa: C901 - one pump, states inline
-        backlog: List[Tuple[Cell, int]] = []
+        backlog: Deque[Tuple[Cell, int]] = deque()
         while not self._stop.is_set():
             # pull everything currently queued into the local backlog
             try:
                 while True:
-                    item = self._inbox.get_nowait()
-                    if item is not None:
-                        backlog.append(item)
+                    backlog.append(self._inbox.get_nowait())
             except queue.Empty:
                 pass
-            # surface crashed workers and respawn lazily
             for i, w in enumerate(self._workers):
-                if w is None or w.alive:
-                    continue
-                if w.busy:
-                    cell, attempt = w.take_task()
-                    self._emit(
-                        PoolResult(
-                            cell,
-                            attempt,
-                            STATUS_CRASH,
-                            f"worker process died (exitcode {w.proc.exitcode})",
-                            0.0,
-                            worker=f"w{i}",
-                        )
-                    )
-                w.kill()
-                with self._lock:
-                    self._workers[i] = None
+                if w is not None and not w.alive:
+                    self._reap(i, w)
             # assign backlog to free slots (unless draining the pool)
-            if backlog and not self._drain.is_set():
+            draining = self._drain.is_set()
+            if backlog and not draining:
                 for i, w in enumerate(self._workers):
                     if not backlog:
                         break
@@ -215,35 +237,38 @@ class ServePool:
                         w = self._spawn(i)
                         if w is None:
                             continue
-                    if w.busy or not w.alive:
+                    if w.busy:
                         continue
-                    cell, attempt = backlog.pop(0)
+                    cell, attempt = backlog.popleft()
                     try:
                         w.assign(cell, attempt, self.timeout)
                     except (BrokenPipeError, OSError):
-                        backlog.insert(0, (cell, attempt))
-            busy = [
-                w for w in self._workers if w is not None and w.busy and w.alive
-            ]
-            if not busy and (not backlog or self._drain.is_set()):
+                        backlog.appendleft((cell, attempt))
+            busy = [w for w in self._workers if w is not None and w.busy]
+            if not busy and (not backlog or draining):
                 # draining: in-flight work is done; the untouched backlog is
                 # the scheduler's to checkpoint, not ours to hold idle open
                 self._idle.set()
-            if not busy:
-                # nothing in flight: sleep on the inbox instead of spinning
-                try:
-                    item = self._inbox.get(timeout=0.1)
-                except queue.Empty:
-                    continue
-                if item is not None:
-                    backlog.append(item)
-                continue
-            now = time.monotonic()
-            wait_for = 0.2
+            # the pump's one blocking point: a result (or a worker death)
+            # on a busy pipe, a wake from submit()/stop(), or the nearest
+            # cell deadline
+            timeout: Optional[float] = None
             deadlines = [w.deadline for w in busy if w.deadline is not None]
             if deadlines:
-                wait_for = min(wait_for, max(0.0, min(deadlines) - now))
-            ready = connection.wait([w.conn for w in busy], timeout=wait_for)
+                timeout = max(0.0, min(deadlines) - time.monotonic())
+            if backlog and not draining and len(busy) < self.jobs:
+                # a free slot could not take work (spawn or pipe failure)
+                timeout = (
+                    RETRY_INTERVAL if timeout is None else min(timeout, RETRY_INTERVAL)
+                )
+            ready = connection.wait(
+                [w.conn for w in busy] + [self._wake_r], timeout=timeout
+            )
+            if self._wake_r in ready:
+                try:
+                    self._wake_r.recv(4096)
+                except OSError:
+                    pass
             for w in busy:
                 if w.conn in ready:
                     slot = f"w{self._workers.index(w)}"

@@ -748,7 +748,8 @@ class ServeScheduler:
         self._dispatch()
 
     def _absorb_peer_records(self, scan: Any) -> None:
-        """Fold terminal records written by peers into local cell state."""
+        """Fold terminal records written by peers into local cell state
+        (``scan.records`` holds only those folded since the last tick)."""
         for cid, rec in scan.records.items():
             state = self.cells.get(cid)
             if state is None or state.terminal:
@@ -763,14 +764,11 @@ class ServeScheduler:
             self._finish(state, rec, executed=False)
 
     def _complete(self) -> bool:
-        scan = self.queue._last_scan
-        if scan is None:
-            return False
-        claims = set(scan.claims)
+        claims = self.queue.claims
         if not claims:
             return False
         return (
-            claims <= self.queue.done
+            claims.keys() <= self.queue.done
             and self.inflight == 0
             and not any(self.pending.values())
         )

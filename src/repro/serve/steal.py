@@ -33,20 +33,32 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.campaign.manifest import CellRecord, ClaimRecord, Manifest, ManifestScan
+from repro.campaign.manifest import (
+    CellRecord,
+    ClaimRecord,
+    Manifest,
+    ManifestFollower,
+    ManifestScan,
+)
 
 from repro.serve.jobs import cell_from_spec
 
 #: a claim is renewed once fewer than this many ticks of lease remain
 RENEW_FRACTION = 0.5
 
-#: default lease length in scheduler ticks (at the default 0.5 s tick
-#: interval: ~12 s of survivor progress before an orphan is stolen)
+#: default lease length in scheduler ticks (at the default 0.25 s tick
+#: interval: ~6 s of survivor progress before an orphan is stolen)
 DEFAULT_LEASE_TICKS = 24
 
 
 class WorkQueue:
-    """One scheduler's view of the shared manifest work queue."""
+    """One scheduler's view of the shared manifest work queue.
+
+    The view is kept current by a :class:`ManifestFollower`: every
+    :meth:`scan` and :meth:`record` folds only the manifest lines appended
+    since the previous one, so a tick or a merge costs O(new lines), not
+    O(file).
+    """
 
     def __init__(
         self,
@@ -66,7 +78,9 @@ class WorkQueue:
         #: terminal cell ids seen in any scan or recorded by us
         self.done: Set[str] = set()
         self.stolen_total = 0
-        self._last_scan: Optional[ManifestScan] = None
+        self._follower = ManifestFollower(manifest.path)
+        #: terminal records folded but not yet handed out by scan()
+        self._fresh: Dict[str, CellRecord] = {}
 
     # ------------------------------------------------------------------
     def attach(self) -> ManifestScan:
@@ -76,12 +90,10 @@ class WorkQueue:
         scheduler that attaches next cannot be handed the same number, even
         before our first claim.  (Two truly simultaneous attaches may still
         tie; claim conflicts then resolve on clock and worker name.)
+        Returns the full scan: every terminal record in the file.
         """
-        scan = self.manifest.scan()
+        scan = self.scan()
         self.gen = scan.max_gen + 1
-        self.clock = scan.clock
-        self.done = set(scan.records)
-        self._last_scan = scan
         try:
             self.manifest.append_tick(self.worker, self.clock, gen=self.gen)
         except OSError:
@@ -92,6 +104,11 @@ class WorkQueue:
         """Advance the logical clock by one and announce it."""
         self.clock += 1
         self.manifest.append_tick(self.worker, self.clock)
+
+    @property
+    def claims(self) -> Dict[str, ClaimRecord]:
+        """The winning claim per cell, as of the last scan or record."""
+        return self._follower.scan.claims
 
     # ------------------------------------------------------------------
     def claim(
@@ -158,21 +175,39 @@ class WorkQueue:
                 )
             )
 
+    def _follow(self) -> None:
+        """Fold the lines peers (and we) appended since the last call."""
+        follower = self._follower
+        follower.poll()
+        fresh = follower.take_records()
+        self._fresh.update(fresh)
+        self.done.update(fresh)
+        self.clock = max(self.clock, follower.scan.clock)
+
     def scan(self) -> ManifestScan:
-        """Re-read the shared file; fold peer progress into local state."""
-        scan = self.manifest.scan()
-        self.clock = max(self.clock, scan.clock)
-        self.done |= set(scan.records)
+        """Catch up with the shared file; fold peer progress into local state.
+
+        The returned scan's ``claims``, ``clock`` and ``max_gen`` cover the
+        whole file; its ``records`` hold only the terminal records folded
+        since the previous scan (the first scan returns all of them).
+        """
+        self._follow()
+        view = self._follower.scan
         # a peer outbid one of our claims (e.g. we stalled past our lease
         # and were stolen from): stop treating the cell as ours
         for cid in list(self.mine):
-            claim = scan.claims.get(cid)
+            claim = view.claims.get(cid)
             if claim is not None and not (
                 claim.worker == self.worker and claim.gen == self.gen
             ):
                 self.mine.discard(cid)
-        self._last_scan = scan
-        return scan
+        records, self._fresh = self._fresh, {}
+        return ManifestScan(
+            records=records,
+            claims=view.claims,
+            clock=view.clock,
+            max_gen=view.max_gen,
+        )
 
     def steals(self, scan: Optional[ManifestScan] = None) -> List[Tuple[str, dict]]:
         """Expired foreign claims whose spec lets us re-run the cell.
@@ -181,11 +216,9 @@ class WorkQueue:
         caller claims each before executing (making the steal visible and
         restarting the lease under our generation).
         """
-        scan = self._last_scan if scan is None else scan
-        if scan is None:
-            scan = self.scan()
+        claims = self.claims if scan is None else scan.claims
         out: List[Tuple[str, dict]] = []
-        for cid, claim in scan.claims.items():
+        for cid, claim in claims.items():
             if cid in self.done or cid in self.mine:
                 continue
             if claim.worker == self.worker and claim.gen == self.gen:
@@ -214,12 +247,9 @@ class WorkQueue:
         if rec.cell_id in self.done:
             self.release(rec.cell_id)
             return False
-        # cheap freshness check: another scheduler may have recorded the
-        # cell since our last scan (we only pay this on completion, not
-        # per tick)
-        latest = self.manifest.scan()
-        self.done |= set(latest.records)
-        self.clock = max(self.clock, latest.clock)
+        # freshness check: another scheduler may have recorded the cell
+        # since our last scan (folds only the lines appended since then)
+        self._follow()
         if rec.cell_id in self.done:
             self.release(rec.cell_id)
             return False

@@ -11,6 +11,8 @@ both wire protocols, and the degradation of health endpoints.
 import asyncio
 import json
 import os
+import queue
+import statistics
 import time
 
 import pytest
@@ -35,6 +37,8 @@ from repro.serve import (
     infer_lane,
 )
 from repro.serve.chaos import drop_connection, enospc_manifest
+from repro.serve.client import ServeError
+from repro.serve.pool import ServePool
 from repro.serve.server import _expand_cells
 
 
@@ -48,6 +52,12 @@ def ok_runner(cell, attempt):  # module-level: picklable for worker processes
 
 def slow_runner(cell, attempt):
     time.sleep(0.6)
+    return _summary(cell)
+
+
+def pump_runner(cell, attempt):
+    if cell.workload == "LM1":
+        time.sleep(1.0)
     return _summary(cell)
 
 
@@ -228,7 +238,7 @@ class TestServiceHTTP:
                 client.submit, cells=[_spec(seed=1), _spec(seed=2)]
             )
             assert out["job"]
-            info = await _call(client.wait, out["job"], 30.0, 0.05)
+            info = await _call(client.wait, out["job"], 30.0)
             assert info["status"] == "done"
             assert info["done"] == 2
             assert all(c["status"] == "ok" for c in info["cells"].values())
@@ -252,7 +262,7 @@ class TestServiceHTTP:
             a = await _call(client.submit, cells=[_spec(seed=5)])
             b = await _call(client.submit, cells=[_spec(seed=5)])
             for job in (a["job"], b["job"]):
-                info = await _call(client.wait, job, 30.0, 0.05)
+                info = await _call(client.wait, job, 30.0)
                 assert info["status"] == "done"
             return service.node.completed_cells
 
@@ -319,7 +329,7 @@ class TestServiceHTTP:
         async def body(service):
             client = ServeClient("127.0.0.1", service.port)
             out = await _call(client.submit, cells=[_spec(seed=1)])
-            await _call(client.wait, out["job"], 30.0, 0.05)
+            await _call(client.wait, out["job"], 30.0)
             return await _call(client.metrics_text)
 
         text = _with_service(cfg, ok_runner, body)
@@ -362,7 +372,7 @@ class TestServiceHTTP:
             status, _ = await _call(client.healthz)
             assert status == 200
             out = await _call(client.submit, cells=[_spec(seed=1)])
-            info = await _call(client.wait, out["job"], 30.0, 0.05)
+            info = await _call(client.wait, out["job"], 30.0)
             assert info["status"] == "done"
 
         _with_service(cfg, ok_runner, body)
@@ -403,6 +413,83 @@ class TestJsonlProtocol:
             await writer.wait_closed()
 
         _with_service(cfg, ok_runner, body)
+
+
+# ----------------------------------------------------------------------
+# Event-driven hot path: pool pump and client wait
+# ----------------------------------------------------------------------
+
+
+class TestEventDriven:
+    def test_idle_slot_takes_cell_while_other_slot_is_busy(self):
+        """A cell submitted while one worker runs a slow cell goes straight
+        to the idle worker: the pump wakes on submit, not on a timeout."""
+        results = queue.Queue()
+        pool = ServePool(2, runner=pump_runner)
+        pool.start(lambda res: results.put((time.monotonic(), res)))
+        try:
+            for seed in (1, 2):  # fork both workers before timing anything
+                pool.submit(cell_from_spec(_spec(seed=seed)), 1)
+            for _ in range(2):
+                results.get(timeout=30)
+            lags = []
+            for n in range(5):
+                pool.submit(cell_from_spec(_spec(workload="LM1", seed=n)), 1)
+                deadline = time.monotonic() + 5
+                while pool.busy_count() < 1 and time.monotonic() < deadline:
+                    time.sleep(0.002)
+                t0 = time.monotonic()
+                pool.submit(cell_from_spec(_spec(seed=100 + n)), 1)
+                t_fast, fast = results.get(timeout=30)
+                assert fast.cell.workload == "HM1"
+                lags.append(t_fast - t0)
+                _, slow = results.get(timeout=30)
+                assert slow.cell.workload == "LM1"
+        finally:
+            pool.stop(drain=False, timeout=1.0)
+        assert statistics.median(lags) < 0.1, lags
+
+    def test_cli_submit_wait_returns_on_completion(self, tmp_path, capsys):
+        from repro.cli import main
+
+        cfg = _cfg(tmp_path)
+
+        async def body(service):
+            node = service.node
+            finished = []
+            finish = node._finish
+
+            def _finish(*args, **kw):
+                finish(*args, **kw)
+                finished.append(time.monotonic())
+
+            node._finish = _finish
+            code = await _call(
+                main,
+                ["submit", "--url", f"127.0.0.1:{service.port}", "--mixes",
+                 "HM1", "--schemes", "base", "--refs", "100", "--wait"],
+            )
+            return code, time.monotonic() - finished[-1]
+
+        code, lag = _with_service(cfg, slow_runner, body)
+        assert code == 0
+        assert "done (1/1 cells, 0 failed)" in capsys.readouterr().out
+        assert lag < 0.05
+
+    def test_wait_timeout_raises(self, tmp_path):
+        cfg = _cfg(tmp_path)
+
+        async def body(service):
+            client = ServeClient("127.0.0.1", service.port)
+            out = await _call(client.submit, cells=[_spec(seed=1)])
+            with pytest.raises(ServeError, match="still"):
+                await _call(client.wait, out["job"], 0.1)
+            with pytest.raises(ServeError):
+                await _call(client.wait, "j999", 1.0)
+            info = await _call(client.wait, out["job"], 30.0)
+            assert info["status"] == "done" and "ok" not in info
+
+        _with_service(cfg, slow_runner, body)
 
 
 # ----------------------------------------------------------------------
@@ -604,7 +691,7 @@ class TestTracing:
             client = ServeClient("127.0.0.1", service.port)
             out = await _call(client.submit, cells=[_spec(seed=1)])
             assert len(out["trace"]) == 32
-            info = await _call(client.wait, out["job"], 30.0, 0.05)
+            info = await _call(client.wait, out["job"], 30.0)
             assert info["trace"] == out["trace"]
             (cell,) = info["cells"].values()
             assert {"queue", "execute", "merge"} <= set(cell["stages"])
@@ -637,7 +724,7 @@ class TestTracing:
                 f"00-{trace}-00f067aa0ba902b7-01",
             )
             assert out["trace"] == trace
-            await _call(client.wait, out["job"], 30.0, 0.05)
+            await _call(client.wait, out["job"], 30.0)
 
         _with_service(cfg, ok_runner, body)
         assert {s.trace_id for s in read_spans(cfg.manifest)} == {trace}
@@ -649,7 +736,7 @@ class TestTracing:
             client = ServeClient("127.0.0.1", service.port)
             out = await _call(client.submit, cells=[_spec(seed=1)])
             assert "trace" not in out
-            info = await _call(client.wait, out["job"], 30.0, 0.05)
+            info = await _call(client.wait, out["job"], 30.0)
             assert info["status"] == "done"
             assert "critical_path" not in info
             (cell,) = info["cells"].values()
@@ -708,7 +795,7 @@ class TestReportEndpoints:
         async def body(service):
             client = ServeClient("127.0.0.1", service.port)
             out = await _call(client.submit, cells=[_spec(refs=60, seed=1)])
-            info = await _call(client.wait, out["job"], 60.0, 0.05)
+            info = await _call(client.wait, out["job"], 60.0)
             assert info["status"] == "done"
             payload = await _call(client.job_report, out["job"])
             assert payload["job"] == out["job"]
@@ -732,7 +819,7 @@ class TestReportEndpoints:
         async def body(service):
             client = ServeClient("127.0.0.1", service.port)
             out = await _call(client.submit, cells=[_spec(seed=1)])
-            await _call(client.wait, out["job"], 30.0, 0.05)
+            await _call(client.wait, out["job"], 30.0)
             payload = await _call(client.job_report, out["job"])
             assert payload["reports"] == {}  # degrades, not 500s
 

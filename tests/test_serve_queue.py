@@ -1,21 +1,28 @@
 """Tests for the manifest work-queue overlay and retry jitter.
 
-Covers the satellite edge cases named in the serve issue: resume over a
-manifest whose last record is a torn claim line, duplicate claims from two
-generations (higher generation wins), and lease expiry mid-merge — plus the
-WorkQueue lifecycle (attach/claim/renew/steal/record) and the deterministic
-full-jitter retry backoff shared by the campaign executor and the service.
+Covers resume over a manifest whose last record is a torn claim line,
+duplicate claims from two generations (higher generation wins), and lease
+expiry mid-merge — plus the WorkQueue lifecycle (attach/claim/renew/steal/
+record), the incremental manifest follower's equivalence with a full
+``Manifest.scan()``, and the deterministic full-jitter retry backoff shared
+by the campaign executor and the service.
 """
 
 import json
+import tempfile
+import types
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.campaign import manifest as manifest_mod
 from repro.campaign.executor import MAX_RETRY_DELAY, retry_delay
 from repro.campaign.manifest import (
     CellRecord,
     ClaimRecord,
     Manifest,
+    ManifestFollower,
     STATUS_OK,
 )
 from repro.serve.jobs import cell_from_spec
@@ -295,3 +302,180 @@ class TestWorkQueue:
         spec = _spec(workload="LM1", scheme="camps", refs=250, seed=7)
         wire = json.loads(json.dumps(spec))
         assert cell_from_spec(wire).cell_id == _cid(spec)
+
+
+# ----------------------------------------------------------------------
+# ManifestFollower: incremental scan == full scan
+# ----------------------------------------------------------------------
+
+_CELLS = ["c0", "c1", "c2"]
+_WORKERS = ["a", "b"]
+
+_append_ops = st.one_of(
+    st.tuples(st.just("record"), st.sampled_from(_CELLS),
+              st.sampled_from([STATUS_OK, "error"])),
+    # few gens and clocks: duplicate claims across generations are common
+    st.tuples(st.just("claim"), st.sampled_from(_CELLS),
+              st.sampled_from(_WORKERS), st.integers(0, 3),
+              st.integers(0, 6), st.integers(0, 12)),
+    st.tuples(st.just("tick"), st.sampled_from(_WORKERS), st.integers(0, 9),
+              st.one_of(st.none(), st.integers(0, 4))),
+    st.tuples(st.just("span"), st.sampled_from(_CELLS)),
+)
+_ops = st.one_of(
+    _append_ops,
+    # a writer crashed mid-append: a strict prefix of a line, no newline
+    st.tuples(st.just("torn"), _append_ops, st.floats(0.0, 1.0)),
+    st.tuples(st.just("reset")),
+    # truncate in place and rewrite: a new campaign header (or an
+    # incompatible / missing one) followed by a few lines
+    st.tuples(st.just("rewrite"), st.sampled_from(["v1", "v2", "none"]),
+              st.lists(_append_ops, max_size=4)),
+)
+
+
+def _payload(op):
+    kind = op[0]
+    if kind == "record":
+        rec = _record(op[1])
+        rec.status = op[2]
+        return {k: v for k, v in rec.__dict__.items() if v is not None}
+    if kind == "claim":
+        _, cid, worker, gen, clock, lease = op
+        return {"kind": "claim", "cell_id": cid, "worker": worker,
+                "gen": gen, "clock": clock, "lease": lease}
+    if kind == "tick":
+        out = {"kind": "tick", "worker": op[1], "clock": op[2]}
+        if op[3] is not None:
+            out["gen"] = op[3]
+        return out
+    return {"kind": "span", "trace": "t" * 32, "stage": "merge",
+            "cell_id": op[1], "ts": 1.0, "dur": 0.001}
+
+
+def _apply(m, op, rewrites):
+    kind = op[0]
+    if kind == "record":
+        rec = _record(op[1])
+        rec.status = op[2]
+        m.append(rec)
+    elif kind == "claim":
+        _, cid, worker, gen, clock, lease = op
+        m.append_claim(ClaimRecord(cid, worker, gen, clock, lease))
+    elif kind == "tick":
+        m.append_tick(op[1], op[2], gen=op[3])
+    elif kind == "span":
+        m.append_span(_payload(op))
+    elif kind == "torn":
+        line = json.dumps(_payload(op[1])).encode()
+        cut = 1 + int(op[2] * (len(line) - 2))  # 1 <= cut < len(line)
+        raw = m.path.read_bytes()
+        heal = b"\n" if raw and not raw.endswith(b"\n") else b""
+        with open(m.path, "ab") as fh:
+            fh.write(heal + line[:cut])
+    elif kind == "reset":
+        m.reset()
+    else:
+        _, header, lines = op
+        rewrites.append(1)
+        head = {"v1": [{"kind": "header", "version": 1,
+                        "campaign": len(rewrites)}],
+                "v2": [{"kind": "header", "version": 2}],
+                "none": []}[header]
+        body = b"".join(
+            json.dumps(p).encode() + b"\n"
+            for p in head + [_payload(o) for o in lines]
+        )
+        with open(m.path, "r+b") as fh:
+            fh.truncate(0)
+            fh.write(body)
+
+
+def _assert_follows(follower, m):
+    full = m.scan()
+    assert follower.done == set(full.records)
+    assert follower.scan.claims == full.claims
+    assert follower.scan.clock == full.clock
+    assert follower.scan.max_gen == full.max_gen
+
+
+class TestManifestFollower:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(steps=st.lists(_ops, min_size=1, max_size=25))
+    def test_follower_matches_full_scan_after_every_step(self, steps):
+        with tempfile.TemporaryDirectory() as tmp:
+            m = Manifest(Path(tmp) / "m.jsonl")
+            m.reset()
+            follower = ManifestFollower(m.path)
+            rewrites = []
+            for op in steps:
+                _apply(m, op, rewrites)
+                follower.poll()
+                follower.take_records()
+                _assert_follows(follower, m)
+
+    def test_taken_records_are_those_folded_since_the_last_take(self, tmp_path):
+        m = Manifest(tmp_path / "m.jsonl")
+        m.reset()
+        follower = ManifestFollower(m.path)
+        m.append(_record("c1"))
+        follower.poll()
+        m.append(_record("c2"))
+        follower.poll()
+        assert set(follower.take_records()) == {"c1", "c2"}
+        follower.poll()
+        assert follower.take_records() == {}
+        assert follower.done == {"c1", "c2"}
+
+    def test_rewrite_behind_an_unchanged_head_resets(self, tmp_path):
+        """An in-place rewrite that keeps the file's first bytes but changes
+        the bytes already consumed, and regrows past the offset between
+        polls, is caught by the consumed-tail anchor."""
+        m = Manifest(tmp_path / "m.jsonl")
+        m.reset()
+        m.append_claim(ClaimRecord("c0", "peer", 1, 1, 9, {"workload": "HM1"}))
+        m.append_tick("peer", 1)
+        follower = ManifestFollower(m.path)
+        follower.poll()
+        head = m.path.read_bytes().rsplit(b"\n", 2)[0]
+        with open(m.path, "r+b") as fh:
+            fh.truncate(0)
+            fh.write(head + b"\n" + b'{"kind": "tick", "worker": "peer", "clock": 7}\n')
+        m.append(_record("c1"))
+        follower.poll()
+        _assert_follows(follower, m)
+        assert follower.scan.clock == 7
+
+    @pytest.mark.parametrize("history", [10, 3000])
+    def test_scan_parses_only_appended_lines(self, tmp_path, monkeypatch, history):
+        """A tick's scan after k appended lines parses exactly k lines,
+        however long the manifest already is."""
+        m = Manifest(tmp_path / "m.jsonl")
+        m.reset()
+        for i in range(history):
+            m.append_tick("peer", i)
+        q = WorkQueue(m, "a")
+        q.attach()
+        q.scan()
+        parsed = []
+
+        def loads(line):
+            parsed.append(line)
+            return json.loads(line)
+
+        monkeypatch.setattr(
+            manifest_mod, "json", types.SimpleNamespace(loads=loads, dumps=json.dumps)
+        )
+        k = 7
+        for i in range(k - 2):
+            m.append_claim(ClaimRecord(f"c{i}", "peer", 1, i, i + 5))
+        m.append(_record("c0"))
+        q.tick()  # our own heartbeat is one of the k lines
+        scan = q.scan()
+        assert len(parsed) == k
+        assert set(scan.records) == {"c0"} and "c0" in q.done
+        assert q.clock == history  # peer ticks 0..history-1, then ours

@@ -17,7 +17,7 @@ import urllib.request
 import pytest
 
 from repro.campaign import CampaignOptions, Manifest, grid_cells, run_campaign
-from repro.campaign.manifest import MANIFEST_VERSION
+from repro.campaign.manifest import MANIFEST_VERSION, JsonlTailer
 from repro.experiments.runner import ExperimentConfig
 from repro.obs import telemetry
 from repro.obs.promtext import parse_exposition, render_metrics
@@ -25,7 +25,6 @@ from repro.obs.telemetry import (
     FROZEN_SAMPLES,
     TELEMETRY_VERSION,
     CampaignView,
-    JsonlTailer,
     SpoolTailer,
     TelemetryAggregator,
     TelemetryServer,
