@@ -23,7 +23,7 @@ targeted 1.8x; the honest paired measurement landed at 1.66x with results
 byte-identical, and that is the number recorded here.
 
 The batched-engine pass (cohort dispatch, time-warp idle skip, fused NumPy
-bank scans, the ``REPRO_BACKEND`` seam) continued from that baseline:
+bank scans) continued from that baseline:
 measured against the *pre-overhaul* tree it lands at **~1.8x** cumulative
 (calibration-normalized, ~0.50 s vs the 1.0327 s baseline at 3000
 refs/core; the exact figure is printed per run and recorded in

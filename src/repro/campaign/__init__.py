@@ -2,8 +2,9 @@
 
 A campaign is a set of independent (workload, scheme, config, seed) cells —
 a figure grid, a seed sweep, an ablation — executed across a
-``multiprocessing`` worker pool with per-cell timeouts, bounded retry,
-failure isolation, and a resumable JSONL manifest.  It is the execution
+``multiprocessing`` worker pool (:class:`CellPool`, shared with ``repro
+serve``) with per-cell timeouts, bounded retry, failure isolation, and a
+resumable JSONL manifest.  It is the execution
 backend behind ``run_matrix(jobs=...)``, ``run_seeded(jobs=...)``,
 ``Sweep.run(jobs=...)`` and the ``python -m repro campaign`` command.
 
@@ -29,8 +30,10 @@ from repro.campaign.executor import (
     CampaignResult,
     execute_cell,
     matrix_digest,
+    resolved_record,
     retry_delay,
     run_campaign,
+    settle,
     summarize,
 )
 from repro.campaign.manifest import (
@@ -43,6 +46,7 @@ from repro.campaign.manifest import (
     Manifest,
     ManifestScan,
 )
+from repro.campaign.pool import STATUS_CRASH, CellPool, PoolResult, run_attempt
 from repro.campaign.progress import CampaignProgress
 from repro.campaign.spec import Cell, fabric_grid_cells, grid_cells
 
@@ -54,9 +58,12 @@ __all__ = [
     "CampaignOptions",
     "CampaignProgress",
     "CampaignResult",
+    "CellPool",
     "Manifest",
     "ManifestScan",
     "MANIFEST_VERSION",
+    "PoolResult",
+    "STATUS_CRASH",
     "STATUS_OK",
     "STATUS_ERROR",
     "STATUS_TIMEOUT",
@@ -64,7 +71,10 @@ __all__ = [
     "fabric_grid_cells",
     "grid_cells",
     "matrix_digest",
+    "resolved_record",
     "retry_delay",
+    "run_attempt",
     "run_campaign",
+    "settle",
     "summarize",
 ]

@@ -1,23 +1,25 @@
-"""Sharded campaign execution across a multiprocessing worker pool.
+"""Campaign execution: drive a list of cells to terminal manifest records.
 
 :func:`run_campaign` takes a list of :class:`~repro.campaign.spec.Cell`
 specs and drives them to terminal state:
 
-* **Sharding** — up to ``jobs`` persistent worker processes, each fed one
-  cell at a time over a pipe.  Workers are spawn-safe: the cell runner is a
-  picklable module-level callable, so the pool works under both the ``fork``
-  (default on Linux) and ``spawn`` start methods.
-* **Failure isolation** — a cell that raises, or a worker that dies, yields
-  a recorded ``error`` for that cell (and a respawned worker), never a dead
-  campaign.
+* **Execution** — ``jobs=1`` runs each attempt in this process;
+  ``jobs >= 2`` runs them on a :class:`~repro.campaign.pool.CellPool`, the
+  same worker pool ``repro serve`` uses.  Both call
+  :func:`~repro.campaign.pool.run_attempt`, so an attempt yields the same
+  ``(status, payload, elapsed)`` either way.
+* **One verdict** — :func:`settle` turns every attempt into a terminal
+  record or a retry, for campaigns and the service alike: ``ok`` and
+  ``timeout`` are terminal, a diagnosed error is terminal, an undiagnosed
+  error is retried (with jittered backoff, :func:`retry_delay`) while
+  ``attempt <= retries``.  A campaign records a worker that died mid-cell
+  as an undiagnosed error.
 * **Timeout** — with ``jobs >= 2`` each attempt has a wall-clock budget;
-  an overrunning worker is terminated and the cell recorded as ``timeout``
-  (timeouts are terminal: a deterministic simulator that hung once will
-  hang again, so retrying only multiplies the loss).
-* **Retry** — crashed/raising attempts are retried up to ``retries`` times
-  with exponential backoff before the error becomes terminal.
-* **Resume** — with a :class:`~repro.campaign.manifest.Manifest` and
-  ``resume=True``, cells already recorded ``ok`` are not re-executed.
+  an overrunning worker is terminated and the cell recorded as ``timeout``.
+* **Resume and cache** — :func:`resolved_record` satisfies a cell without
+  running it: a manifest record that is ok or diagnosed (with
+  ``resume=True``), else a :class:`~repro.experiments.runner.ResultCache`
+  hit.
 * **Deterministic merge** — :meth:`CampaignResult.matrix` orders results by
   cell id, so serial and parallel campaigns over the same cells produce
   identical summaries regardless of completion order (pin with
@@ -27,14 +29,11 @@ specs and drives them to terminal state:
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
+import queue
 import time
-import traceback
-from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing import connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.campaign.manifest import (
     STATUS_ERROR,
@@ -43,6 +42,14 @@ from repro.campaign.manifest import (
     CellRecord,
     Manifest,
 )
+from repro.campaign.pool import (
+    STATUS_CRASH,
+    CellPool,
+    CellRunner,
+    PoolResult,
+    activate_telemetry,
+    run_attempt,
+)
 from repro.campaign.progress import CampaignProgress
 from repro.campaign.spec import Cell
 from repro.experiments.runner import _CACHED_FIELDS, ResultCache
@@ -50,14 +57,6 @@ from repro.metrics.collectors import ResultMatrix
 from repro.obs import telemetry as _telemetry
 from repro.obs.telemetry import publish_system
 from repro.system import SimulationResult, System, SystemConfig
-
-#: worker telemetry spec shipped to the child process:
-#: (spool_dir, worker_name, heartbeat_interval)
-TelemetrySpec = Tuple[str, str, float]
-
-#: a cell runner maps (cell, attempt) -> summary dict (the _CACHED_FIELDS
-#: projection); it must be a module-level callable so spawn can pickle it
-CellRunner = Callable[[Cell, int], dict]
 
 
 class CampaignError(RuntimeError):
@@ -333,130 +332,82 @@ def matrix_digest(matrix: ResultMatrix) -> str:
 
 
 # ----------------------------------------------------------------------
-# Worker pool plumbing
+# Attempt policy (shared with repro.serve)
 # ----------------------------------------------------------------------
 
 
-def _worker_loop(
-    conn: Any, runner: CellRunner, telemetry: Optional[TelemetrySpec] = None
-) -> None:
-    """Worker process body: run cells off the pipe until told to stop."""
-    wt = None
-    if telemetry is not None:
-        spool_dir, worker_name, interval = telemetry
-        try:
-            wt = _telemetry.activate_worker(spool_dir, worker_name, interval)
-        except OSError:
-            wt = None  # unwritable spool dir: run blind, never refuse work
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        if task is None:
-            break
-        cell, attempt = task
-        if wt is not None:
-            wt.cell_start(cell, attempt)
-        t0 = time.perf_counter()
-        try:
-            summary = runner(cell, attempt)
-            payload: Tuple[str, Any, float] = (
-                STATUS_OK,
-                summary,
-                time.perf_counter() - t0,
+def resolved_record(
+    cell: Cell,
+    prior: Mapping[str, CellRecord],
+    cache: Optional[ResultCache],
+) -> Optional[CellRecord]:
+    """The record that satisfies ``cell`` without running it, if any.
+
+    A ``prior`` manifest record counts when it is ok or diagnosed: a cell
+    the integrity layer convicted (wedge, invariant violation) is
+    deterministic, so re-running it would reproduce the failure.
+    Undiagnosed errors and timeouts stay eligible for re-execution.
+    Otherwise a ``cache`` hit becomes a ``cached`` ok record (attempts 0).
+    The returned record *is* the prior one when the manifest resolved it.
+    """
+    old = prior.get(cell.cell_id)
+    if old is not None and (old.ok or old.diagnosis is not None):
+        return old
+    if cache is not None and cell.cacheable:
+        hit = cache.get(cell.config.cache_key(cell.workload, cell.scheme))
+        if hit is not None:
+            return CellRecord(
+                cell_id=cell.cell_id,
+                workload=cell.workload,
+                scheme=cell.scheme,
+                status=STATUS_OK,
+                attempts=0,
+                elapsed=0.0,
+                summary=summarize(hit),
+                cached=True,
             )
-        except Exception as exc:
-            error: Any = traceback.format_exc(limit=8)
-            # Integrity failures carry a structured diagnosis (and have
-            # already written their crash dump in this process); ship it
-            # across the pipe so the manifest records it.
-            diagnosis = getattr(exc, "report", None)
-            if isinstance(diagnosis, dict) and diagnosis:
-                error = {"error": error, "diagnosis": diagnosis}
-            payload = (
-                STATUS_ERROR,
-                error,
-                time.perf_counter() - t0,
-            )
-        if wt is not None:
-            wt.cell_end(payload[0], payload[2])
-        try:
-            conn.send(payload)
-        except (BrokenPipeError, OSError):
-            break
-    if wt is not None:
-        _telemetry.deactivate_worker()
-    try:
-        conn.close()
-    except OSError:
-        pass
+    return None
 
 
-def _default_start_method() -> str:
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+def settle(
+    cell: Cell,
+    attempt: int,
+    status: str,
+    payload: Any,
+    elapsed: float,
+    retries: int,
+) -> Optional[CellRecord]:
+    """The verdict on one attempt: its terminal record, or None to retry.
 
+    * ``ok`` — terminal, carrying the summary;
+    * ``timeout`` — terminal: a deterministic simulator that hung once will
+      hang again, so retrying only multiplies the loss;
+    * ``error`` with a diagnosis — terminal for the same reason;
+    * ``error`` without one — retried while ``attempt <= retries``.
 
-class _Worker:
-    """One pool slot: a process, its pipe, and the task it is running."""
-
-    def __init__(
-        self,
-        ctx: Any,
-        runner: CellRunner,
-        telemetry: Optional[TelemetrySpec] = None,
-    ) -> None:
-        parent_conn, child_conn = ctx.Pipe()
-        self.proc = ctx.Process(
-            target=_worker_loop, args=(child_conn, runner, telemetry), daemon=True
-        )
-        self.proc.start()
-        child_conn.close()
-        self.conn = parent_conn
-        self.task: Optional[Tuple[Cell, int]] = None
-        self.deadline: Optional[float] = None
-
-    @property
-    def busy(self) -> bool:
-        return self.task is not None
-
-    @property
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def assign(self, cell: Cell, attempt: int, timeout: Optional[float]) -> None:
-        self.conn.send((cell, attempt))
-        self.task = (cell, attempt)
-        self.deadline = (time.monotonic() + timeout) if timeout else None
-
-    def take_task(self) -> Tuple[Cell, int]:
-        task = self.task
-        assert task is not None
-        self.task = None
-        self.deadline = None
-        return task
-
-    def kill(self) -> None:
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=2)
-            if self.proc.is_alive():  # pragma: no cover - stubborn child
-                self.proc.kill()
-                self.proc.join(timeout=2)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-    def shutdown(self) -> None:
-        """Polite stop for an idle worker; escalates to kill."""
-        if self.proc.is_alive() and not self.busy:
-            try:
-                self.conn.send(None)
-                self.proc.join(timeout=2)
-            except (BrokenPipeError, OSError):
-                pass
-        self.kill()
+    ``payload`` is what :func:`~repro.campaign.pool.run_attempt` returned.
+    A worker ``crash`` is not a verdict: callers map it first.
+    """
+    fields: Dict[str, Any] = dict(
+        cell_id=cell.cell_id,
+        workload=cell.workload,
+        scheme=cell.scheme,
+        status=status,
+        attempts=attempt,
+        elapsed=elapsed,
+    )
+    if status == STATUS_OK:
+        return CellRecord(summary=payload, **fields)
+    if status == STATUS_TIMEOUT:
+        return CellRecord(error=str(payload), **fields)
+    diagnosis = None
+    error = payload
+    if isinstance(payload, dict):
+        diagnosis = payload.get("diagnosis")
+        error = payload.get("error", "")
+    if diagnosis is None and attempt <= retries:
+        return None
+    return CellRecord(error=str(error).strip(), diagnosis=diagnosis, **fields)
 
 
 # ----------------------------------------------------------------------
@@ -484,11 +435,6 @@ class _Driver:
         self.telemetry_dir = telemetry_dir
         self.records: Dict[str, CellRecord] = {}
 
-    def _worker_telemetry(self, slot: int) -> Optional[TelemetrySpec]:
-        if self.telemetry_dir is None:
-            return None
-        return (self.telemetry_dir, f"w{slot}", self.opts.telemetry_interval)
-
     def record(self, rec: CellRecord, source: str = "executed") -> None:
         if (
             source == "executed"
@@ -502,14 +448,10 @@ class _Driver:
         self.records[rec.cell_id] = rec
         if source != "resumed" and self.manifest is not None:
             self.manifest.append(rec)
-        if (
-            source == "executed"
-            and rec.ok
-            and self.cache is not None
-            and self._cacheable.get(rec.cell_id, False)
-        ):
+        cell = self._cells[rec.cell_id]
+        if source == "executed" and rec.ok and self.cache is not None and cell.cacheable:
             self.cache.put(
-                self._cache_keys[rec.cell_id],
+                cell.config.cache_key(cell.workload, cell.scheme),
                 SimulationResult(extra={}, **rec.summary),
             )
         self.progress.cell_done(rec, source)
@@ -521,249 +463,98 @@ class _Driver:
             if (self.manifest is not None and self.opts.resume)
             else {}
         )
-        self._cacheable: Dict[str, bool] = {}
-        self._cache_keys: Dict[str, str] = {}
+        self._cells = {cell.cell_id: cell for cell in cells}
         pending: List[Cell] = []
         for cell in cells:
-            cid = cell.cell_id
-            self._cacheable[cid] = cell.cacheable
-            self._cache_keys[cid] = cell.config.cache_key(cell.workload, cell.scheme)
-            old = prior.get(cid)
-            # Resume skips completed cells AND diagnosed failures: a cell
-            # the integrity layer convicted (wedge, invariant violation) is
-            # deterministic, so re-running it would reproduce the failure.
-            # Undiagnosed errors/timeouts stay eligible for re-execution.
-            if old is not None and (old.ok or old.diagnosis is not None):
-                self.record(old, source="resumed")
-                continue
-            if self.cache is not None and cell.cacheable:
-                hit = self.cache.get(self._cache_keys[cid])
-                if hit is not None:
-                    self.record(
-                        CellRecord(
-                            cell_id=cid,
-                            workload=cell.workload,
-                            scheme=cell.scheme,
-                            status=STATUS_OK,
-                            attempts=0,
-                            elapsed=0.0,
-                            summary=summarize(hit),
-                            cached=True,
-                        ),
-                        source="cached",
-                    )
-                    continue
-            pending.append(cell)
+            rec = resolved_record(cell, prior, self.cache)
+            if rec is None:
+                pending.append(cell)
+            else:
+                resumed = rec is prior.get(cell.cell_id)
+                self.record(rec, source="resumed" if resumed else "cached")
         return pending
+
+    def conclude(
+        self, cell: Cell, attempt: int, status: str, payload: Any, elapsed: float
+    ) -> bool:
+        """Record the attempt's verdict; False when it is to be retried."""
+        rec = settle(cell, attempt, status, payload, elapsed, self.opts.retries)
+        if rec is None:
+            self.progress.retry(cell, attempt, str(payload).strip().splitlines()[-1])
+            return False
+        self.record(rec)
+        return True
 
     # ------------------------------------------------------------------
     def run_serial(self, pending: Sequence[Cell], runner: CellRunner) -> None:
-        """In-process execution (jobs=1): today's serial path plus retry.
+        """In-process execution (jobs=1).
 
         Per-attempt timeouts need a separate process to interrupt; with one
         job the attempt runs inline and ``timeout`` is not enforced.
         """
-        wt = None
-        if self.telemetry_dir is not None:
-            # one job: the "worker" heartbeats come from this process
-            try:
-                wt = _telemetry.activate_worker(
-                    self.telemetry_dir, "w0", self.opts.telemetry_interval
-                )
-            except OSError:
-                wt = None
+        # one job: the "worker" heartbeats come from this process
+        wt = activate_telemetry(
+            (self.telemetry_dir, "w0", self.opts.telemetry_interval)
+            if self.telemetry_dir is not None
+            else None
+        )
         try:
             for cell in pending:
                 attempt = 1
-                while True:
-                    if wt is not None:
-                        wt.cell_start(cell, attempt)
-                    t0 = time.perf_counter()
-                    try:
-                        summary = runner(cell, attempt)
-                        elapsed = time.perf_counter() - t0
-                        if wt is not None:
-                            wt.cell_end(STATUS_OK, elapsed)
-                        self.record(
-                            CellRecord(
-                                cell_id=cell.cell_id,
-                                workload=cell.workload,
-                                scheme=cell.scheme,
-                                status=STATUS_OK,
-                                attempts=attempt,
-                                elapsed=elapsed,
-                                summary=summary,
-                            )
-                        )
-                        break
-                    except Exception as exc:
-                        elapsed = time.perf_counter() - t0
-                        if wt is not None:
-                            wt.cell_end(STATUS_ERROR, elapsed)
-                        diagnosis = getattr(exc, "report", None)
-                        if not (isinstance(diagnosis, dict) and diagnosis):
-                            diagnosis = None
-                        # A diagnosed integrity failure is deterministic -
-                        # the same wedge or violation will recur - so
-                        # retrying only multiplies the loss.  Record it
-                        # terminal immediately.
-                        if diagnosis is None and attempt <= self.opts.retries:
-                            self.progress.retry(
-                                cell, attempt, f"{type(exc).__name__}: {exc}"
-                            )
-                            time.sleep(
-                                retry_delay(cell.cell_id, attempt, self.opts.backoff)
-                            )
-                            attempt += 1
-                            continue
-                        self.record(
-                            CellRecord(
-                                cell_id=cell.cell_id,
-                                workload=cell.workload,
-                                scheme=cell.scheme,
-                                status=STATUS_ERROR,
-                                attempts=attempt,
-                                elapsed=elapsed,
-                                error=f"{type(exc).__name__}: {exc}",
-                                diagnosis=diagnosis,
-                            )
-                        )
-                        break
+                while not self.conclude(
+                    cell, attempt, *run_attempt(runner, cell, attempt, wt)
+                ):
+                    time.sleep(retry_delay(cell.cell_id, attempt, self.opts.backoff))
+                    attempt += 1
         finally:
             if wt is not None:
                 _telemetry.deactivate_worker()
 
     # ------------------------------------------------------------------
     def run_pool(self, pending: Sequence[Cell], runner: CellRunner) -> None:
-        """Pooled execution with per-attempt timeouts and worker respawn."""
+        """Pooled execution on a :class:`CellPool`: submit every cell, then
+        settle results as they arrive, resubmitting retries when due."""
         opts = self.opts
-        ctx = multiprocessing.get_context(opts.start_method or _default_start_method())
-        tasks: deque = deque((cell, 1) for cell in pending)
-        retries: List[Tuple[float, int, Cell, int]] = []  # (due, tiebreak, cell, attempt)
-        tiebreak = 0
-        workers = [
-            _Worker(ctx, runner, telemetry=self._worker_telemetry(i))
-            for i in range(min(opts.jobs, len(pending)))
-        ]
+        results: "queue.Queue[PoolResult]" = queue.Queue()
+        pool = CellPool(
+            min(opts.jobs, len(pending)),
+            runner,
+            timeout=opts.timeout,
+            telemetry_dir=self.telemetry_dir,
+            telemetry_interval=opts.telemetry_interval,
+            start_method=opts.start_method,
+        ).start(results.put)
+        # (due, cell id, cell, attempt): cell ids are unique, so the heap
+        # never compares two cells
+        retries: List[Tuple[float, str, Cell, int]] = []
+        unsettled = len(pending)
         try:
-            while tasks or retries or any(w.busy for w in workers):
-                now = time.monotonic()
-                while retries and retries[0][0] <= now:
-                    _, _, cell, attempt = heapq.heappop(retries)
-                    tasks.append((cell, attempt))
-                # replace dead slots while work remains
-                for i, w in enumerate(workers):
-                    if not w.busy and not w.alive and (tasks or retries):
-                        w.kill()
-                        # same slot name: the respawn appends a fresh header
-                        # (new generation) to the same spool file
-                        workers[i] = _Worker(
-                            ctx, runner, telemetry=self._worker_telemetry(i)
-                        )
-                for w in workers:
-                    if tasks and not w.busy and w.alive:
-                        cell, attempt = tasks.popleft()
-                        try:
-                            w.assign(cell, attempt, opts.timeout)
-                        except (BrokenPipeError, OSError):
-                            # worker died between polls: requeue, respawn next pass
-                            tasks.appendleft((cell, attempt))
-                busy = [w for w in workers if w.busy]
-                if not busy:
-                    if retries:
-                        time.sleep(min(0.05, max(0.0, retries[0][0] - now)))
-                    continue
-                wait_for = 0.5
-                deadlines = [w.deadline for w in busy if w.deadline is not None]
-                if deadlines:
-                    wait_for = min(wait_for, max(0.0, min(deadlines) - now))
+            for cell in pending:
+                pool.submit(cell, 1)
+            while unsettled:
+                wait: Optional[float] = None
                 if retries:
-                    wait_for = min(wait_for, max(0.0, retries[0][0] - now))
-                ready = connection.wait([w.conn for w in busy], timeout=wait_for)
-                for w in busy:
-                    if w.conn in ready:
-                        cell, attempt = w.take_task()
-                        try:
-                            status, payload, elapsed = w.conn.recv()
-                        except (EOFError, OSError):
-                            status, payload, elapsed = (
-                                STATUS_ERROR,
-                                f"worker process died (exitcode "
-                                f"{w.proc.exitcode})",
-                                0.0,
-                            )
-                        if status == STATUS_OK:
-                            self.record(
-                                CellRecord(
-                                    cell_id=cell.cell_id,
-                                    workload=cell.workload,
-                                    scheme=cell.scheme,
-                                    status=STATUS_OK,
-                                    attempts=attempt,
-                                    elapsed=elapsed,
-                                    summary=payload,
-                                )
-                            )
-                            continue
-                        # Error payloads are a plain traceback string, or a
-                        # {"error", "diagnosis"} dict from the integrity
-                        # layer.  Diagnosed failures are deterministic and
-                        # recorded terminal without burning retries.
-                        diagnosis = None
-                        error_text = payload
-                        if isinstance(payload, dict):
-                            diagnosis = payload.get("diagnosis")
-                            error_text = payload.get("error", "")
-                        if diagnosis is None and attempt <= opts.retries:
-                            self.progress.retry(
-                                cell, attempt, str(error_text).strip().splitlines()[-1]
-                            )
-                            tiebreak += 1
-                            heapq.heappush(
-                                retries,
-                                (
-                                    time.monotonic()
-                                    + retry_delay(
-                                        cell.cell_id, attempt, opts.backoff
-                                    ),
-                                    tiebreak,
-                                    cell,
-                                    attempt + 1,
-                                ),
-                            )
-                        else:
-                            self.record(
-                                CellRecord(
-                                    cell_id=cell.cell_id,
-                                    workload=cell.workload,
-                                    scheme=cell.scheme,
-                                    status=STATUS_ERROR,
-                                    attempts=attempt,
-                                    elapsed=elapsed,
-                                    error=str(error_text).strip(),
-                                    diagnosis=diagnosis,
-                                )
-                            )
-                # enforce per-attempt deadlines on the still-busy workers
-                now = time.monotonic()
-                for w in workers:
-                    if w.busy and w.deadline is not None and now >= w.deadline:
-                        cell, attempt = w.take_task()
-                        w.kill()
-                        self.record(
-                            CellRecord(
-                                cell_id=cell.cell_id,
-                                workload=cell.workload,
-                                scheme=cell.scheme,
-                                status=STATUS_TIMEOUT,
-                                attempts=attempt,
-                                elapsed=float(opts.timeout or 0.0),
-                                error=f"cell exceeded {opts.timeout:g}s wall-clock",
-                            )
-                        )
+                    wait = retries[0][0] - time.monotonic()
+                    if wait <= 0:
+                        _, _, cell, attempt = heapq.heappop(retries)
+                        pool.submit(cell, attempt)
+                        continue
+                try:
+                    res = results.get(timeout=wait)
+                except queue.Empty:
+                    continue
+                # a worker that died mid-cell is an undiagnosed error here
+                status = STATUS_ERROR if res.status == STATUS_CRASH else res.status
+                cell, attempt = res.cell, res.attempt
+                if self.conclude(cell, attempt, status, res.payload, res.elapsed):
+                    unsettled -= 1
+                else:
+                    due = time.monotonic() + retry_delay(
+                        cell.cell_id, attempt, opts.backoff
+                    )
+                    heapq.heappush(retries, (due, cell.cell_id, cell, attempt + 1))
         finally:
-            for w in workers:
-                w.shutdown()
+            pool.stop(drain=False)
 
 
 def run_campaign(

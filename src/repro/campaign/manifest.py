@@ -49,7 +49,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, BinaryIO, Dict, List, Optional, Set, Tuple, Union
 
 MANIFEST_VERSION = 1
 
@@ -137,6 +137,8 @@ class ManifestScan:
     claims: Dict[str, ClaimRecord] = field(default_factory=dict)
     clock: int = 0
     max_gen: int = 0
+    #: header fields other than ``kind`` (version, cells, jobs, ...)
+    meta: Dict[str, Any] = field(default_factory=dict)
 
     def expired(self, cell_id: str) -> bool:
         """True when the cell is claimed, unfinished, and past its lease."""
@@ -180,6 +182,7 @@ def fold_line(scan: ManifestScan, index: int, line: str) -> Optional[CellRecord]
     if kind == KIND_HEADER:
         if raw.get("version") != MANIFEST_VERSION:
             raise IncompatibleManifest(f"manifest version {raw.get('version')!r}")
+        scan.meta = {k: v for k, v in raw.items() if k != "kind"}
         return None
     if index == 0:
         raise IncompatibleManifest("headerless file predates the format")
@@ -501,7 +504,9 @@ class ManifestFollower:
 
     :attr:`done` keeps only the ids of terminal cells; the parsed records
     wait in ``scan.records`` until :meth:`take_records` hands them out, so
-    a long-lived follower holds each summary once, briefly.
+    a long-lived follower holds each summary once, briefly.  A reader that
+    never takes them (the telemetry aggregator) keeps the file's
+    last-record-wins map there instead.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:

@@ -26,7 +26,6 @@ from repro.fabric.host import FabricHost
 from repro.fabric.topology import FabricConfig, Topology
 from repro.hmc.device import HMCDevice
 from repro.system import DirectPort, SimulationResult
-from repro.sim.backend import engine_class as backend_engine_class
 from repro.sim.engine import Engine
 from repro.workloads.trace import Trace
 
@@ -72,8 +71,7 @@ class FabricSystem:
         fabric = self.config.fabric
         self.fabric = fabric
         self.workload = workload
-        # Backend seam (see repro.sim.backend): same selection as System.
-        self.engine = backend_engine_class()()
+        self.engine = Engine()
         self.topology = Topology(fabric)
         self.devices: List[HMCDevice] = [
             HMCDevice(

@@ -655,7 +655,8 @@ class CampaignView:
         self.workers: Dict[str, WorkerView] = {}
         self.campaign: dict = {}  # driver spool totals/ETA (in-parent truth)
         self.manifest_meta: dict = {}  # manifest header fields (cells, jobs)
-        self.manifest_cells: Dict[str, dict] = {}  # cell_id -> last record
+        #: cell_id -> last terminal CellRecord
+        self.manifest_cells: Dict[str, Any] = {}
         self.stale_after = stale_after
 
     # -- derived -------------------------------------------------------
@@ -663,11 +664,11 @@ class CampaignView:
         counts = {"done": 0, "ok": 0, "failed": 0, "cached": 0}
         for rec in self.manifest_cells.values():
             counts["done"] += 1
-            if rec.get("status") == "ok":
+            if rec.ok:
                 counts["ok"] += 1
             else:
                 counts["failed"] += 1
-            if rec.get("cached"):
+            if rec.cached:
                 counts["cached"] += 1
         total = self.manifest_meta.get("cells")
         if isinstance(total, int):
@@ -679,13 +680,13 @@ class CampaignView:
         bad = [
             {
                 "cell_id": cid,
-                "workload": rec.get("workload"),
-                "scheme": rec.get("scheme"),
-                "status": rec.get("status"),
-                "diagnosis": rec.get("diagnosis"),
+                "workload": rec.workload,
+                "scheme": rec.scheme,
+                "status": rec.status,
+                "diagnosis": rec.diagnosis,
             }
             for cid, rec in self.manifest_cells.items()
-            if rec.get("status") != "ok"
+            if not rec.ok
         ]
         return bad[-limit:]
 
@@ -720,13 +721,13 @@ class TelemetryAggregator:
         manifest_path: Optional[Union[str, Path]] = None,
         stale_after: float = DEFAULT_STALE_AFTER,
     ) -> None:
-        from repro.campaign.manifest import JsonlTailer
+        from repro.campaign.manifest import ManifestFollower
 
         self.spool_dir = Path(spool_dir)
         self.view = CampaignView(stale_after=stale_after)
         self._tailers: Dict[str, SpoolTailer] = {}
-        self._manifest_tailer = (
-            JsonlTailer(manifest_path) if manifest_path is not None else None
+        self._manifest = (
+            ManifestFollower(manifest_path) if manifest_path is not None else None
         )
         self._lock = threading.Lock()
 
@@ -760,19 +761,13 @@ class TelemetryAggregator:
                 wv.update(rec, now)
 
     def _poll_manifest(self) -> None:
-        if self._manifest_tailer is None:
+        if self._manifest is None:
             return
-        for rec in self._manifest_tailer.poll():
-            if rec.get("kind") == "header":
-                self.view.manifest_meta = {
-                    k: v for k, v in rec.items() if k != "kind"
-                }
-                # rotation/reset: a fresh header voids prior cell records
-                self.view.manifest_cells = {}
-                continue
-            cid = rec.get("cell_id")
-            if isinstance(cid, str):
-                self.view.manifest_cells[cid] = rec
+        # the manifest's own fold: claim, tick and span lines never count
+        # as cells, and a fresh header (reset/rotation) restarts the view
+        self._manifest.poll()
+        self.view.manifest_meta = self._manifest.scan.meta
+        self.view.manifest_cells = self._manifest.scan.records
 
 
 # ----------------------------------------------------------------------

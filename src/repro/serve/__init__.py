@@ -41,7 +41,6 @@ from repro.serve.jobs import (
     cell_from_spec,
     cell_to_spec,
 )
-from repro.serve.pool import PoolResult, ServePool, STATUS_CRASH
 from repro.serve.server import (
     Draining,
     Saturated,
@@ -66,13 +65,10 @@ __all__ = [
     "LatencyTracker",
     "LoadGenerator",
     "LogHistogram",
-    "PoolResult",
-    "STATUS_CRASH",
     "Saturated",
     "ServeClient",
     "ServeConfig",
     "ServeError",
-    "ServePool",
     "ServeScheduler",
     "ServeService",
     "Shed",

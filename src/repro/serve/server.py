@@ -1,14 +1,17 @@
-"""The campaign service: an asyncio front end over the pooled executor.
+"""The campaign service: an asyncio front end over the campaign cell pool.
 
 Two cooperating layers live here:
 
 * :class:`ServeScheduler` — the headless node.  Owns the manifest-backed
-  :class:`~repro.serve.steal.WorkQueue`, the persistent
-  :class:`~repro.serve.pool.ServePool`, the
-  :class:`~repro.serve.admission.AdmissionController`, and the
+  :class:`~repro.serve.steal.WorkQueue`, a long-lived
+  :class:`~repro.campaign.pool.CellPool` (the pool ``run_campaign`` uses),
+  the :class:`~repro.serve.admission.AdmissionController`, and the
   :class:`~repro.serve.jobs.JobRegistry`.  Several nodes may share one
   manifest (work stealing); the chaos harness runs nodes with no HTTP
-  listener at all.
+  listener at all.  Attempts settle through the campaign's policy
+  (:func:`~repro.campaign.executor.settle`) and new cells resolve through
+  :func:`~repro.campaign.executor.resolved_record`; only crash handling
+  is the node's own: a worker that died mid-cell is always requeued.
 * :class:`ServeService` — the wire front end: one ``asyncio.start_server``
   socket speaking both HTTP/1.1 (hand-parsed, stdlib only) and raw
   newline-delimited JSON (a connection whose first byte is ``{`` is a JSONL
@@ -42,19 +45,14 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from collections import deque
 
 from repro.campaign.executor import (
-    CellRunner,
     cell_report_path,
     execute_cell,
+    resolved_record,
     retry_delay,
-    summarize,
+    settle,
 )
-from repro.campaign.manifest import (
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    CellRecord,
-    Manifest,
-)
+from repro.campaign.manifest import CellRecord, Manifest
+from repro.campaign.pool import STATUS_CRASH, CellPool, CellRunner, PoolResult
 from repro.campaign.spec import Cell
 from repro.experiments.runner import ResultCache
 from repro.obs import telemetry as _telemetry
@@ -89,7 +87,6 @@ from repro.serve.jobs import (
     SpecError,
     cell_from_spec,
 )
-from repro.serve.pool import STATUS_CRASH, PoolResult, ServePool
 from repro.serve.steal import DEFAULT_LEASE_TICKS, WorkQueue
 
 CHECKPOINT_VERSION = 1
@@ -189,9 +186,9 @@ class ServeScheduler:
             tdir = _telemetry.spool_dir_for(cfg.manifest)
             tdir.mkdir(parents=True, exist_ok=True)
             self.telemetry_dir = str(tdir)
-        self.pool = ServePool(
+        self.pool = CellPool(
             cfg.jobs,
-            runner=runner,
+            runner,
             timeout=cfg.timeout,
             telemetry_dir=self.telemetry_dir,
             telemetry_interval=cfg.telemetry_interval,
@@ -297,12 +294,15 @@ class ServeScheduler:
         unique: Dict[str, Tuple[Cell, dict]] = {}
         for cell, spec in zip(cells, specs):
             unique.setdefault(cell.cell_id, (cell, dict(spec)))
-        needs_slot = [
-            cid
-            for cid in unique
-            if cid not in self.cells and not self._resolvable(unique[cid][0])
-        ]
-        verdict = self.admission.try_admit(lane, len(needs_slot))
+        # new cells satisfied by the manifest (resume) or the ResultCache
+        # take no queue capacity
+        resolved = {
+            cid: resolved_record(cell, self._resume_records, self.cache)
+            for cid, (cell, _) in unique.items()
+            if cid not in self.cells
+        }
+        needs_slot = sum(1 for rec in resolved.values() if rec is None)
+        verdict = self.admission.try_admit(lane, needs_slot)
         if verdict is not None:
             raise Saturated(verdict)
         job = Job(
@@ -323,8 +323,7 @@ class ServeScheduler:
                 state = self.cells[cid] = CellState(
                     cell=cell, spec=spec, lane=lane, trace_id=trace_id
                 )
-                resolved = self._try_resolve(state)
-                if not resolved:
+                if not self._resolve(state, resolved[cid]):
                     state.enqueued = time.monotonic()
                     self.pending[lane].append(cid)
             elif state.trace_id is None:
@@ -357,45 +356,19 @@ class ServeScheduler:
             out["trace"] = trace_id
         return out
 
-    def _resolvable(self, cell: Cell) -> bool:
-        """True when the cell will be satisfied without queue capacity."""
-        rec = self._resume_records.get(cell.cell_id)
-        if rec is not None and (rec.ok or rec.diagnosis is not None):
-            return True
-        if self.cache is not None and cell.cacheable:
-            key = cell.config.cache_key(cell.workload, cell.scheme)
-            return self.cache.get(key) is not None
-        return False
-
-    def _try_resolve(self, state: CellState) -> bool:
-        """Satisfy a new cell from the manifest (resume) or ResultCache."""
-        rec = self._resume_records.get(state.cell_id)
-        if rec is not None and (rec.ok or rec.diagnosis is not None):
+    def _resolve(self, state: CellState, rec: Optional[CellRecord]) -> bool:
+        """Satisfy a new cell with its :func:`resolved_record`, if any."""
+        if rec is None:
+            return False
+        if rec is self._resume_records.get(state.cell_id):
             state.record = rec
             state.status = (
                 CELL_QUARANTINED if rec.diagnosis is not None else CELL_DONE
             )
             self.queue.done.add(state.cell_id)
-            return True
-        if self.cache is not None and state.cell.cacheable:
-            key = state.cell.config.cache_key(
-                state.cell.workload, state.cell.scheme
-            )
-            hit = self.cache.get(key)
-            if hit is not None:
-                rec = CellRecord(
-                    cell_id=state.cell_id,
-                    workload=state.cell.workload,
-                    scheme=state.cell.scheme,
-                    status=STATUS_OK,
-                    attempts=0,
-                    elapsed=0.0,
-                    summary=summarize(hit),
-                    cached=True,
-                )
-                self._finish(state, rec, executed=False)
-                return True
-        return False
+        else:
+            self._finish(state, rec, executed=False)
+        return True
 
     # ------------------------------------------------------------------
     # Dispatch / results
@@ -487,21 +460,7 @@ class ServeScheduler:
             attempt=res.attempt,
             **({"slot": res.worker} if res.worker else {}),
         )
-        if res.status == STATUS_OK:
-            self._finish(
-                state,
-                CellRecord(
-                    cell_id=state.cell_id,
-                    workload=state.cell.workload,
-                    scheme=state.cell.scheme,
-                    status=STATUS_OK,
-                    attempts=res.attempt,
-                    elapsed=res.elapsed,
-                    summary=res.payload,
-                ),
-                executed=True,
-            )
-        elif res.status == STATUS_CRASH:
+        if res.status == STATUS_CRASH:
             # infrastructure death, not a cell verdict: always re-run, with
             # deterministic jitter so a mass worker death cannot stampede
             state.crashes += 1
@@ -514,63 +473,26 @@ class ServeScheduler:
                     cap=2.0,
                 ),
             )
-        elif res.status == STATUS_TIMEOUT:
-            self._finish(
-                state,
-                CellRecord(
-                    cell_id=state.cell_id,
-                    workload=state.cell.workload,
-                    scheme=state.cell.scheme,
-                    status=STATUS_TIMEOUT,
-                    attempts=res.attempt,
-                    elapsed=res.elapsed,
-                    error=str(res.payload),
-                ),
-                executed=True,
+        else:
+            rec = settle(
+                state.cell,
+                res.attempt,
+                res.status,
+                res.payload,
+                res.elapsed,
+                self.cfg.retries,
             )
-        else:  # STATUS_ERROR
-            diagnosis = None
-            error_text = res.payload
-            if isinstance(res.payload, dict):
-                diagnosis = res.payload.get("diagnosis")
-                error_text = res.payload.get("error", "")
-            if diagnosis is not None:
-                # diagnosed integrity failure: deterministic, quarantine it
-                self.quarantined_total += 1
-                self._finish(
-                    state,
-                    CellRecord(
-                        cell_id=state.cell_id,
-                        workload=state.cell.workload,
-                        scheme=state.cell.scheme,
-                        status=STATUS_ERROR,
-                        attempts=res.attempt,
-                        elapsed=res.elapsed,
-                        error=str(error_text).strip(),
-                        diagnosis=diagnosis,
-                    ),
-                    executed=True,
-                    quarantine=True,
-                )
-            elif res.attempt <= self.cfg.retries:
+            if rec is None:
                 self._requeue_later(
                     state,
                     retry_delay(state.cell_id, res.attempt, self.cfg.crash_backoff),
                 )
             else:
-                self._finish(
-                    state,
-                    CellRecord(
-                        cell_id=state.cell_id,
-                        workload=state.cell.workload,
-                        scheme=state.cell.scheme,
-                        status=STATUS_ERROR,
-                        attempts=res.attempt,
-                        elapsed=res.elapsed,
-                        error=str(error_text).strip(),
-                    ),
-                    executed=True,
-                )
+                # a diagnosed integrity failure is deterministic: quarantine
+                quarantine = rec.diagnosis is not None
+                if quarantine:
+                    self.quarantined_total += 1
+                self._finish(state, rec, executed=True, quarantine=quarantine)
         self._dispatch()
 
     def _requeue_later(self, state: CellState, delay: float) -> None:
@@ -853,7 +775,8 @@ class ServeScheduler:
                 lane=lane,
                 trace_id=trace if isinstance(trace, str) else None,
             )
-            if not self._try_resolve(state):
+            rec = resolved_record(cell, self._resume_records, self.cache)
+            if not self._resolve(state, rec):
                 state.enqueued = time.monotonic()
                 self.pending[lane].append(cid)
                 self.admission.queued[lane] += 1

@@ -29,7 +29,6 @@ from repro.hmc.config import HMCConfig
 from repro.hmc.device import HMCDevice
 from repro.hmc.host import HostController
 from repro.request import MemoryRequest
-from repro.sim.backend import engine_class as backend_engine_class
 from repro.sim.engine import Engine
 from repro.sim.sampler import Sampler
 from repro.sim.stats import geomean
@@ -211,10 +210,7 @@ class System:
             raise ValueError("need at least one core trace")
         self.config = config or SystemConfig()
         self.workload = workload
-        # Backend seam: REPRO_BACKEND picks the kernel incarnation (pure
-        # Python, or the mypyc-compiled artifact when built); see
-        # repro.sim.backend for the fallback contract.
-        self.engine = backend_engine_class()()
+        self.engine = Engine()
         self.device = HMCDevice(
             self.config.hmc,
             self.engine,

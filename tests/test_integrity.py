@@ -2,6 +2,7 @@
 campaign's handling of diagnosed failures (terminal, resumable, narrated)."""
 
 import json
+import os
 
 import pytest
 
@@ -252,19 +253,32 @@ def _wedge_runner(cell, attempt=1):
     return summarize(sys_.run())
 
 
+#: file the transient runner appends its attempt numbers to (an env var
+#: reaches pool workers under every start method)
+_CALLS_ENV = "REPRO_TEST_CALLS_FILE"
+
+
+def _transient_runner(cell, attempt=1):
+    """Cell runner that always fails without a diagnosis."""
+    with open(os.environ[_CALLS_ENV], "a") as fh:
+        fh.write(f"{attempt}\n")
+    raise RuntimeError("transient")
+
+
 class TestCampaignDiagnosis:
     def _cells(self):
         cfg = ExperimentConfig(refs_per_core=100, seed=1)
         return [Cell(workload="HM1", scheme="base", config=cfg)]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_diagnosed_failure_is_terminal_despite_retries(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, jobs
     ):
         monkeypatch.setenv(CRASH_DIR_ENV, str(tmp_path / "dumps"))
         manifest = Manifest(tmp_path / "manifest.jsonl")
         result = run_campaign(
             self._cells(),
-            CampaignOptions(retries=2),
+            CampaignOptions(jobs=jobs, retries=2),
             manifest=manifest,
             runner=_wedge_runner,
         )
@@ -310,18 +324,16 @@ class TestCampaignDiagnosis:
         assert not rec.ok and rec.attempts == 1
         assert rec.diagnosis["reason"] == "forward_progress_stall"
 
-    def test_undiagnosed_failure_still_retries(self, tmp_path):
-        calls = []
-
-        def flaky(cell, attempt=1):
-            calls.append(attempt)
-            raise RuntimeError("transient")
-
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_undiagnosed_failure_still_retries(self, tmp_path, monkeypatch, jobs):
+        calls = tmp_path / "calls"
+        monkeypatch.setenv(_CALLS_ENV, str(calls))
         result = run_campaign(
-            self._cells(), CampaignOptions(retries=2, backoff=0.0),
-            manifest=Manifest(tmp_path / "manifest.jsonl"), runner=flaky,
+            self._cells(), CampaignOptions(jobs=jobs, retries=2, backoff=0.0),
+            manifest=Manifest(tmp_path / "manifest.jsonl"),
+            runner=_transient_runner,
         )
         rec = next(iter(result.records.values()))
         assert not rec.ok and rec.attempts == 3
         assert rec.diagnosis is None
-        assert calls == [1, 2, 3]
+        assert calls.read_text().split() == ["1", "2", "3"]

@@ -38,7 +38,7 @@ from repro.serve import (
 )
 from repro.serve.chaos import drop_connection, enospc_manifest
 from repro.serve.client import ServeError
-from repro.serve.pool import ServePool
+from repro.campaign.pool import CellPool
 from repro.serve.server import _expand_cells
 
 
@@ -425,7 +425,7 @@ class TestEventDriven:
         """A cell submitted while one worker runs a slow cell goes straight
         to the idle worker: the pump wakes on submit, not on a timeout."""
         results = queue.Queue()
-        pool = ServePool(2, runner=pump_runner)
+        pool = CellPool(2, pump_runner)
         pool.start(lambda res: results.put((time.monotonic(), res)))
         try:
             for seed in (1, 2):  # fork both workers before timing anything

@@ -461,6 +461,30 @@ class TestAggregator:
         counts = agg.refresh().manifest_counts()
         assert counts["done"] == 0 and counts["total"] == 3
 
+    def test_serve_overlay_lines_are_not_cells(self, tmp_path):
+        """Claim, tick and span lines carry a cell_id (or none) but are not
+        terminal records: they must neither add cells nor overwrite one."""
+        manifest = tmp_path / "m.jsonl"
+        ok = {"workload": "HM1", "scheme": "base", "status": "ok"}
+        claim = {"kind": "claim", "worker": "s0", "gen": 1, "clock": 1,
+                 "lease": 9}
+        _write_manifest(manifest, 3, [
+            {**claim, "cell_id": "a"},
+            {**claim, "cell_id": "b"},
+            {**claim, "cell_id": "c"},  # claimed, still running
+            {"kind": "tick", "worker": "s0", "clock": 2},
+            {"cell_id": "a", **ok},
+            {"kind": "span", "stage": "merge", "cell_id": "a"},
+            {"cell_id": "b", **ok},
+            {**claim, "cell_id": "b", "clock": 3},  # a late renewal
+            {"kind": "span", "stage": "execute", "cell_id": "c"},
+        ])
+        agg = TelemetryAggregator(tmp_path, manifest_path=manifest)
+        snap = agg.refresh().to_snapshot()
+        assert snap["manifest"] == {"done": 2, "ok": 2, "failed": 0,
+                                    "cached": 0, "total": 3}
+        assert snap["failures"] == []
+
     def test_incremental_refresh_picks_up_appends(self, tmp_path):
         spool = TelemetrySpool(spool_path(tmp_path, "w0"), "w0")
         spool.append({"phase": "idle", "ts": 0.0, "cells": {"done": 0}})
