@@ -105,24 +105,40 @@ def execute_cell(
     Runs in the worker process; trace generation is seeded, so regenerating
     per cell yields byte-identical traces to the serial shared-trace loop.
 
+    Cells carrying a ``topology`` spec run on that routed fabric: the
+    Table II mix is replicated as one independent stream per cube (each
+    with its own RNG stream, homed at its cube) and the scheme runs
+    per-vault in every cube.
+
     With ``report_dir`` set (``functools.partial`` keeps the runner
     picklable under spawn), the run carries a counter tracer and the
     default-epoch time series sampler and writes a
     :class:`~repro.obs.report.RunReport` to ``<report_dir>/<cell_id>.json``.
     Neither changes the returned summary: telemetry never perturbs
     simulation order, so cached and reported cells stay digest-identical.
-
-    Cells carrying a ``topology`` spec run the multi-cube
-    :class:`~repro.fabric.system.FabricSystem` path instead (same summary
-    projection, same report/telemetry plumbing).
     """
-    from repro.workloads.mixes import mix as make_mix
-
-    if cell.topology is not None:
-        return _execute_fabric_cell(cell, attempt, report_dir)
     cfg = cell.config
-    trace_hmc = cell.trace_config if cell.trace_config is not None else cfg.hmc
-    traces = make_mix(cell.workload, cfg.refs_per_core, seed=cfg.seed, config=trace_hmc)
+    fabric = None
+    workload = cell.workload
+    if cell.topology is None:
+        from repro.workloads.mixes import mix as make_mix
+
+        trace_hmc = cell.trace_config if cell.trace_config is not None else cfg.hmc
+        traces = make_mix(
+            cell.workload, cfg.refs_per_core, seed=cfg.seed, config=trace_hmc
+        )
+    else:
+        from repro.fabric import FabricConfig
+        from repro.workloads.multistream import MultiStreamSpec, build_stream_traces
+
+        fabric = FabricConfig.from_spec(cell.topology, hmc=cfg.hmc)
+        spec = MultiStreamSpec.per_cube(
+            cell.workload, fabric.cubes, cfg.refs_per_core, seed=cfg.seed
+        )
+        traces = build_stream_traces(spec, fabric)
+        # topology-qualified: ResultMatrix keys by (workload, scheme), so a
+        # topology sweep of one mix must not collapse to a single entry
+        workload = f"{cell.workload}@{cell.topology}"
     tracer = None
     epoch = None
     if report_dir is not None:
@@ -135,11 +151,12 @@ def execute_cell(
         traces,
         SystemConfig(
             hmc=cfg.hmc,
+            fabric=fabric,
             scheme=cell.scheme,
             integrity=cfg.integrity,
             timeseries_epoch=epoch,
         ),
-        workload=cell.workload,
+        workload=workload,
         scheme_kwargs=cell.scheme_kwargs,
         tracer=tracer,
     )
@@ -154,65 +171,12 @@ def execute_cell(
     if report_dir is not None:
         from repro.obs import build_run_report
 
-        build_run_report(
-            system, result, cell_id=cell.cell_id, attempt=attempt
-        ).save(cell_report_path(report_dir, cell.cell_id))
-    return summarize(result)
-
-
-def _execute_fabric_cell(
-    cell: Cell, attempt: int = 1, report_dir: Optional[str] = None
-) -> dict:
-    """Fabric cell runner (module-level: picklable under spawn).
-
-    ``cell.workload`` names one Table II mix, replicated as one independent
-    stream per cube (each with its own RNG stream, homed at its cube); the
-    scheme runs per-vault in every cube.  Trace generation is seeded, so a
-    cell reproduces byte-identically regardless of worker or attempt.
-    """
-    from repro.fabric import FabricConfig, FabricSystem, FabricSystemConfig
-    from repro.workloads.multistream import MultiStreamSpec, build_stream_traces
-
-    cfg = cell.config
-    fabric = FabricConfig.from_spec(cell.topology, hmc=cfg.hmc)
-    spec = MultiStreamSpec.per_cube(
-        cell.workload, fabric.cubes, cfg.refs_per_core, seed=cfg.seed
-    )
-    traces = build_stream_traces(spec, fabric)
-    tracer = None
-    epoch = None
-    if report_dir is not None:
-        from repro.obs import Tracer
-        from repro.obs.timeseries import DEFAULT_EPOCH
-
-        tracer = Tracer()
-        epoch = DEFAULT_EPOCH
-    fsys = FabricSystem(
-        traces,
-        FabricSystemConfig(
-            fabric=fabric, scheme=cell.scheme, timeseries_epoch=epoch
-        ),
-        # topology-qualified: ResultMatrix keys by (workload, scheme), so a
-        # topology sweep of one mix must not collapse to a single entry
-        workload=f"{cell.workload}@{cell.topology}",
-        scheme_kwargs=cell.scheme_kwargs,
-        tracer=tracer,
-    )
-    publish_system(fsys)
-    try:
-        result = fsys.run()
-    finally:
-        publish_system(None)
-    if report_dir is not None:
-        from repro.obs import build_run_report
-
-        build_run_report(
-            fsys,
-            result,
-            cell_id=cell.cell_id,
-            attempt=attempt,
-            topology=cell.topology,
-        ).save(cell_report_path(report_dir, cell.cell_id))
+        meta: Dict[str, Any] = {"cell_id": cell.cell_id, "attempt": attempt}
+        if cell.topology is not None:
+            meta["topology"] = cell.topology
+        build_run_report(system, result, **meta).save(
+            cell_report_path(report_dir, cell.cell_id)
+        )
     return summarize(result)
 
 

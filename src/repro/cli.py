@@ -138,7 +138,8 @@ def _result_json(result, cfg) -> str:
 def _run_fabric(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     """``repro run --topology chain:4``: one mix replicated one stream per
     cube across a routed multi-cube fabric."""
-    from repro.fabric import FabricConfig, FabricSystem, FabricSystemConfig
+    from repro.fabric import FabricConfig
+    from repro.system import System, SystemConfig
     from repro.workloads.multistream import MultiStreamSpec, build_stream_traces
 
     try:
@@ -166,10 +167,13 @@ def _run_fabric(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     spec = MultiStreamSpec.per_cube(
         args.mix, fabric.cubes, cfg.refs_per_core, seed=cfg.seed
     )
-    fsys = FabricSystem(
+    fsys = System(
         build_stream_traces(spec, fabric),
-        FabricSystemConfig(
-            fabric=fabric, scheme=args.scheme, timeseries_epoch=epoch
+        SystemConfig(
+            fabric=fabric,
+            scheme=args.scheme,
+            integrity=cfg.integrity,
+            timeseries_epoch=epoch,
         ),
         workload=args.mix,
         tracer=tracer,

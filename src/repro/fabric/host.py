@@ -1,29 +1,31 @@
-"""Fabric-side host controller: N request streams onto 1-8 routed cubes.
+"""Host-side HMC controller: decode, packetize, route onto 1-8 cubes.
 
-:class:`FabricHost` generalizes :class:`~repro.hmc.host.HostController` to a
-multi-cube fabric.  Every request is decoded once (cube + vault + bank + row
-+ column, mirroring :class:`~repro.fabric.address.FabricAddressMapping`),
-serialized onto a host serial link, and either injected straight into its
-home cube (the link's far end under star fan-out, or cube 0 when the home
-cube IS cube 0 under chain/ring) or handed to the entry cube's
-:class:`~repro.fabric.router.Router` for hop-by-hop forwarding.  Responses
-retrace the path and land in the same latency histograms the single-cube
-host feeds.
+:class:`FabricHost` sits on the processor die (paper Figure 2) and is the
+one host every :class:`~repro.system.System` runs through.  Every LLC miss
+or writeback becomes a request packet: the host decodes its coordinates
+once (cube + vault + bank + row + column, mirroring
+:class:`~repro.fabric.address.FabricAddressMapping`), serializes it onto a
+host serial link, and either injects it straight into its home cube's
+crossbar (the link's far end under star fan-out, or cube 0 when the home
+cube IS cube 0 under chain/ring) or hands it to the entry cube's
+:class:`~repro.fabric.router.Router` for hop-by-hop forwarding.
+Completions retrace the path; the host timestamps them, feeds the AMAT
+histograms (Figure 8's input) and wakes the issuing core via the request
+callback.
 
-**Single-cube parity contract.**  With one cube every topology degenerates
-to exactly the single-cube controller: vault-interleaved link selection,
-direct crossbar injection, identical event shape (one engine event per
-request leg) and identical arithmetic - the fabric path calls the reference
-``LinkDirection.send`` / ``HMCDevice.inject`` / ``Histogram.add`` methods,
-which the single-cube hot path's inlined copies are documented to be
-bit-identical to.  ``tests/test_fabric_system.py`` pins a one-cube
-``FabricSystem`` against ``System`` field for field, including the event
-count.
+**The one host.**  A one-cube fabric is the plain single-cube machine: no
+cube bits, vault-interleaved link selection, direct crossbar injection and
+one engine event per request leg.  The per-request arithmetic (fault-free
+link serialization, crossbar traversal, response scheduling, histogram
+updates) is inlined; ``LinkDirection.send``, ``Crossbar.route``,
+``Engine.call_at`` and ``Histogram.add`` hold the reference semantics the
+inlined copies are bit-identical to.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from heapq import heappush
+from typing import Callable, Dict, List
 
 from repro.fabric.address import FabricAddressMapping
 from repro.fabric.router import FABRIC_LINK_ID_BASE, FabricLink, Router
@@ -38,14 +40,13 @@ from repro.sim.stats import StatGroup
 
 
 class FabricHost:
-    """The processor-side endpoint of a routed multi-cube fabric."""
+    """The processor-side endpoint of the host serial links."""
 
     def __init__(
         self,
         fabric: FabricConfig,
         engine: Engine,
         devices: List[HMCDevice],
-        topology: Topology,
         record_requests: bool = False,
     ) -> None:
         if len(devices) != fabric.cubes:
@@ -53,6 +54,7 @@ class FabricHost:
                 f"fabric declares {fabric.cubes} cubes but got {len(devices)} devices"
             )
         cfg = fabric.hmc
+        topology = Topology(fabric)
         self.fabric = fabric
         self.config = cfg
         self.engine = engine
@@ -66,11 +68,15 @@ class FabricHost:
             SerialLink(i, bpc, cfg.serdes_latency, cfg.flit_bytes, cfg.faults)
             for i in range(cfg.links)
         ]
+        #: instrumentation site (repro.obs.hooks), rebound at wiring time
         self._tracer = None
         self._emit_link_tx = noop
-        #: see HostController.recycle_requests; FabricSystem enables this
-        #: under the same single-ownership proof
+        #: recycle delivered requests through the MemoryRequest pool; the
+        #: System enables this only when it can prove single ownership
+        #: (no request recording, no cache hierarchy holding MSHR refs)
         self.recycle_requests = False
+        # packet sizes depend only on (kind, line_bytes, header_bytes):
+        # resolve the four combinations once instead of per packet
         line = cfg.line_bytes
         hdr = cfg.request_header_bytes
         self._req_bytes = (
@@ -81,23 +87,16 @@ class FabricHost:
             packet_bytes(PacketKind.READ_RESPONSE, line, hdr),
             packet_bytes(PacketKind.WRITE_RESPONSE, line, hdr),
         )
-        # Decode constants mirrored out of the fabric mapping (send() runs
-        # the shift/mask arithmetic inline, same shape as HostController).
-        m = self.mapping
-        self._q_shift, self._q_mask, self._q_cubes = m.cube_shift, m.cube_mask, m.cubes
-        self._v_shift, self._v_mask = m.vault_shift, m.vault_mask
-        self._b_shift, self._b_mask = m.bank_shift, m.bank_mask
-        self._c_shift, self._c_mask = m.column_shift, m.column_mask
-        self._r_shift = m.row_shift
-        self._nlinks = len(self.links)
-        self._resp_xbar = cfg.crossbar_latency
         #: star fan-out selects links by cube; every other shape (and any
-        #: one-cube fabric) keeps the vault-interleaved assignment so a
-        #: degenerate fabric is link-for-link identical to HostController
+        #: one-cube fabric) keeps the static vault-interleaved assignment,
+        #: which balances load because consecutive rows interleave across
+        #: vaults
         self._link_by_cube = fabric.topology == "star" and fabric.cubes > 1
-        self._energy = [dev.energy for dev in devices]
         self._entry = [topology.entry_cube(c) for c in range(fabric.cubes)]
         self._host_hops = topology.host_hops
+        #: requests sent per home cube; the hop count is a function of the
+        #: home cube alone, so this is the whole hop histogram
+        self._cube_requests = [0] * fabric.cubes
 
         # ---- inter-cube plumbing -------------------------------------
         self.fabric_links: List[FabricLink] = [
@@ -140,13 +139,59 @@ class FabricHost:
         self._c_reads = self.stats.counter("reads_sent")
         self._c_writes = self.stats.counter("writes_sent")
         self._c_done = self.stats.counter("completions")
+        # 64 bins x 32 cycles covers latencies up to ~2k cycles before overflow
         self.latency_hist = self.stats.histogram("mem_latency", nbins=64, bin_width=32)
         self.read_latency_hist = self.stats.histogram(
             "read_latency", nbins=64, bin_width=32
         )
-        #: link traversals per request (host link + inter-cube forwards);
-        #: 16 one-cycle bins cover the deepest 8-cube chain (9 hops)
-        self.hop_hist = self.stats.histogram("host_hops", nbins=16, bin_width=1)
+        # Context packs: every object here is bound once and mutated only in
+        # place, so the tuples stay current; one attribute read + a C-level
+        # unpack replaces the dozen attribute chains that would otherwise
+        # open every packetization.  The decode constants mirror the fabric
+        # mapping (mapping.decode stays the public/validating API).
+        m = self.mapping
+        energy = [dev.energy for dev in devices]
+        self._send_ctx = (
+            engine,
+            m.cube_shift,
+            m.cube_mask,
+            m.cubes,
+            m.vault_shift,
+            m.vault_mask,
+            m.bank_shift,
+            m.bank_mask,
+            m.row_shift,
+            m.column_shift,
+            m.column_mask,
+            self._req_bytes,
+            self.links,
+            len(self.links),
+            self._link_by_cube,
+            self._entry,
+            energy,
+            [dev.crossbar for dev in devices],
+            [[vc.receive for vc in dev.vaults] for dev in devices],
+            [r.receive_request for r in self.routers],
+            self._cube_requests,
+            self._c_reads,
+            self._c_writes,
+        )
+        self._tx_ctx = (
+            engine,
+            self._resp_bytes,
+            self.links,
+            len(self.links),
+            self._link_by_cube,
+            self._entry,
+            energy,
+            self._deliver,
+        )
+        self._deliver_ctx = (
+            engine,
+            self.latency_hist,
+            self.read_latency_hist,
+            self._c_done,
+        )
 
     # ------------------------------------------------------------------
     # Instrumentation (see repro.obs.hooks)
@@ -161,52 +206,112 @@ class FabricHost:
         self._emit_link_tx = tracer.link_tx if tracer is not None else noop
 
     # ------------------------------------------------------------------
-    # Request path (core -> fabric)
+    # Request path (core -> cube)
     # ------------------------------------------------------------------
     def send(self, req: MemoryRequest) -> None:
         """Decode, packetize and transmit one request at ``engine.now``."""
-        engine = self.engine
+        (
+            engine,
+            q_shift,
+            q_mask,
+            q_cubes,
+            v_shift,
+            v_mask,
+            b_shift,
+            b_mask,
+            r_shift,
+            c_shift,
+            c_mask,
+            req_bytes,
+            links,
+            nlinks,
+            link_by_cube,
+            entry,
+            energy,
+            xbars,
+            vault_receive,
+            route_request,
+            cube_requests,
+            c_reads,
+            c_writes,
+        ) = self._send_ctx
         now = engine.now
         req.host_cycle = now
         addr = req.addr
-        req.cube = cube = ((addr >> self._q_shift) & self._q_mask) % self._q_cubes
-        req.vault = vault = (addr >> self._v_shift) & self._v_mask
-        req.bank = (addr >> self._b_shift) & self._b_mask
-        req.row = addr >> self._r_shift
-        req.column = (addr >> self._c_shift) & self._c_mask
+        req.cube = cube = ((addr >> q_shift) & q_mask) % q_cubes
+        req.vault = vault = (addr >> v_shift) & v_mask
+        req.bank = (addr >> b_shift) & b_mask
+        req.row = addr >> r_shift
+        req.column = (addr >> c_shift) & c_mask
         is_write = req.is_write
-        nbytes = self._req_bytes[is_write]
-        if self._link_by_cube:
-            link = self.links[cube % self._nlinks]
+        nbytes = req_bytes[is_write]
+        link = links[(cube if link_by_cube else vault) % nlinks]
+        d = link.request
+        # Fault-free serialization inlined (LinkDirection.send holds the
+        # reference semantics and remains the retry/cache-miss slow path).
+        cached = d._ser_cache.get(nbytes) if d.retry is None else None
+        if cached is not None:
+            busy = d.busy_until
+            start = now if now > busy else busy
+            ser, flits = cached
+            d.busy_until = end = start + ser
+            d.busy_cycles += ser
+            d.packets += 1
+            d.bytes_sent += nbytes
+            d.flits_sent += flits
+            arrival = end + d.serdes_latency
         else:
-            link = self.links[vault % self._nlinks]
-        arrival, flits = link.request.send(now, nbytes)
+            arrival, flits = d.send(now, nbytes)
         emit = self._emit_link_tx
         if emit is not noop:
             emit(link.link_id, "req", nbytes, now, arrival)
-        entry = self._entry[cube]
-        self._energy[entry].link_flits += flits
-        self.hop_hist.add(self._host_hops[cube])
+        home = entry[cube]
+        energy[home].link_flits += flits
+        cube_requests[cube] += 1
         if is_write:
-            self._c_writes.value += 1
+            c_writes.value += 1
         else:
-            self._c_reads.value += 1
-        if cube == entry:
-            # The far end of the host link is the home cube: inject straight
-            # into its crossbar (identical event shape to the one-cube host).
-            self.devices[cube].inject(req, arrival)
+            c_reads.value += 1
+        if cube != home:
+            engine.call_at(arrival, route_request[home], req)
+            return
+        # The far end of the host link is the home cube: the crossbar
+        # traversal is inlined the same way (Crossbar.route / HMCDevice.inject
+        # hold the reference semantics).
+        xbar = xbars[cube]
+        port_busy = xbar._port_busy
+        start = port_busy[vault]
+        if start > arrival:
+            xbar.port_conflicts += 1
         else:
-            engine.call_at(arrival, self.routers[entry].receive_request, req)
+            start = arrival
+        port_busy[vault] = start + xbar.port_cycle
+        xbar.traversals += 1
+        # Engine.call_at inlined (the method stays the reference): the
+        # arrival cycle is structurally >= now, so the past-check is free to
+        # skip; seq draws from the engine counter, keeping order identical.
+        engine._seq = seq = engine._seq + 1
+        heappush(
+            engine._heap,
+            (start + xbar.latency, 0, seq, vault_receive[cube][vault], (req,)),
+        )
+        engine._strong += 1
 
     # ------------------------------------------------------------------
-    # Response path (fabric -> core)
+    # Response path (cube -> core)
     # ------------------------------------------------------------------
     def _make_responder(self, cube: int) -> Callable[[MemoryRequest, int], None]:
         """Build cube ``cube``'s deliver fn: charge the response crossbar,
         then either transmit on the host link (the cube is its own fabric
-        exit) or hand the packet to the cube's router for the trip back."""
+        exit) or hand the packet to the cube's router for the trip back.
+
+        ``ready`` is the bank-side cycle (see HMCDevice.set_deliver_fn).
+        Serialization must be reserved when the data is actually ready -
+        reserving at call time would let far-future completions (e.g.
+        in-flight prefetch hits) block earlier responses on the link.
+        """
         engine = self.engine
-        resp_xbar = self._resp_xbar
+        resp_xbar = self.config.crossbar_latency
         if self._entry[cube] == cube:
             target = self._tx_response
         else:
@@ -215,40 +320,103 @@ class FabricHost:
         def respond(req: MemoryRequest, ready: int) -> None:
             now = engine.now
             t = ready + resp_xbar
-            engine.call_at(t if t > now else now, target, req)
+            # Engine.call_at inlined (clamped-to-now time can never be past).
+            engine._seq = seq = engine._seq + 1
+            heappush(engine._heap, (t if t > now else now, 0, seq, target, (req,)))
+            engine._strong += 1
 
         return respond
 
     def _tx_response(self, req: MemoryRequest) -> None:
-        engine = self.engine
+        (
+            engine,
+            resp_bytes,
+            links,
+            nlinks,
+            link_by_cube,
+            entry,
+            energy,
+            deliver,
+        ) = self._tx_ctx
         now = engine.now
-        nbytes = self._resp_bytes[req.is_write]
-        if self._link_by_cube:
-            link = self.links[req.cube % self._nlinks]
-        else:
-            link = self.links[req.vault % self._nlinks]
+        nbytes = resp_bytes[req.is_write]
+        link = links[(req.cube if link_by_cube else req.vault) % nlinks]
         d = link.response
-        arrival, flits = d.send(now, nbytes)
+        # Fault-free serialization inlined; same shape as send().
+        cached = d._ser_cache.get(nbytes) if d.retry is None else None
+        if cached is not None:
+            busy = d.busy_until
+            start = now if now > busy else busy
+            ser, flits = cached
+            d.busy_until = end = start + ser
+            d.busy_cycles += ser
+            d.packets += 1
+            d.bytes_sent += nbytes
+            d.flits_sent += flits
+            arrival = end + d.serdes_latency
+        else:
+            arrival, flits = d.send(now, nbytes)
         emit = self._emit_link_tx
         if emit is not noop:
             emit(link.link_id, "resp", nbytes, now, arrival)
-        self._energy[self._entry[req.cube]].link_flits += flits
-        engine.call_at(arrival, self._deliver, req)
+        energy[entry[req.cube]].link_flits += flits
+        # Engine.call_at inlined (arrival is structurally >= now).
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._heap, (arrival, 0, seq, deliver, (req,)))
+        engine._strong += 1
 
     def _deliver(self, req: MemoryRequest) -> None:
-        now = self.engine.now
+        engine, lat_hist, read_hist, c_done = self._deliver_ctx
+        now = engine.now
         req.complete_cycle = now
-        self._c_done.value += 1
+        c_done.value += 1
         lat = now - req.issue_cycle
-        self.latency_hist.add(lat)
+        # Histogram.add inlined for the per-delivery samples (Histogram.add
+        # holds the reference semantics; identical operation order keeps the
+        # Welford running moments bit-identical to the method path).
+        h = lat_hist
+        idx = lat // h.bin_width
+        nb = h.nbins
+        if idx >= nb:
+            idx = nb - 1
+            h._overflow += 1
+        elif idx < 0:
+            idx = 0
+        h._counts[idx] += 1
+        h._n = n = h._n + 1
+        delta = lat - h._mean
+        h._mean = mean = h._mean + delta / n
+        h._m2 += delta * (lat - mean)
+        if h._min is None or lat < h._min:
+            h._min = float(lat)
+        if h._max is None or lat > h._max:
+            h._max = float(lat)
         if not req.is_write:
-            self.read_latency_hist.add(lat)
+            h = read_hist
+            idx = lat // h.bin_width
+            nb = h.nbins
+            if idx >= nb:
+                idx = nb - 1
+                h._overflow += 1
+            elif idx < 0:
+                idx = 0
+            h._counts[idx] += 1
+            h._n = n = h._n + 1
+            delta = lat - h._mean
+            h._mean = mean = h._mean + delta / n
+            h._m2 += delta * (lat - mean)
+            if h._min is None or lat < h._min:
+                h._min = float(lat)
+            if h._max is None or lat > h._max:
+                h._max = float(lat)
         if self.record_requests:
             self.completed_requests.append(req)
         cb = req.callback
         if cb is not None:
             cb(req)
         if self.recycle_requests:
+            # MemoryRequest.release inlined (the classmethod remains the
+            # reference for non-hot callers).
             req.callback = None
             req.meta = None
             MemoryRequest._pool.append(req)
@@ -257,15 +425,14 @@ class FabricHost:
     # Reporting
     # ------------------------------------------------------------------
     def reset_statistics(self) -> None:
-        """Warmup boundary: zero latency/hop histograms, link activity
-        (traffic + retry counters, see SerialLink.reset_statistics) and
-        router forwarding counters."""
+        """Warmup boundary: zero latency histograms, hop counts, link
+        activity (traffic + retry counters, see SerialLink.reset_statistics)
+        and router forwarding counters.  The sent/completed counters are
+        preserved (outstanding tracking)."""
         self.latency_hist.reset()
         self.read_latency_hist.reset()
-        self.hop_hist.reset()
-        for link in self.links:
-            link.reset_statistics()
-        for link in self.fabric_links:
+        self._cube_requests[:] = [0] * len(self._cube_requests)
+        for link in (*self.links, *self.fabric_links):
             link.reset_statistics()
         for router in self.routers:
             router.reset_statistics()
@@ -276,22 +443,28 @@ class FabricHost:
         return sent - self._c_done.value
 
     def mean_memory_latency(self) -> float:
+        """Mean round-trip latency of all completed requests (cycles)."""
         return self.latency_hist.mean
 
     def mean_read_latency(self) -> float:
+        """Mean round-trip latency of completed reads (AMAT numerator)."""
         return self.read_latency_hist.mean
+
+    def hop_histogram(self) -> Dict[int, int]:
+        """``{hops: requests}`` over the hop counts that carried traffic, in
+        ascending hop order."""
+        hist: Dict[int, int] = {}
+        for hops, n in zip(self._host_hops, self._cube_requests):
+            if n:
+                hist[hops] = hist.get(hops, 0) + n
+        return dict(sorted(hist.items()))
 
     def mean_hops(self) -> float:
         """Mean link traversals per request (1.0 in a one-cube fabric)."""
-        return self.hop_hist.mean
-
-    def hop_histogram(self) -> dict:
-        """``{hops: requests}`` over the populated bins."""
-        return {
-            h: int(n)
-            for h, n in enumerate(self.hop_hist.counts.tolist())
-            if n
-        }
+        n = sum(self._cube_requests)
+        if not n:
+            return 0.0
+        return sum(h * c for h, c in zip(self._host_hops, self._cube_requests)) / n
 
     @property
     def faults_enabled(self) -> bool:
@@ -304,8 +477,11 @@ class FabricHost:
 
     def link_fault_summary(self) -> dict:
         """Aggregated retry-buffer counters across host AND fabric links
-        (same shape as HostController.link_fault_summary; fabric links
-        appear as ``link100`` upward)."""
+        (fabric links appear as ``link100`` upward).
+
+        Empty dict when fault injection is not attached (the common case),
+        so callers can splice it into reports without an enabled check.
+        """
         per_link = {}
         totals: dict = {}
         for link in (*self.links, *self.fabric_links):
@@ -324,8 +500,8 @@ class FabricHost:
         return totals
 
     def link_utilization(self) -> float:
-        """Average serialization utilization across the HOST links (the
-        single-cube-comparable metric; fabric links report separately)."""
+        """Average request+response serialization utilization across the
+        HOST links (fabric links report separately)."""
         cycles = self.engine.now
         if not cycles:
             return 0.0

@@ -2,19 +2,18 @@
 
 Assembles the substrates into the device of the paper's Figure 2: 32 vaults
 (each with 16 banks and a vault controller hosting the memory-side
-prefetcher), an internal crossbar, four full-duplex serial links, and the
-host-side HMC controller that packetizes cache-line requests.
+prefetcher), an internal crossbar and four full-duplex serial links.  The
+host-side controller that packetizes cache-line requests is
+:class:`repro.fabric.host.FabricHost`.
 """
 
 from repro.hmc.config import HMCConfig
 from repro.hmc.address import AddressMapping, DecodedAddress
 from repro.hmc.device import HMCDevice
-from repro.hmc.host import HostController
 
 __all__ = [
     "HMCConfig",
     "AddressMapping",
     "DecodedAddress",
     "HMCDevice",
-    "HostController",
 ]

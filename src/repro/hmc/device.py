@@ -59,13 +59,14 @@ class HMCDevice:
     # Wiring
     # ------------------------------------------------------------------
     def set_deliver_fn(self, fn: DeliverFn) -> None:
-        """Install the host-side completion path (set by HostController).
+        """Install the host-side completion path (set by
+        :class:`~repro.fabric.host.FabricHost`, one deliver fn per cube).
 
         The vault controllers are rewired to call ``fn`` directly, skipping
         the :meth:`_on_vault_response` pass-through frame on the hot path.
         The deliver fn receives the *bank-side* ready cycle; the response
-        crossbar traversal is charged by the receiver (the host controller
-        mirrors ``config.crossbar_latency`` for this).
+        crossbar traversal is charged by the receiver (the host mirrors
+        ``config.crossbar_latency`` for this).
         """
         self._deliver_fn = fn
         for vc in self.vaults:

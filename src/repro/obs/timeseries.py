@@ -345,7 +345,7 @@ class TimeseriesSampler:
 
     def attach_fabric(self, fsys: Any) -> None:
         """Wire the standard fabric gauges against a built
-        :class:`~repro.fabric.system.FabricSystem` (before ``run``).
+        :class:`~repro.system.System` with a fabric (before ``run``).
 
         Registers per-cube windowed conflict rates (one series per cube,
         not per vault - 8 cubes of 32 vaults would swamp the payload),
@@ -400,8 +400,7 @@ class TimeseriesSampler:
                 "fabric.hop_flit_rate",
                 lambda: float(sum(r.hop_flits for r in routers)),
             )
-        hop_hist = host.hop_hist
-        self.track("fabric.mean_hops", lambda: hop_hist.mean)
+        self.track("fabric.mean_hops", host.mean_hops)
 
     # ------------------------------------------------------------------
     # Ticking

@@ -300,7 +300,7 @@ class Tracer:
 
     def wire_fabric(self, fsys: Any) -> None:
         """Install this tracer on a built (not yet run)
-        :class:`~repro.fabric.system.FabricSystem`.
+        :class:`~repro.system.System` with a fabric.
 
         The registry is kept bounded for 8-cube fabrics: per-link counters
         for host and inter-cube links, per-cube aggregates plus router

@@ -67,9 +67,8 @@ class MemoryRequest:
         self.addr = addr
         self.is_write = is_write
         self.core_id = core_id
-        # cube coordinates, filled by the host controller's address decode;
-        # ``cube`` stays 0 on the single-cube path (only the fabric host
-        # writes it, before any read - safe across pool recycling)
+        # cube coordinates, filled by the host controller's address decode
+        # before any read (safe across pool recycling)
         self.cube = 0
         self.vault = -1
         self.bank = -1
@@ -102,7 +101,7 @@ class MemoryRequest:
         A reused object gets a fresh ``req_id`` and the caller-supplied
         fields; the coordinate and timeline slots keep their previous-life
         values.  That is invisible to the simulation - recycling is only
-        enabled on the direct core->host path, where ``HostController.send``
+        enabled on the direct core->host path, where ``FabricHost.send``
         overwrites every coordinate and ``host_cycle`` before any read, the
         vault stamps ``vault_arrive_cycle``/``source``/``qseq`` on arrival,
         and ``complete_cycle`` is written at delivery - so results stay

@@ -165,7 +165,8 @@ class Watchdog:
 
 
 class InvariantChecker:
-    """Structural invariant checks over a built :class:`~repro.system.System`.
+    """Structural invariant checks over a built :class:`~repro.system.System`
+    (every vault of every cube).
 
     Each ``check_*`` method returns a list of human-readable violation
     strings (empty = clean) rather than raising, so the monitor can batch
@@ -178,22 +179,31 @@ class InvariantChecker:
         # never reset mid-run (a warmup boundary zeroes them).
         self.check_bank_legality = check_bank_legality
 
+    def _vaults(self):
+        """``(label, vault)`` over every cube; labels carry a ``cubeN.``
+        prefix only when there is more than one cube."""
+        devices = self.system.devices
+        for c, device in enumerate(devices):
+            prefix = f"cube{c}." if len(devices) > 1 else ""
+            for vc in device.vaults:
+                yield f"{prefix}vault{vc.vault_id}", vc
+
     def check_bounds(self) -> List[str]:
         """Occupancy bounds + bank state-machine legality (any time)."""
         violations: List[str] = []
-        for vc in self.system.device.vaults:
+        for label, vc in self._vaults():
             q = vc.queues
             if len(q.reads) > q.read_depth:
                 violations.append(
-                    f"vault{vc.vault_id}: read queue {len(q.reads)} > depth {q.read_depth}"
+                    f"{label}: read queue {len(q.reads)} > depth {q.read_depth}"
                 )
             if len(q.writes) > q.write_depth:
                 violations.append(
-                    f"vault{vc.vault_id}: write queue {len(q.writes)} > depth {q.write_depth}"
+                    f"{label}: write queue {len(q.writes)} > depth {q.write_depth}"
                 )
             if vc.buffer is not None and len(vc.buffer) > vc.buffer.capacity:
                 violations.append(
-                    f"vault{vc.vault_id}: prefetch buffer {len(vc.buffer)} "
+                    f"{label}: prefetch buffer {len(vc.buffer)} "
                     f"> capacity {vc.buffer.capacity}"
                 )
             if self.check_bank_legality:
@@ -202,7 +212,7 @@ class InvariantChecker:
                     expect = 1 if bank.open_row is not None else 0
                     if balance != expect:
                         violations.append(
-                            f"vault{vc.vault_id}.bank{bank.bank_id}: illegal state - "
+                            f"{label}.bank{bank.bank_id}: illegal state - "
                             f"acts-pres={balance} but open_row={bank.open_row!r}"
                         )
         return violations
@@ -217,11 +227,11 @@ class InvariantChecker:
             violations.append(
                 f"host: {host.outstanding} requests issued but never retired"
             )
-        for vc in self.system.device.vaults:
+        for label, vc in self._vaults():
             if len(vc.queues) != 0:
                 q = vc.queues
                 violations.append(
-                    f"vault{vc.vault_id}: {len(q)} requests left queued after drain "
+                    f"{label}: {len(q)} requests left queued after drain "
                     f"(reads={len(q.reads)} writes={len(q.writes)} "
                     f"staged={len(q.staging)})"
                 )
@@ -238,9 +248,9 @@ def crash_report(
 
     Captures everything a post-mortem needs without re-running: engine
     state and a sample of the next scheduled callbacks, per-vault queue
-    depths and open-bank states, host counters, the error and any
-    invariant violations, plus the last-K trace events when a tracer is
-    attached.
+    depths and open-bank states in every cube, host counters, the error
+    and any invariant violations, plus the last-K trace events when a
+    tracer is attached.
     """
     engine = system.engine
     report: Dict[str, Any] = {
@@ -286,27 +296,9 @@ def crash_report(
     if host.faults_enabled:
         report["link_faults"] = host.link_fault_summary()
     vaults = []
-    for vc in system.device.vaults:
-        q = vc.queues
-        open_banks = [
-            {
-                "bank": b.bank_id,
-                "open_row": b.open_row,
-                "busy_until": b.busy_until,
-            }
-            for b in vc.banks
-            if b.open_row is not None or b.busy_until > engine.now
-        ]
-        vaults.append(
-            {
-                "vault": vc.vault_id,
-                "reads": len(q.reads),
-                "writes": len(q.writes),
-                "staging": len(q.staging),
-                "buffer_occupancy": len(vc.buffer) if vc.buffer is not None else 0,
-                "open_banks": open_banks,
-            }
-        )
+    for c, device in enumerate(system.devices):
+        for vc in device.vaults:
+            vaults.append(_vault_snapshot(c, vc, engine.now))
     report["vaults"] = vaults
     tracer = getattr(system, "tracer", None)
     if tracer is not None and last_events > 0 and tracer.events:
@@ -314,6 +306,29 @@ def crash_report(
             e.to_dict() for e in tracer.events[-last_events:]
         ]
     return report
+
+
+def _vault_snapshot(cube: int, vc: Any, now: int) -> Dict[str, Any]:
+    """One vault's queue depths and open-bank states for a crash dump."""
+    q = vc.queues
+    open_banks = [
+        {
+            "bank": b.bank_id,
+            "open_row": b.open_row,
+            "busy_until": b.busy_until,
+        }
+        for b in vc.banks
+        if b.open_row is not None or b.busy_until > now
+    ]
+    return {
+        "cube": cube,
+        "vault": vc.vault_id,
+        "reads": len(q.reads),
+        "writes": len(q.writes),
+        "staging": len(q.staging),
+        "buffer_occupancy": len(vc.buffer) if vc.buffer is not None else 0,
+        "open_banks": open_banks,
+    }
 
 
 def write_crash_dump(report: Dict[str, Any], directory: Optional[str] = None) -> str:

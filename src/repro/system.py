@@ -1,11 +1,17 @@
-"""Full-system assembly: cores + (optional) cache hierarchy + HMC.
+"""Full-system assembly: cores + (optional) cache hierarchy + HMC cubes.
 
-:class:`System` wires one :class:`~repro.sim.engine.Engine` to eight
-trace-driven cores, the host controller, and an :class:`~repro.hmc.device.
-HMCDevice` running a chosen prefetching scheme, runs the simulation to
-completion, and returns a :class:`SimulationResult` with everything the
-paper's figures need (per-core IPC, conflict rate, prefetch accuracy, AMAT,
-energy).
+:class:`System` wires one :class:`~repro.sim.engine.Engine` to the
+trace-driven cores, the host controller
+(:class:`~repro.fabric.host.FabricHost`) and one
+:class:`~repro.hmc.device.HMCDevice` per cube running a chosen prefetching
+scheme, runs the simulation to completion, and returns a
+:class:`SimulationResult` with everything the paper's figures need
+(per-core IPC, conflict rate, prefetch accuracy, AMAT, energy), aggregated
+as ratios of sums over every cube.
+
+Without a fabric (``SystemConfig.fabric=None``) the machine is the paper's
+single cube.  With one (``FabricConfig.from_spec("chain:4")``) requests
+route over 1-8 cubes and ``extra["fabric"]`` carries the hop accounting.
 
 Two memory front-ends are available:
 
@@ -25,9 +31,10 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.cpu.core import Core, CoreParams, MemoryPort
 from repro.cpu.hierarchy import CacheHierarchy, HierarchyParams
+from repro.fabric.host import FabricHost
+from repro.fabric.topology import FabricConfig
 from repro.hmc.config import HMCConfig
 from repro.hmc.device import HMCDevice
-from repro.hmc.host import HostController
 from repro.request import MemoryRequest
 from repro.sim.engine import Engine
 from repro.sim.sampler import Sampler
@@ -43,7 +50,7 @@ class DirectPort(MemoryPort):
     #: core can reuse one bound fill method instead of a closure per load.
     fill_via_meta = True
 
-    def __init__(self, host: HostController, engine: Engine) -> None:
+    def __init__(self, host: FabricHost, engine: Engine) -> None:
         self.host = host
         self.engine = engine
 
@@ -118,7 +125,11 @@ class HierarchyPort(MemoryPort):
 class SystemConfig:
     """Everything needed to build one simulated system."""
 
+    #: the per-cube HMC; with a ``fabric`` it mirrors ``fabric.hmc``
     hmc: HMCConfig = field(default_factory=HMCConfig)
+    #: routed multi-cube fabric (None = one cube built from ``hmc``);
+    #: selects the per-cube observability wiring and ``extra["fabric"]``
+    fabric: Optional[FabricConfig] = None
     core_params: CoreParams = field(default_factory=CoreParams)
     hierarchy_params: HierarchyParams = field(default_factory=HierarchyParams)
     scheme: str = "camps-mod"
@@ -147,6 +158,14 @@ class SystemConfig:
     integrity: bool = False
     #: where crash dumps land (None = $REPRO_CRASH_DIR or ./crash_dumps)
     crash_dump_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.fabric is not None and self.hmc != self.fabric.hmc:
+            if self.hmc != HMCConfig():
+                raise ValueError(
+                    "hmc and fabric.hmc disagree; set the cube config on the fabric"
+                )
+            object.__setattr__(self, "hmc", self.fabric.hmc)
 
 
 @dataclass
@@ -208,27 +227,32 @@ class System:
     ) -> None:
         if not traces:
             raise ValueError("need at least one core trace")
-        self.config = config or SystemConfig()
+        cfg = self.config = config or SystemConfig()
         self.workload = workload
+        #: the configured fabric (None: the plain one-cube machine)
+        self.fabric = cfg.fabric
+        fabric = cfg.fabric or FabricConfig(hmc=cfg.hmc)
         self.engine = Engine()
-        self.device = HMCDevice(
-            self.config.hmc,
-            self.engine,
-            scheme=self.config.scheme,
-            scheme_kwargs=scheme_kwargs,
-            record_commands=self.config.record_commands,
-        )
-        self.host = HostController(
-            self.config.hmc,
-            self.engine,
-            self.device,
-            record_requests=self.config.record_requests,
+        self.devices: List[HMCDevice] = [
+            HMCDevice(
+                cfg.hmc,
+                self.engine,
+                scheme=cfg.scheme,
+                scheme_kwargs=scheme_kwargs,
+                record_commands=cfg.record_commands,
+            )
+            for _ in range(fabric.cubes)
+        ]
+        #: cube 0 - the whole memory of a machine without a fabric
+        self.device = self.devices[0]
+        self.host = FabricHost(
+            fabric, self.engine, self.devices, record_requests=cfg.record_requests
         )
         self.hierarchy: Optional[CacheHierarchy] = None
         port: MemoryPort
-        if self.config.use_caches:
+        if cfg.use_caches:
             self.hierarchy = CacheHierarchy(
-                self.config.hierarchy_params,
+                cfg.hierarchy_params,
                 num_cores=len(traces),
                 engine=self.engine,
                 send_fn=self.host.send,
@@ -239,7 +263,7 @@ class System:
             # Post-LLC front-end with no request recording: the host is the
             # last holder of a delivered request (core fills ignore the
             # object), so completed requests recycle through the pool.
-            if not self.config.record_requests:
+            if not cfg.record_requests:
                 self.host.recycle_requests = True
         self.cores: List[Core] = [
             Core(
@@ -249,48 +273,49 @@ class System:
                 gaps=t.gaps,
                 addrs=t.addrs,
                 writes=t.writes,
-                params=self.config.core_params,
+                params=cfg.core_params,
             )
             for i, t in enumerate(traces)
         ]
+        vaults = [vc for dev in self.devices for vc in dev.vaults]
         self.sampler: Optional[Sampler] = None
-        if self.config.sample_interval is not None:
-            self.sampler = Sampler(self.engine, self.config.sample_interval)
+        if cfg.sample_interval is not None:
+            self.sampler = Sampler(self.engine, cfg.sample_interval)
             self.sampler.probe(
-                "queue_depth",
-                lambda: sum(len(vc.queues) for vc in self.device.vaults),
+                "queue_depth", lambda: sum(len(vc.queues) for vc in vaults)
             )
             self.sampler.probe(
                 "buffer_occupancy",
-                lambda: sum(
-                    len(vc.buffer) for vc in self.device.vaults if vc.buffer
-                ),
+                lambda: sum(len(vc.buffer) for vc in vaults if vc.buffer),
             )
             self.sampler.probe("host_outstanding", lambda: self.host.outstanding)
         #: observability tracer (repro.obs.Tracer); wiring installs it on the
         #: engine, host, vaults, schedulers, prefetchers and banks, and
-        #: registers the component counters into its device→vault→bank tree
+        #: registers the component counters (per bank without a fabric, per
+        #: cube with one)
         self.tracer = tracer
         if tracer is not None:
-            tracer.wire_system(self)
+            if self.fabric is None:
+                tracer.wire_system(self)
+            else:
+                tracer.wire_fabric(self)
         #: epoch-windowed time series (repro.obs.timeseries.TimeseriesSampler)
         self.timeseries = None
-        if self.config.timeseries_epoch is not None:
+        if cfg.timeseries_epoch is not None:
             from repro.obs.timeseries import TimeseriesSampler  # local: keep
             # the unsampled build path free of the obs timeseries import
 
-            self.timeseries = TimeseriesSampler(
-                self.engine, epoch=self.config.timeseries_epoch
-            )
-            self.timeseries.attach(self)
+            self.timeseries = TimeseriesSampler(self.engine, epoch=cfg.timeseries_epoch)
+            if self.fabric is None:
+                self.timeseries.attach(self)
+            else:
+                self.timeseries.attach_fabric(self)
         self.monitor = None
-        if self.config.integrity:
+        if cfg.integrity:
             from repro.sim.integrity import IntegrityMonitor  # local: keep the
             # default build path free of the integrity import
 
-            self.monitor = IntegrityMonitor(
-                self, crash_dump_dir=self.config.crash_dump_dir
-            )
+            self.monitor = IntegrityMonitor(self, crash_dump_dir=cfg.crash_dump_dir)
         self._ran = False
 
     def run(self, max_events: Optional[int] = None) -> SimulationResult:
@@ -342,15 +367,42 @@ class System:
                 f"simulation drained with unfinished cores {stuck}; "
                 f"events={self.engine.events_fired}"
             )
-        self.device.finalize()
+        for dev in self.devices:
+            dev.finalize()
         return self._collect()
 
     def _warmup_boundary(self) -> None:
-        self.device.reset_statistics()
+        for dev in self.devices:
+            dev.reset_statistics()
         self.host.reset_statistics()
 
     def _collect(self) -> SimulationResult:
-        dev = self.device
+        devices = self.devices
+        host = self.host
+        now = self.engine.now
+        vaults = [vc for dev in devices for vc in dev.vaults]
+        demand = sum(dev.demand_accesses for dev in devices)
+        conflicts = sum(dev.row_conflicts for dev in devices)
+        buf_hits = sum(dev.buffer_hits for dev in devices)
+        accesses = demand + buf_hits
+        # prefetch accuracies pool the raw used/unused counts across every
+        # cube's vaults (a ratio-of-sums, not a mean of per-cube ratios)
+        rows_used = rows_unused = lines_ins = lines_used = 0
+        for vc in vaults:
+            if vc.buffer is not None:
+                rows_used += vc.buffer.rows_retired_used
+                rows_unused += vc.buffer.rows_retired_unused
+                lines_ins += vc.buffer.lines_inserted
+                lines_used += vc.buffer.lines_used
+        rows_n = rows_used + rows_unused
+        breakdown: Dict[str, float] = {}
+        for dev in devices:
+            for key, value in dev.energy.breakdown_pj().items():
+                breakdown[key] = breakdown.get(key, 0.0) + value
+        if self.fabric is not None and self.fabric.cubes > 1:
+            # only real fabrics pay (and report) inter-cube hop energy
+            breakdown["fabric_hops"] = host.hop_flits() * self.fabric.hop_energy_pj
+
         extra: Dict[str, Any] = {
             "events_fired": self.engine.events_fired,
             "core_stall_cycles": [c.stall_cycles for c in self.cores],
@@ -366,61 +418,111 @@ class System:
                 for name, h in self.sampler.histograms().items()
             }
         # bank row-buffer outcome distribution (hit / empty / conflict)
-        hits = empties = conflicts = 0
-        for vc in self.device.vaults:
+        hits = empties = bank_conflicts = 0
+        for vc in vaults:
             for b in vc.banks:
                 hits += b.hits
                 empties += b.empties
-                conflicts += b.conflicts
+                bank_conflicts += b.conflicts
         extra["bank_outcomes"] = {
             "hits": hits,
             "empties": empties,
-            "conflicts": conflicts,
+            "conflicts": bank_conflicts,
         }
         extra["tsv_bus_utilization"] = (
-            sum(vc.tsv_bus.utilization(self.engine.now) for vc in self.device.vaults)
-            / len(self.device.vaults)
-            if self.engine.now
+            sum(vc.tsv_bus.utilization(now) for vc in vaults) / len(vaults)
+            if now
             else 0.0
         )
         # scheme-specific decision breakdown (CAMPS's two trigger paths)
-        pf0 = self.device.vaults[0].prefetcher
+        pf0 = vaults[0].prefetcher
         if hasattr(pf0, "utilization_prefetches"):
             extra["utilization_prefetches"] = sum(
-                vc.prefetcher.utilization_prefetches for vc in self.device.vaults
+                vc.prefetcher.utilization_prefetches for vc in vaults
             )
             extra["conflict_prefetches"] = sum(
-                vc.prefetcher.conflict_prefetches for vc in self.device.vaults
+                vc.prefetcher.conflict_prefetches for vc in vaults
             )
         if hasattr(pf0, "degree"):
-            extra["mmd_final_degrees"] = [
-                vc.prefetcher.degree for vc in self.device.vaults
-            ]
-        if self.host.faults_enabled:
-            extra["link_faults"] = self.host.link_fault_summary()
+            extra["mmd_final_degrees"] = [vc.prefetcher.degree for vc in vaults]
+        if host.faults_enabled:
+            extra["link_faults"] = host.link_fault_summary()
         if self.tracer is not None:
             extra["trace_summary"] = self.tracer.summary()
         if self.timeseries is not None:
             extra["timeseries"] = self.timeseries.to_payload()
+        if self.fabric is not None:
+            extra["fabric"] = self._fabric_extra()
         return SimulationResult(
             scheme=self.config.scheme,
             workload=self.workload,
-            cycles=self.engine.now,
+            cycles=now,
             core_ipc=[c.ipc for c in self.cores],
             core_instructions=[c.instr for c in self.cores],
-            conflict_rate=dev.conflict_rate(),
-            row_conflicts=dev.row_conflicts,
-            demand_accesses=dev.demand_accesses,
-            buffer_hits=dev.buffer_hits,
-            prefetches_issued=dev.prefetches_issued(),
-            row_accuracy=dev.prefetch_row_accuracy(),
-            line_accuracy=dev.prefetch_line_accuracy(),
-            mean_memory_latency=self.host.mean_memory_latency(),
-            mean_read_latency=self.host.mean_read_latency(),
-            energy_pj=dev.energy.total_pj(),
-            energy_breakdown=dev.energy.breakdown_pj(),
-            link_utilization=self.host.link_utilization(),
+            conflict_rate=conflicts / accesses if accesses else 0.0,
+            row_conflicts=conflicts,
+            demand_accesses=demand,
+            buffer_hits=buf_hits,
+            prefetches_issued=sum(dev.prefetches_issued() for dev in devices),
+            row_accuracy=rows_used / rows_n if rows_n else 0.0,
+            line_accuracy=lines_used / lines_ins if lines_ins else 0.0,
+            mean_memory_latency=host.mean_memory_latency(),
+            mean_read_latency=host.mean_read_latency(),
+            energy_pj=sum(breakdown.values()),
+            energy_breakdown=breakdown,
+            link_utilization=host.link_utilization(),
             extra=extra,
+        )
+
+    def _fabric_extra(self) -> Dict[str, Any]:
+        """``extra["fabric"]``: hop accounting, per-cube statistics, router
+        forwarding counters and inter-cube link utilization."""
+        host = self.host
+        fabric = self.fabric
+        per_cube = [
+            {
+                "cube": c,
+                "demand_accesses": dev.demand_accesses,
+                "row_conflicts": dev.row_conflicts,
+                "buffer_hits": dev.buffer_hits,
+                "conflict_rate": dev.conflict_rate(),
+                "prefetches_issued": dev.prefetches_issued(),
+                "crossbar_traversals": dev.crossbar.traversals,
+                "router": router.counters(),
+            }
+            for c, (dev, router) in enumerate(zip(self.devices, host.routers))
+        ]
+        cycles = self.engine.now
+        fabric_links = {
+            f"link{l.link_id}": {
+                "cubes": [l.cube_a, l.cube_b],
+                "flits": l.total_flits,
+                "busy_cycles": l.total_busy_cycles,
+                "utilization": (
+                    (l.request.utilization(cycles) + l.response.utilization(cycles))
+                    / 2.0
+                    if cycles
+                    else 0.0
+                ),
+            }
+            for l in host.fabric_links
+        }
+        return {
+            "topology": fabric.topology,
+            "cubes": fabric.cubes,
+            "hop_latency": fabric.hop_latency,
+            "hop_histogram": host.hop_histogram(),
+            "mean_hops": host.mean_hops(),
+            "hop_flits": host.hop_flits(),
+            "fabric_link_utilization": host.fabric_link_utilization(),
+            "fabric_links": fabric_links,
+            "per_cube": per_cube,
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        spec = self.fabric.spec if self.fabric is not None else "1 cube"
+        return (
+            f"<System {spec} scheme={self.config.scheme} cores={len(self.cores)}>"
         )
 
 

@@ -108,14 +108,13 @@ def build_stream_traces(
     """Generate every stream's per-core traces, placed onto the fabric.
 
     Returns a flat list (stream-major: stream 0's eight cores first) ready
-    for :class:`~repro.fabric.system.FabricSystem`.  Streams are generated
+    for a :class:`~repro.system.System` with a fabric.  Streams are generated
     against the single-cube config - the generators are calibrated there -
     and relocated afterwards, so a stream's intra-cube footprint is
     identical regardless of which cube it lands on.
     """
-    # Imported here, not at module top: repro.system -> repro.workloads ->
-    # this module -> repro.fabric -> repro.fabric.system -> repro.system
-    # would otherwise be a cycle.
+    # Imported here, not at module top: repro.workloads stays free of an
+    # import-time dependency on the fabric package.
     from repro.fabric.address import FabricAddressMapping
 
     if isinstance(fabric, FabricAddressMapping):

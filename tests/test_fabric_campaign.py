@@ -1,5 +1,6 @@
 """Campaign integration for fabric cells: grids, ids, determinism, CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -92,6 +93,28 @@ class TestFabricExecution:
         assert summary["cycles"] > 0
         assert summary["workload"] == "HM1@chain:2"
         assert len(summary["core_ipc"]) == 16
+
+    def test_integrity_reaches_fabric_cells(self, monkeypatch):
+        """An integrity-on fabric cell builds the monitor over every cube,
+        and (integrity being execution policy, not a simulation input)
+        its summary is byte-equal to the unmonitored run."""
+        from repro.sim import integrity
+
+        monitored = []
+
+        class SpyMonitor(integrity.IntegrityMonitor):
+            def __init__(self, system, *args, **kwargs):
+                monitored.append(system)
+                super().__init__(system, *args, **kwargs)
+
+        monkeypatch.setattr(integrity, "IntegrityMonitor", SpyMonitor)
+        off = execute_cell(Cell("HM1", "camps-mod", TINY, topology="chain:2"))
+        assert monitored == []
+        on_cfg = dataclasses.replace(TINY, integrity=True)
+        on = execute_cell(Cell("HM1", "camps-mod", on_cfg, topology="chain:2"))
+        assert len(monitored) == 1
+        assert len(monitored[0].devices) == 2
+        assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True)
 
     def test_jobs_parity(self, tmp_path):
         """The fabric grid must produce the identical matrix digest whether

@@ -1,6 +1,8 @@
 """Integration tests for the routed multi-cube fabric system."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -32,8 +34,9 @@ def _fabric(spec, scheme="camps-mod", refs=REFS, seed=3, mix_name="HM1", **kw):
 
 class TestSingleCubeParity:
     def test_matches_system_field_for_field(self):
-        """A one-cube fabric IS the single-cube System: every result field,
-        the event count, and the exact energy breakdown must agree."""
+        """``SystemConfig(hmc=X)`` and a ``chain:1`` fabric build the same
+        machine: every result field, the event count, and the exact energy
+        breakdown must agree."""
         traces = mix("HM1", REFS, seed=3)
         r_sys = System(
             traces, SystemConfig(hmc=SMALL, scheme="camps-mod"), workload="HM1"
@@ -139,6 +142,53 @@ class TestMultiCube:
     def test_empty_traces_rejected(self):
         with pytest.raises(ValueError):
             FabricSystem([])
+
+
+#: hop accounting pinned from a per-request hop histogram (MX1, 100
+#: refs/core, seed 5, SMALL cubes, camps-mod; warmup at 3000 cycles or
+#: none): hop histogram, mean hops, and the sha256[:16] of the
+#: ``fabric.mean_hops`` series payload at a 1000-cycle epoch
+HOP_PINS = {
+    ("chain:4", None): (
+        {1: 800, 2: 800, 3: 800, 4: 800}, 2.499999999999996, "859852132e2e1c05"
+    ),
+    ("chain:4", 3000): (
+        {1: 631, 2: 625, 3: 669, 4: 647}, 2.5178849144634516, "3d11338a5552bd00"
+    ),
+    ("ring:4", None): ({1: 800, 2: 1600, 3: 800}, 2.0000000000000013, "4e0293cd25e69304"),
+    ("ring:4", 3000): ({1: 631, 2: 1221, 3: 666}, 2.013899920571882, "b294b10c2017099d"),
+    ("star:4", None): ({1: 3200}, 1.0, "53871f0fe7e37408"),
+    ("star:4", 3000): ({1: 2510}, 1.0, "469c8d438327a4e5"),
+}
+
+
+class TestHopAccounting:
+    @pytest.mark.parametrize("spec,warmup", sorted(HOP_PINS, key=str))
+    def test_matches_recorded_values(self, spec, warmup):
+        """Per-cube request counts reproduce the pinned hop histogram, mean
+        hops and mean-hops series, across a warmup reset too.  The pinned
+        means came from a running (Welford) mean that carries ~1e-15 of
+        rounding a ratio of sums does not, so they compare approximately;
+        the series payload rounds to 9 decimals and compares exactly."""
+        hist, mean, series_digest = HOP_PINS[(spec, warmup)]
+        fabric = FabricConfig.from_spec(spec, hmc=SMALL)
+        streams = MultiStreamSpec.per_cube("MX1", fabric.cubes, 100, seed=5)
+        r = FabricSystem(
+            build_stream_traces(streams, fabric),
+            FabricSystemConfig(
+                fabric=fabric,
+                scheme="camps-mod",
+                stats_warmup_cycles=warmup,
+                timeseries_epoch=1000,
+            ),
+            workload="MX1",
+        ).run()
+        fx = r.extra["fabric"]
+        assert fx["hop_histogram"] == hist
+        assert fx["mean_hops"] == pytest.approx(mean, rel=1e-12)
+        values = r.extra["timeseries"]["series"]["fabric.mean_hops"]["values"]
+        digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()[:16]
+        assert digest == series_digest
 
 
 class TestFabricFaults:

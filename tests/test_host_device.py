@@ -1,11 +1,12 @@
-"""Integration tests for the host controller + HMC device pair."""
+"""Integration tests for the host controller + HMC device pair (a one-cube
+:class:`FabricHost`)."""
 
 import pytest
 
+from repro.fabric import FabricConfig, FabricHost
 from repro.hmc.address import AddressMapping
 from repro.hmc.config import HMCConfig
 from repro.hmc.device import HMCDevice
-from repro.hmc.host import HostController
 from repro.request import MemoryRequest
 from repro.sim.engine import Engine
 
@@ -15,7 +16,7 @@ def rig():
     cfg = HMCConfig(vaults=4, banks_per_vault=4)
     eng = Engine()
     dev = HMCDevice(cfg, eng, scheme="camps-mod")
-    host = HostController(cfg, eng, dev)
+    host = FabricHost(FabricConfig(hmc=cfg), eng, [dev])
     return cfg, eng, dev, host
 
 
@@ -135,8 +136,18 @@ class TestDeviceAggregation:
 class TestLinkAssignment:
     def test_vault_interleaved_static_assignment(self, rig):
         cfg, eng, dev, host = rig
-        assert host._link_for(0) is host.links[0]
-        assert host._link_for(1) is host.links[1 % len(host.links)]
+        m = AddressMapping(cfg)
+
+        def link_for(vault):
+            before = [link.request.packets for link in host.links]
+            send(host, eng, m.encode(vault, 0, 0, 0))
+            eng.run()
+            after = [link.request.packets for link in host.links]
+            (used,) = [l for l, a, b in zip(host.links, after, before) if a > b]
+            return used
+
+        assert link_for(0) is host.links[0]
+        assert link_for(1) is host.links[1 % len(host.links)]
 
     def test_link_utilization_reported(self, rig):
         cfg, eng, dev, host = rig

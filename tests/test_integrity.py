@@ -13,6 +13,8 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.experiments.runner import ExperimentConfig
+from repro.fabric import FabricConfig
+from repro.hmc.config import HMCConfig
 from repro.sim.engine import Engine
 from repro.sim.integrity import (
     CRASH_DIR_ENV,
@@ -27,6 +29,7 @@ from repro.sim.integrity import (
 )
 from repro.system import System, SystemConfig, run_system
 from repro.workloads.mixes import mix as make_mix
+from repro.workloads.multistream import MultiStreamSpec, build_stream_traces
 
 
 def _traces(refs=200, workload="HM1"):
@@ -226,6 +229,36 @@ class TestSystemIntegration:
         sys_.engine.schedule(1, explode)
         with pytest.raises(ValueError):
             sys_.run()
+
+
+class TestFabricIntegration:
+    def test_violation_in_cube1_raises(self, tmp_path):
+        """The monitor walks every cube, not just cube 0."""
+        fabric = FabricConfig.from_spec(
+            "chain:2", hmc=HMCConfig(vaults=4, banks_per_vault=4)
+        )
+        streams = MultiStreamSpec.per_cube("HM1", fabric.cubes, 100, seed=1)
+        sys_ = System(
+            build_stream_traces(streams, fabric),
+            SystemConfig(
+                fabric=fabric,
+                scheme="base",
+                integrity=True,
+                crash_dump_dir=str(tmp_path),
+            ),
+            workload="HM1",
+        )
+        sys_.devices[1].vaults[0].banks[0].acts += 1
+        with pytest.raises(IntegrityError) as exc_info:
+            sys_.run()
+        err = exc_info.value
+        assert isinstance(err, InvariantViolation)
+        assert any(
+            v.startswith("cube1.vault0.bank0: illegal state")
+            for v in err.report["violations"]
+        )
+        dump = json.loads(open(err.dump_path).read())
+        assert {v["cube"] for v in dump["vaults"]} == {0, 1}
 
 
 # ----------------------------------------------------------------------
