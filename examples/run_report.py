@@ -20,7 +20,7 @@ Run:  python examples/run_report.py
 from pathlib import Path
 
 from repro import mix
-from repro.obs import Tracer, build_run_report, diff_reports, write_html
+from repro.obs import build_run_report, diff_reports, write_html
 from repro.hmc.config import HMCConfig
 from repro.obs.timeseries import DEFAULT_EPOCH
 from repro.system import System, SystemConfig
@@ -29,15 +29,15 @@ OUT = Path("run_report_out")
 
 
 def simulate(pf_entries: int):
-    """One MX1/CAMPS run with tracing and epoch sampling enabled."""
+    """One MX1/CAMPS run with epoch sampling enabled; the report reads its
+    counters from the finished system, so no tracer is attached."""
     traces = mix("MX1", refs_per_core=3000, seed=1)
     cfg = SystemConfig(
         hmc=HMCConfig(pf_buffer_entries=pf_entries),
         scheme="camps",
         timeseries_epoch=DEFAULT_EPOCH,
     )
-    tracer = Tracer()
-    system = System(traces, cfg, workload="MX1", tracer=tracer)
+    system = System(traces, cfg, workload="MX1")
     result = system.run()
     return build_run_report(system, result, pf_buffer_entries=pf_entries)
 

@@ -111,11 +111,13 @@ def execute_cell(
     per-vault in every cube.
 
     With ``report_dir`` set (``functools.partial`` keeps the runner
-    picklable under spawn), the run carries a counter tracer and the
-    default-epoch time series sampler and writes a
-    :class:`~repro.obs.report.RunReport` to ``<report_dir>/<cell_id>.json``.
-    Neither changes the returned summary: telemetry never perturbs
-    simulation order, so cached and reported cells stay digest-identical.
+    picklable under spawn), the run carries the default-epoch time series
+    sampler and, once finished, writes a
+    :class:`~repro.obs.report.RunReport` to ``<report_dir>/<cell_id>.json``;
+    the report's counters are read from the finished system, so no tracer
+    is attached and no trace events are recorded.  The sampler does not
+    change the returned summary: it never perturbs simulation order, so
+    cached and reported cells stay digest-identical.
     """
     cfg = cell.config
     fabric = None
@@ -139,13 +141,10 @@ def execute_cell(
         # topology-qualified: ResultMatrix keys by (workload, scheme), so a
         # topology sweep of one mix must not collapse to a single entry
         workload = f"{cell.workload}@{cell.topology}"
-    tracer = None
     epoch = None
     if report_dir is not None:
-        from repro.obs import Tracer
         from repro.obs.timeseries import DEFAULT_EPOCH
 
-        tracer = Tracer()
         epoch = DEFAULT_EPOCH
     system = System(
         traces,
@@ -158,7 +157,6 @@ def execute_cell(
         ),
         workload=workload,
         scheme_kwargs=cell.scheme_kwargs,
-        tracer=tracer,
     )
     # Hand the live system to the telemetry sampler thread, if one is
     # armed for this process (a single is-None check otherwise — the

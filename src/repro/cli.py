@@ -46,7 +46,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.core.schemes import PAPER_SCHEMES, scheme_names
 from repro.experiments.figures import (
@@ -152,18 +152,8 @@ def _run_fabric(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         from repro.obs.timeseries import DEFAULT_EPOCH
 
         epoch = DEFAULT_EPOCH
-    tracer = None
-    if args.trace or args.log_json or report_path or epoch is not None:
-        from pathlib import Path
-
-        for raw in (args.trace, args.log_json, report_path):
-            if raw and not Path(raw).resolve().parent.is_dir():
-                raise SystemExit(
-                    f"output directory does not exist: {Path(raw).resolve().parent}"
-                )
-        from repro.obs import Tracer
-
-        tracer = Tracer()
+    _check_output_dirs(args.trace, args.log_json, report_path)
+    tracer = _event_tracer(args)
     spec = MultiStreamSpec.per_cube(
         args.mix, fabric.cubes, cfg.refs_per_core, seed=cfg.seed
     )
@@ -222,8 +212,45 @@ def _run_fabric(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
             )
             print(f"  per-cube conflicts  {rates}")
 
+    _write_run_outputs(
+        args, tracer, fsys, result,
+        mix=args.mix, topology=fabric.spec,
+        refs_per_core=cfg.refs_per_core, seed=cfg.seed,
+    )
+    return 0
+
+
+def _check_output_dirs(*paths: Optional[str]) -> None:
+    """Fail on bad output paths *before* simulating, not after."""
+    from pathlib import Path
+
+    for raw in paths:
+        if raw and not Path(raw).resolve().parent.is_dir():
+            raise SystemExit(
+                f"output directory does not exist: {Path(raw).resolve().parent}"
+            )
+
+
+def _event_tracer(args: argparse.Namespace) -> Optional[Any]:
+    """A Tracer when an output consumes trace events (``--trace``,
+    ``--log-json``); a report reads its counters from the finished system."""
+    if not (args.trace or args.log_json):
+        return None
+    from repro.obs import Tracer
+
+    return Tracer()
+
+
+def _write_run_outputs(
+    args: argparse.Namespace,
+    tracer: Optional[Any],
+    system: Any,
+    result: Any,
+    **meta: Any,
+) -> None:
+    """Write the trace, JSONL log and run report a ``run`` asked for."""
     if tracer is not None:
-        from repro.obs import text_summary, write_chrome_trace, write_jsonl
+        from repro.obs import write_chrome_trace, write_jsonl
 
         if args.trace:
             path = write_chrome_trace(tracer, args.trace)
@@ -234,21 +261,19 @@ def _run_fabric(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
             path = write_jsonl(tracer, args.log_json)
             if not args.json:
                 print(f"  wrote JSONL log     {path}")
-        if report_path:
-            from repro.obs import build_run_report
+    report_path = getattr(args, "report", None)
+    if report_path:
+        from repro.obs import build_run_report
 
-            path = build_run_report(
-                fsys, result,
-                mix=args.mix, topology=fabric.spec,
-                refs_per_core=cfg.refs_per_core, seed=cfg.seed,
-            ).save(report_path)
-            if not args.json:
-                print(f"  wrote run report    {path} (diff/render with "
-                      f"`repro diff` / `repro report`)")
+        path = build_run_report(system, result, **meta).save(report_path)
         if not args.json:
-            print()
-            print(text_summary(tracer))
-    return 0
+            print(f"  wrote run report    {path} (diff/render with "
+                  f"`repro diff` / `repro report`)")
+    if tracer is not None and not args.json:
+        from repro.obs import text_summary
+
+        print()
+        print(text_summary(tracer))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -264,20 +289,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         epoch = DEFAULT_EPOCH
     if args.trace or args.log_json or report_path or epoch is not None:
-        # Fail on bad output paths *before* simulating, not after.
-        from pathlib import Path
-
-        for raw in (args.trace, args.log_json, report_path):
-            if raw and not Path(raw).resolve().parent.is_dir():
-                raise SystemExit(
-                    f"output directory does not exist: {Path(raw).resolve().parent}"
-                )
+        _check_output_dirs(args.trace, args.log_json, report_path)
         # Tracing/reporting needs a live System (the result cache only
         # stores summaries), so build the cell directly and bypass the cache.
-        from repro.obs import Tracer
         from repro.system import System, SystemConfig
 
-        tracer = Tracer()
+        tracer = _event_tracer(args)
         traces = make_mix(args.mix, cfg.refs_per_core, seed=cfg.seed, config=cfg.hmc)
         system = System(
             traces,
@@ -307,35 +324,15 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"{result.line_accuracy:.1%} (lines)")
         print(f"  mean read latency   {result.mean_read_latency:.0f} cycles")
         print(f"  HMC energy          {result.energy_pj / 1e6:.1f} uJ")
-        if args.baseline and args.baseline != args.scheme and tracer is None:
+        if args.baseline and args.baseline != args.scheme and system is None:
             base = run_cell(args.mix, args.baseline, cfg)
             print(f"  speedup vs {args.baseline:<9} {result.speedup_vs(base):.3f}x")
 
-    if tracer is not None:
-        from repro.obs import text_summary, write_chrome_trace, write_jsonl
-
-        if args.trace:
-            path = write_chrome_trace(tracer, args.trace)
-            if not args.json:
-                print(f"  wrote Chrome trace  {path} "
-                      f"({len(tracer.events)} events; open in ui.perfetto.dev)")
-        if args.log_json:
-            path = write_jsonl(tracer, args.log_json)
-            if not args.json:
-                print(f"  wrote JSONL log     {path}")
-        if report_path:
-            from repro.obs import build_run_report
-
-            path = build_run_report(
-                system, result,
-                mix=args.mix, refs_per_core=cfg.refs_per_core, seed=cfg.seed,
-            ).save(report_path)
-            if not args.json:
-                print(f"  wrote run report    {path} (diff/render with "
-                      f"`repro diff` / `repro report`)")
-        if not args.json:
-            print()
-            print(text_summary(tracer))
+    if system is not None:
+        _write_run_outputs(
+            args, tracer, system, result,
+            mix=args.mix, refs_per_core=cfg.refs_per_core, seed=cfg.seed,
+        )
     return 0
 
 
@@ -776,7 +773,7 @@ def _report_html(args: argparse.Namespace) -> int:
     if not reports and not rows:
         # nothing to render was supplied: simulate one sampled cell so
         # `repro report --out r.html` works out of the box
-        from repro.obs import Tracer, build_run_report
+        from repro.obs import build_run_report
         from repro.obs.timeseries import DEFAULT_EPOCH
         from repro.system import System, SystemConfig
 
@@ -785,13 +782,11 @@ def _report_html(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(f"no inputs; simulating {mix_name}/camps-mod "
                   f"({cfg.refs_per_core} refs/core)")
-        tracer = Tracer()
         system = System(
             make_mix(mix_name, cfg.refs_per_core, seed=cfg.seed, config=cfg.hmc),
             SystemConfig(hmc=cfg.hmc, scheme="camps-mod",
                          timeseries_epoch=DEFAULT_EPOCH),
             workload=mix_name,
-            tracer=tracer,
         )
         result = system.run()
         reports = [build_run_report(system, result, refs_per_core=cfg.refs_per_core,

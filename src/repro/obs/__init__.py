@@ -20,99 +20,78 @@ Usage::
     write_chrome_trace(tracer, "out.json")
     print(result.extra["trace_summary"]["prefetch_provenance"])
 
-When no tracer is attached every hook in the simulator is a no-op behind a
-single attribute check - see ``benchmarks/bench_obs_overhead.py``.
+Counters and run reports need no tracer: :func:`system_counters` builds the
+counter registry of any built system, and :func:`build_run_report` reads it
+after the run.  When no tracer is attached every hook in the simulator is
+bound to :func:`repro.obs.hooks.noop` - no branch on the hot path (see
+:mod:`repro.obs.hooks` and ``benchmarks/bench_obs_overhead.py``).
+
+The package is lazy (PEP 562): the simulator's components import
+:mod:`repro.obs.hooks`, and that must not load the exporters, the HTML
+dashboard, telemetry or spans.  Each name below is imported from its
+submodule on first access.
 """
 
-from repro.obs.counters import CounterRegistry, CounterScope
-from repro.obs.events import (
-    ALL_KINDS,
-    PROV_CONFLICT,
-    PROV_UTILIZATION,
-    TraceEvent,
-)
-from repro.obs.export import (
-    chrome_trace,
-    text_summary,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.html import render_html, write_html
-from repro.obs.report import (
-    RunReport,
-    ReportDiff,
-    build_run_report,
-    diff_reports,
-    has_series,
-)
-from repro.obs.promtext import parse_exposition, render_metrics
-from repro.obs.spans import (
-    Span,
-    SpanLog,
-    attribution,
-    critical_path_text,
-    format_traceparent,
-    merge_chrome,
-    mint_trace_id,
-    parse_traceparent,
-    read_spans,
-    spans_to_chrome,
-)
-from repro.obs.telemetry import (
-    CampaignView,
-    TelemetryAggregator,
-    TelemetryServer,
-    TelemetrySpool,
-    WorkerTelemetry,
-    publish_system,
-    spool_dir_for,
-)
-from repro.obs.timeseries import DEFAULT_EPOCH, Series, TimeseriesSampler
-from repro.obs.tracer import Tracer
-from repro.obs.trend import append_entry, load_history, trend_report
+from importlib import import_module
+from typing import Any, Dict
 
-__all__ = [
-    "Tracer",
-    "TraceEvent",
-    "CounterRegistry",
-    "CounterScope",
-    "ALL_KINDS",
-    "PROV_UTILIZATION",
-    "PROV_CONFLICT",
-    "chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "text_summary",
-    "Series",
-    "TimeseriesSampler",
-    "DEFAULT_EPOCH",
-    "RunReport",
-    "ReportDiff",
-    "build_run_report",
-    "diff_reports",
-    "has_series",
-    "render_html",
-    "write_html",
-    "TelemetrySpool",
-    "TelemetryAggregator",
-    "TelemetryServer",
-    "WorkerTelemetry",
-    "CampaignView",
-    "publish_system",
-    "spool_dir_for",
-    "render_metrics",
-    "parse_exposition",
-    "Span",
-    "SpanLog",
-    "attribution",
-    "critical_path_text",
-    "format_traceparent",
-    "merge_chrome",
-    "mint_trace_id",
-    "parse_traceparent",
-    "read_spans",
-    "spans_to_chrome",
-    "append_entry",
-    "load_history",
-    "trend_report",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS: Dict[str, str] = {
+    "Tracer": "tracer",
+    "TraceEvent": "events",
+    "CounterRegistry": "counters",
+    "CounterScope": "counters",
+    "system_counters": "counters",
+    "ALL_KINDS": "events",
+    "PROV_UTILIZATION": "events",
+    "PROV_CONFLICT": "events",
+    "chrome_trace": "export",
+    "write_chrome_trace": "export",
+    "write_jsonl": "export",
+    "text_summary": "export",
+    "Series": "timeseries",
+    "TimeseriesSampler": "timeseries",
+    "DEFAULT_EPOCH": "timeseries",
+    "RunReport": "report",
+    "ReportDiff": "report",
+    "build_run_report": "report",
+    "diff_reports": "report",
+    "has_series": "report",
+    "render_html": "html",
+    "write_html": "html",
+    "TelemetrySpool": "telemetry",
+    "TelemetryAggregator": "telemetry",
+    "TelemetryServer": "telemetry",
+    "WorkerTelemetry": "telemetry",
+    "CampaignView": "telemetry",
+    "publish_system": "telemetry",
+    "spool_dir_for": "telemetry",
+    "render_metrics": "promtext",
+    "parse_exposition": "promtext",
+    "Span": "spans",
+    "SpanLog": "spans",
+    "attribution": "spans",
+    "critical_path_text": "spans",
+    "format_traceparent": "spans",
+    "merge_chrome": "spans",
+    "mint_trace_id": "spans",
+    "parse_traceparent": "spans",
+    "read_spans": "spans",
+    "spans_to_chrome": "spans",
+    "append_entry": "trend",
+    "load_history": "trend",
+    "trend_report": "trend",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        # AttributeError (not ImportError) lets ``from repro.obs import
+        # <submodule>`` fall through to the regular submodule import
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # cache: later lookups skip __getattr__
+    return value

@@ -1,10 +1,12 @@
 """Hierarchical counter registry: device → vault → bank.
 
-Components *register* their existing counters (or zero-cost gauge callables)
-into a :class:`CounterRegistry` at wiring time; nothing is read until a
-snapshot is requested, so registration adds no hot-path work.  The registry
-is how the exporters and the per-vault text summary see one coherent tree of
-statistics without every reporting site re-walking the object graph.
+Components' existing counters (or zero-cost gauge callables) are
+*registered* into a :class:`CounterRegistry`; nothing is read until a
+snapshot is requested, so registration adds no hot-path work.
+:func:`system_counters` is the one place that walks a built system and
+registers its statistics.  The registry is how RunReports, the exporters and
+the per-vault text summary see one coherent tree of statistics without every
+reporting site re-walking the object graph.
 
 Sources may be:
 
@@ -130,3 +132,79 @@ class CounterRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CounterRegistry scopes={len(self._sources)} counters={len(self)}>"
+
+
+def system_counters(system: Any) -> CounterRegistry:
+    """The counter registry of a built :class:`~repro.system.System`.
+
+    Every source is a lazy gauge (or a live ``Counter``) over statistics the
+    simulator keeps anyway, so the registry can be built before or after the
+    run and reads the same values either way; no tracer is needed.  Shapes:
+    without a fabric, device → vault → bank (per-bank command counters);
+    with a fabric, per-cube aggregates plus router forwarding counters - no
+    per-bank fan-out (32 vaults x 16 banks x 8 cubes would dwarf every other
+    scope combined).  Both carry the device, host and per-link scopes.
+    """
+    registry = CounterRegistry()
+    engine = system.engine
+    host = system.host
+    dev_scope = registry.scope("device")
+    dev_scope.register("events_fired", lambda: engine.events_fired)
+    dev_scope.register("cycles", lambda: engine.now)
+    host_scope = registry.scope("host")
+    for name, counter in host.stats.counters.items():
+        host_scope.register(name, counter)
+    for link in (*host.links, *host.fabric_links):
+        ls = host_scope.scope(f"link{link.link_id}")
+        for d in (link.request, link.response):
+            direction = d.name.rsplit(".", 1)[-1]
+            ls.register(f"{direction}_packets", (lambda d=d: d.packets))
+            ls.register(f"{direction}_bytes", (lambda d=d: d.bytes_sent))
+            if d.retry is not None:
+                ls.register(f"{direction}_replays", (lambda d=d: d.retry.replays))
+                ls.register(f"{direction}_retrains", (lambda d=d: d.retry.retrains))
+    if system.fabric is None:
+        _register_device(registry, system.device)
+    else:
+        _register_cubes(registry, system.devices, host.routers)
+    return registry
+
+
+def _register_device(registry: CounterRegistry, device: Any) -> None:
+    """The one cube's crossbar, per-vault statistics and per-bank command
+    counters."""
+    registry.register(
+        ("device",), "crossbar_traversals", lambda: device.crossbar.traversals
+    )
+    for vc in device.vaults:
+        vs = registry.scope(f"vault{vc.vault_id}")
+        for name, counter in vc.stats.counters.items():
+            vs.register(name, counter)
+        vs.register("sched_row_hit_issues", lambda vc=vc: vc.scheduler.row_hit_issues)
+        vs.register("sched_fcfs_issues", lambda vc=vc: vc.scheduler.fcfs_issues)
+        vs.register("sched_drain_entries", lambda vc=vc: vc.scheduler.drain_entries)
+        vs.register("tsv_busy_cycles", lambda vc=vc: vc.tsv_bus.busy_cycles)
+        vs.register("prefetches_issued", lambda vc=vc: vc.prefetcher.prefetches_issued)
+        for stat_name, fn in vc.prefetcher.observed_stats().items():
+            vs.register(stat_name, fn)
+        for bank in vc.banks:
+            bs = vs.scope(f"bank{bank.bank_id}")
+            for attr in ("acts", "pres", "reads", "writes", "conflicts", "hits", "empties"):
+                bs.register(attr, (lambda b=bank, a=attr: getattr(b, a)))
+
+
+def _register_cubes(registry: CounterRegistry, devices: Any, routers: Any) -> None:
+    """Per-cube aggregates and router forwarding counters of a fabric."""
+    for c, (device, router) in enumerate(zip(devices, routers)):
+        cs = registry.scope(f"cube{c}")
+        cs.register("demand_accesses", (lambda dev=device: dev.demand_accesses))
+        cs.register("row_conflicts", (lambda dev=device: dev.row_conflicts))
+        cs.register("buffer_hits", (lambda dev=device: dev.buffer_hits))
+        cs.register("prefetches_issued", (lambda dev=device: dev.prefetches_issued()))
+        cs.register("crossbar_traversals", (lambda dev=device: dev.crossbar.traversals))
+        cs.register("router_local_requests", (lambda r=router: r.local_requests))
+        cs.register("router_forwarded_requests", (lambda r=router: r.forwarded_requests))
+        cs.register(
+            "router_forwarded_responses", (lambda r=router: r.forwarded_responses)
+        )
+        cs.register("router_hop_flits", (lambda r=router: r.hop_flits))

@@ -22,6 +22,8 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.obs.counters import CounterRegistry, system_counters
+
 RUN_REPORT_VERSION = 1
 
 #: summary metrics captured from a SimulationResult, in display order
@@ -86,7 +88,7 @@ class RunReport:
         cls,
         result: Any,
         config: Any = None,
-        tracer: Any = None,
+        counters: Optional[CounterRegistry] = None,
         sampler: Any = None,
         meta: Optional[Dict[str, Any]] = None,
     ) -> "RunReport":
@@ -94,8 +96,9 @@ class RunReport:
 
         ``result`` is a :class:`~repro.system.SimulationResult`; ``config``
         the :class:`~repro.system.SystemConfig` (digested, not embedded);
-        ``tracer`` contributes its counter registry, ``sampler`` its series
-        payload (either may be None).
+        ``counters`` the run's :class:`~repro.obs.counters.CounterRegistry`
+        (stored flattened); ``sampler`` contributes its series payload.
+        ``config``, ``counters`` and ``sampler`` may each be None.
         """
         summary: Dict[str, float] = {}
         for name in SUMMARY_FIELDS:
@@ -103,11 +106,9 @@ class RunReport:
             if value is None:
                 continue
             summary[name] = float(value)
-        counters: Dict[str, float] = {}
-        if tracer is not None:
-            counters = {
-                k: float(v) for k, v in tracer.counters.flatten().items()
-            }
+        flat: Dict[str, float] = {}
+        if counters is not None:
+            flat = {k: float(v) for k, v in counters.flatten().items()}
         series: Dict[str, Any] = {}
         if sampler is not None:
             series = sampler.to_payload()
@@ -116,7 +117,7 @@ class RunReport:
             scheme=result.scheme,
             config_digest=config_digest(config) if config is not None else "",
             summary=summary,
-            counters=counters,
+            counters=flat,
             series=series,
             meta=dict(meta or {}),
         )
@@ -167,11 +168,15 @@ class RunReport:
 
 
 def build_run_report(system: Any, result: Any, **meta: Any) -> RunReport:
-    """Convenience: build a report straight from a finished ``System``."""
+    """Build a report straight from a finished ``System``.
+
+    Counters come from :func:`~repro.obs.counters.system_counters`, read
+    after the run, so a report needs no tracer attached.
+    """
     return RunReport.from_run(
         result,
         config=system.config,
-        tracer=system.tracer,
+        counters=system_counters(system),
         sampler=getattr(system, "timeseries", None),
         meta=meta or None,
     )

@@ -2,12 +2,13 @@
 
 Design rules, in priority order:
 
-1. **Cost nothing when absent.**  Every instrumented component holds a
-   ``tracer`` attribute that defaults to ``None``; each hook site is guarded
-   by a single ``if self.tracer is not None`` check, so an un-traced
-   simulation does exactly one attribute load + identity test per hook.
-   ``benchmarks/bench_obs_overhead.py`` holds this to within noise of the
-   uninstrumented engine loop.
+1. **Cost nothing when absent.**  Instrumented components never test for a
+   tracer on their hot paths: each hook site calls a per-site emit
+   attribute that wiring rebinds to a bound tracer method, and that is
+   :func:`repro.obs.hooks.noop` otherwise (the contract is documented in
+   :mod:`repro.obs.hooks`).  The engine hoists its one ``engine_spans``
+   check out of the run loop.  ``benchmarks/bench_obs_overhead.py`` holds
+   an un-traced run to within noise of the uninstrumented engine loop.
 2. **Cost little when present.**  ``_push`` appends one ``__slots__`` object
    to a list; no dict merging, no formatting, no I/O.  Export happens after
    the run.
@@ -16,10 +17,11 @@ Design rules, in priority order:
    CAMPS), so a trace is a complete audit log of the scheme's choices.
 
 Wiring is duck-typed: :meth:`Tracer.wire_system` walks a built
-:class:`~repro.system.System` and installs itself on the engine, host,
-vault controllers, schedulers, prefetchers and banks, then registers the
-existing statistics counters into the hierarchical
-:class:`~repro.obs.counters.CounterRegistry` (device → vault → bank).
+:class:`~repro.system.System` and installs the tracer's hooks on the engine,
+host, links, vault controllers, schedulers, prefetchers and banks.  Counter
+registration lives apart, in :func:`~repro.obs.counters.system_counters`:
+:attr:`Tracer.counters` is that function's registry for the wired system,
+and a RunReport builds the same registry itself, traced or not.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import events as ev
-from repro.obs.counters import CounterRegistry
+from repro.obs.counters import CounterRegistry, system_counters
 from repro.obs.events import TraceEvent
 
 #: CommandKind.value -> trace event kind (see repro.dram.commands)
@@ -43,7 +45,8 @@ _COMMAND_KINDS: Dict[str, str] = {
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records plus a counter registry.
+    """Collects :class:`TraceEvent` records; carries the wired system's
+    counter registry for the text summary and the exporters.
 
     ``capacity`` bounds memory: once the event list is full further events
     are counted in ``dropped`` instead of stored (the counters keep
@@ -247,119 +250,31 @@ class Tracer:
     # ------------------------------------------------------------------
     def wire_system(self, system: Any) -> None:
         """Install this tracer on every instrumented component of a built
-        (not yet run) :class:`~repro.system.System` and register the
-        component counters into the device → vault → bank registry."""
+        (not yet run) :class:`~repro.system.System` - engine, host, host and
+        inter-cube link directions, and in every cube the vault controllers,
+        schedulers, prefetchers and banks - and fill :attr:`counters` from
+        :func:`~repro.obs.counters.system_counters`."""
         engine = system.engine
         engine.tracer = self
         self._engine = engine
         self.meta.setdefault("scheme", system.config.scheme)
         self.meta.setdefault("workload", system.workload)
+        if system.fabric is not None:
+            self.meta.setdefault("topology", system.fabric.spec)
 
-        device = system.device
         host = system.host
         host.tracer = self
-
-        dev_scope = self.counters.scope("device")
-        dev_scope.register("events_fired", lambda: engine.events_fired)
-        dev_scope.register("cycles", lambda: engine.now)
-        dev_scope.register("crossbar_traversals", lambda: device.crossbar.traversals)
-        host_scope = self.counters.scope("host")
-        for name, counter in host.stats.counters.items():
-            host_scope.register(name, counter)
-        for link in host.links:
-            ls = host_scope.scope(f"link{link.link_id}")
-            for d in (link.request, link.response):
-                d.tracer = self
-                direction = d.name.rsplit(".", 1)[-1]
-                ls.register(f"{direction}_packets", (lambda d=d: d.packets))
-                ls.register(f"{direction}_bytes", (lambda d=d: d.bytes_sent))
-                if d.retry is not None:
-                    ls.register(f"{direction}_replays", (lambda d=d: d.retry.replays))
-                    ls.register(f"{direction}_retrains", (lambda d=d: d.retry.retrains))
-
-        for vc in device.vaults:
-            vc.tracer = self
-            vc.scheduler.tracer = self
-            vc.prefetcher.tracer = self
-            for bank in vc.banks:
-                bank.tracer = self
-            vs = self.counters.scope(f"vault{vc.vault_id}")
-            for name, counter in vc.stats.counters.items():
-                vs.register(name, counter)
-            vs.register("sched_row_hit_issues", lambda vc=vc: vc.scheduler.row_hit_issues)
-            vs.register("sched_fcfs_issues", lambda vc=vc: vc.scheduler.fcfs_issues)
-            vs.register("sched_drain_entries", lambda vc=vc: vc.scheduler.drain_entries)
-            vs.register("tsv_busy_cycles", lambda vc=vc: vc.tsv_bus.busy_cycles)
-            vs.register("prefetches_issued", lambda vc=vc: vc.prefetcher.prefetches_issued)
-            for stat_name, fn in vc.prefetcher.observed_stats().items():
-                vs.register(stat_name, fn)
-            for bank in vc.banks:
-                bs = vs.scope(f"bank{bank.bank_id}")
-                for attr in ("acts", "pres", "reads", "writes", "conflicts", "hits", "empties"):
-                    bs.register(attr, (lambda b=bank, a=attr: getattr(b, a)))
-
-    def wire_fabric(self, fsys: Any) -> None:
-        """Install this tracer on a built (not yet run)
-        :class:`~repro.system.System` with a fabric.
-
-        The registry is kept bounded for 8-cube fabrics: per-link counters
-        for host and inter-cube links, per-cube aggregates plus router
-        forwarding counters - no per-bank fan-out (32 vaults x 16 banks x 8
-        cubes would dwarf every other scope combined).
-        """
-        engine = fsys.engine
-        engine.tracer = self
-        self._engine = engine
-        self.meta.setdefault("scheme", fsys.config.scheme)
-        self.meta.setdefault("workload", fsys.workload)
-        self.meta.setdefault("topology", fsys.fabric.spec)
-
-        host = fsys.host
-        host.tracer = self
-        dev_scope = self.counters.scope("device")
-        dev_scope.register("events_fired", lambda: engine.events_fired)
-        dev_scope.register("cycles", lambda: engine.now)
-        host_scope = self.counters.scope("host")
-        for name, counter in host.stats.counters.items():
-            host_scope.register(name, counter)
         for link in (*host.links, *host.fabric_links):
-            ls = host_scope.scope(f"link{link.link_id}")
-            for d in (link.request, link.response):
-                d.tracer = self
-                direction = d.name.rsplit(".", 1)[-1]
-                ls.register(f"{direction}_packets", (lambda d=d: d.packets))
-                ls.register(f"{direction}_bytes", (lambda d=d: d.bytes_sent))
-                if d.retry is not None:
-                    ls.register(f"{direction}_replays", (lambda d=d: d.retry.replays))
-                    ls.register(f"{direction}_retrains", (lambda d=d: d.retry.retrains))
-
-        for c, device in enumerate(fsys.devices):
-            router = host.routers[c]
-            cs = self.counters.scope(f"cube{c}")
-            cs.register("demand_accesses", (lambda dev=device: dev.demand_accesses))
-            cs.register("row_conflicts", (lambda dev=device: dev.row_conflicts))
-            cs.register("buffer_hits", (lambda dev=device: dev.buffer_hits))
-            cs.register(
-                "prefetches_issued", (lambda dev=device: dev.prefetches_issued())
-            )
-            cs.register(
-                "crossbar_traversals", (lambda dev=device: dev.crossbar.traversals)
-            )
-            cs.register("router_local_requests", (lambda r=router: r.local_requests))
-            cs.register(
-                "router_forwarded_requests", (lambda r=router: r.forwarded_requests)
-            )
-            cs.register(
-                "router_forwarded_responses",
-                (lambda r=router: r.forwarded_responses),
-            )
-            cs.register("router_hop_flits", (lambda r=router: r.hop_flits))
+            link.request.tracer = self
+            link.response.tracer = self
+        for device in system.devices:
             for vc in device.vaults:
                 vc.tracer = self
                 vc.scheduler.tracer = self
                 vc.prefetcher.tracer = self
                 for bank in vc.banks:
                     bank.tracer = self
+        self.counters = system_counters(system)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -289,16 +289,12 @@ class System:
                 lambda: sum(len(vc.buffer) for vc in vaults if vc.buffer),
             )
             self.sampler.probe("host_outstanding", lambda: self.host.outstanding)
-        #: observability tracer (repro.obs.Tracer); wiring installs it on the
-        #: engine, host, vaults, schedulers, prefetchers and banks, and
-        #: registers the component counters (per bank without a fabric, per
-        #: cube with one)
+        #: observability tracer (repro.obs.Tracer); wiring installs its event
+        #: hooks on the engine, host, links, vaults, schedulers, prefetchers
+        #: and banks (counters need none: see repro.obs.system_counters)
         self.tracer = tracer
         if tracer is not None:
-            if self.fabric is None:
-                tracer.wire_system(self)
-            else:
-                tracer.wire_fabric(self)
+            tracer.wire_system(self)
         #: epoch-windowed time series (repro.obs.timeseries.TimeseriesSampler)
         self.timeseries = None
         if cfg.timeseries_epoch is not None:

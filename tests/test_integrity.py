@@ -261,6 +261,39 @@ class TestFabricIntegration:
         assert {v["cube"] for v in dump["vaults"]} == {0, 1}
 
 
+class TestReportModeCrashDump:
+    def test_report_cell_violation_dump_has_every_section(
+        self, tmp_path, monkeypatch
+    ):
+        """A report-mode cell runs untraced: its dump carries no trace tail
+        but keeps every other section."""
+        from repro.campaign import executor
+
+        def corrupt(system):
+            # executor hands the built system to telemetry before the run;
+            # inject the stats-only bank corruption there
+            if system is not None:
+                system.device.vaults[0].banks[0].acts += 1
+
+        monkeypatch.setattr(executor, "publish_system", corrupt)
+        monkeypatch.setenv(CRASH_DIR_ENV, str(tmp_path / "dumps"))
+        cell = Cell(
+            workload="HM1",
+            scheme="base",
+            config=ExperimentConfig(refs_per_core=100, seed=1, integrity=True),
+        )
+        with pytest.raises(InvariantViolation) as exc_info:
+            executor.execute_cell(cell, report_dir=str(tmp_path / "reports"))
+        dump = json.loads(open(exc_info.value.dump_path).read())
+        assert set(dump) == {
+            "kind", "version", "workload", "scheme", "engine", "error",
+            "diagnosis", "violations", "host", "vaults",
+        }
+        assert any("illegal state" in v for v in dump["violations"])
+        assert dump["engine"]["next_events"] is not None
+        assert dump["host"]["reads_sent"] > 0 and dump["vaults"]
+
+
 # ----------------------------------------------------------------------
 # Campaign handling of diagnosed failures.  The wedge runner must live at
 # module level so the jobs>=2 worker pool can pickle it.

@@ -1,12 +1,14 @@
 """Tests for the epoch timeseries sampler, RunReport artifacts, run diffing,
 and the HTML dashboard (repro.obs.timeseries / report / html)."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.fabric import FabricConfig
 from repro.hmc.config import HMCConfig
 from repro.obs import (
     CounterRegistry,
@@ -27,17 +29,18 @@ from repro.obs.html import load_manifest_rows
 from repro.sim.engine import Engine
 from repro.system import System, SystemConfig
 from repro.workloads.mixes import mix as make_mix
+from repro.workloads.multistream import MultiStreamSpec, build_stream_traces
 from repro.workloads.synthetic import generate_trace
 
 
-def small_system(epoch=None, tracer=None, pf_entries=4):
+def small_system(epoch=None, pf_entries=4):
     traces = [generate_trace("gems", 600, seed=i, core_id=i) for i in range(2)]
     cfg = SystemConfig(
         hmc=HMCConfig(vaults=4, banks_per_vault=4, pf_buffer_entries=pf_entries),
         scheme="camps-mod",
         timeseries_epoch=epoch,
     )
-    return System(traces, cfg, workload="ts-test", tracer=tracer)
+    return System(traces, cfg, workload="ts-test")
 
 
 class TestSeries:
@@ -209,8 +212,7 @@ class TestSystemWiring:
 class TestRunReport:
     @pytest.fixture(scope="class")
     def report(self):
-        tracer = Tracer()
-        system = small_system(epoch=256, tracer=tracer)
+        system = small_system(epoch=256)
         result = system.run()
         return build_run_report(system, result, seed=1, refs=600)
 
@@ -244,6 +246,76 @@ class TestRunReport:
         assert config_digest(a) != config_digest(c)
 
 
+def _cell_system(topology, tracer=None):
+    """A small report-mode system: one cube, or one stream per cube of a
+    routed fabric (the shapes ``execute_cell`` builds)."""
+    if topology is None:
+        return System(
+            make_mix("LM1", 300, seed=1),
+            SystemConfig(scheme="camps-mod", timeseries_epoch=DEFAULT_EPOCH),
+            workload="LM1",
+            tracer=tracer,
+        )
+    fabric = FabricConfig.from_spec(topology)
+    spec = MultiStreamSpec.per_cube("MX1", fabric.cubes, 300, seed=1)
+    return System(
+        build_stream_traces(spec, fabric),
+        SystemConfig(
+            fabric=fabric, scheme="camps-mod", timeseries_epoch=DEFAULT_EPOCH
+        ),
+        workload=f"MX1@{topology}",
+        tracer=tracer,
+    )
+
+
+class TestUntracedReports:
+    """A RunReport reads its counters from the finished system: attaching a
+    tracer only adds trace events, never a report byte."""
+
+    #: (count, sha256 prefix) of the ordered counter names: a report's
+    #: counter keys are part of its format (``repro diff`` aligns on them),
+    #: so moving one must be deliberate.  One cube registers per bank; a
+    #: fabric per cube, with router counters.
+    NAMES = {
+        None: (4214, "6a44a366dd79c5dc"),
+        "chain:2": (43, "7f86a176a48fafb5"),
+        "ring:4": (73, "7f8cf27b26991a3a"),
+    }
+
+    @pytest.mark.parametrize("topology", [None, "chain:2", "ring:4"])
+    def test_untraced_report_equals_traced(self, topology):
+        plain = _cell_system(topology)
+        untraced = build_run_report(plain, plain.run(), cell="x").to_dict()
+        tracer = Tracer()
+        traced_sys = _cell_system(topology, tracer=tracer)
+        traced = build_run_report(traced_sys, traced_sys.run(), cell="x").to_dict()
+        assert tracer.events  # the traced run really recorded events
+        assert json.dumps(untraced) == json.dumps(traced)  # same keys, same order
+        names = list(untraced["counters"])
+        assert names == list(tracer.counters.flatten())
+        digest = hashlib.sha256("\n".join(names).encode()).hexdigest()[:16]
+        assert (len(names), digest) == self.NAMES[topology]
+
+    def test_report_cell_constructs_no_tracer(self, tmp_path, monkeypatch):
+        from repro.campaign.executor import cell_report_path, execute_cell
+        from repro.campaign.spec import Cell
+        from repro.experiments.runner import ExperimentConfig
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("report-mode cell built a Tracer")
+
+        monkeypatch.setattr(Tracer, "__init__", refuse)
+        cell = Cell(
+            workload="HM1",
+            scheme="camps-mod",
+            config=ExperimentConfig(refs_per_core=150, seed=1),
+            topology="chain:2",
+        )
+        execute_cell(cell, report_dir=str(tmp_path))
+        report = RunReport.load(cell_report_path(tmp_path, cell.cell_id))
+        assert report.counters and has_series(report)
+
+
 class TestSubsystemOf:
     @pytest.mark.parametrize("name,expected", [
         ("vault3.buffer_hits", "buffer/prefetch"),
@@ -267,14 +339,13 @@ class TestDiff:
         """Two MX1/camps runs differing ONLY in prefetch-buffer entries."""
         reports = []
         for entries in (16, 4):
-            tracer = Tracer()
             traces = make_mix("MX1", 800, seed=1)
             cfg = SystemConfig(
                 hmc=HMCConfig(pf_buffer_entries=entries),
                 scheme="camps",
                 timeseries_epoch=DEFAULT_EPOCH,
             )
-            system = System(traces, cfg, workload="MX1", tracer=tracer)
+            system = System(traces, cfg, workload="MX1")
             result = system.run()
             reports.append(build_run_report(system, result, entries=entries))
         return reports
@@ -323,8 +394,7 @@ class TestDiff:
 class TestHtml:
     @pytest.fixture(scope="class")
     def report(self):
-        tracer = Tracer()
-        system = small_system(epoch=256, tracer=tracer)
+        system = small_system(epoch=256)
         result = system.run()
         return build_run_report(system, result, seed=1)
 
@@ -394,7 +464,7 @@ class TestCampaignReports:
             assert rec.ok and rec.report is not None
             loaded = RunReport.load(rec.report)
             assert loaded.scheme == rec.scheme
-            assert loaded.counters  # tracer registry captured
+            assert loaded.counters  # read from the finished system
 
     def test_cached_cells_carry_no_report(self, tmp_path):
         from repro.campaign import grid_cells, run_campaign
@@ -447,6 +517,10 @@ class TestReportCLI:
         assert rc == 0
         report = RunReport.load(p)
         assert report.series["epoch"] == DEFAULT_EPOCH
+        # no --trace: counters still come from the finished system, and no
+        # trace-event tally is printed
+        assert report.counters["device.cycles"] == report.summary["cycles"]
+        assert "trace summary" not in capsys.readouterr().out
 
 
 class TestDiffDegradedSeries:
