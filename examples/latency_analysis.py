@@ -26,20 +26,29 @@ def main() -> None:
     for scheme in ("base", "camps-mod"):
         sysm = System(
             traces,
-            SystemConfig(scheme=scheme, record_requests=True, sample_interval=2000),
+            SystemConfig(scheme=scheme, record_requests=True, timeseries_epoch=2000),
         )
+        # extra gauges on the epoch sampler, registered before run()
+        vaults = sysm.device.vaults
+        host = sysm.host
+        ts = sysm.timeseries
+        depth = ts.track("queue_depth", lambda: sum(len(vc.queues) for vc in vaults))
+        occupancy = ts.track(
+            "buffer_occupancy",
+            lambda: sum(len(vc.buffer) for vc in vaults if vc.buffer is not None),
+        )
+        outstanding = ts.track("host_outstanding", lambda: host.outstanding)
         result = sysm.run()
-        reqs = sysm.host.completed_requests
+        reqs = host.completed_requests
 
         print(f"\n=== {scheme}  (mean read latency {result.mean_read_latency:.0f} cycles)")
         print(format_latency_table(latency_by_source(reqs), "by service source"))
         print()
         print(format_latency_table(latency_segments(reqs), "by path segment"))
-        samples = result.extra["samples"]
         print(
-            f"\nsampled state: mean queue depth {samples['queue_depth']['mean']:.1f}, "
-            f"mean buffer occupancy {samples['buffer_occupancy']['mean']:.1f} rows, "
-            f"outstanding at host {samples['host_outstanding']['mean']:.1f}"
+            f"\nsampled state: mean queue depth {depth.values.mean():.1f}, "
+            f"mean buffer occupancy {occupancy.values.mean():.1f} rows, "
+            f"outstanding at host {outstanding.values.mean():.1f}"
         )
 
     print(

@@ -1,12 +1,9 @@
-"""Live campaign progress and ETA, built on the observability counters.
+"""Live campaign progress and ETA.
 
-The reporter owns a :class:`repro.obs.CounterRegistry` with one gauge per
-campaign statistic (done / ok / failed / cached / resumed / retried) under
-the ``campaign`` scope, so tools that already consume registry snapshots
-(exporters, tests) see campaign state through the same interface as
-simulator counters.  When ``enabled`` it also prints one line per finished
-cell with a wall-clock ETA extrapolated from the mean cell runtime divided
-by the worker count.
+The reporter counts cell outcomes (done / ok / failed / cached / resumed /
+retried) and hands them to telemetry consumers as :meth:`status`.  When
+``enabled`` it also prints one line per finished cell with a wall-clock ETA
+extrapolated from the mean cell runtime divided by the worker count.
 """
 
 from __future__ import annotations
@@ -14,8 +11,6 @@ from __future__ import annotations
 import sys
 import time
 from typing import Any, Optional, TextIO
-
-from repro.obs.counters import CounterRegistry
 
 
 def _fmt_duration(seconds: float) -> str:
@@ -48,11 +43,6 @@ class CampaignProgress:
         self._executed = 0
         self._elapsed_sum = 0.0
         self._t0 = time.monotonic()
-        self.registry = CounterRegistry()
-        scope = self.registry.scope("campaign")
-        scope.register("total", lambda: self.total)
-        for name in ("done", "ok", "failed", "cached", "resumed", "retried"):
-            scope.register(name, (lambda n=name: getattr(self, n)))
 
     # ------------------------------------------------------------------
     def cell_done(self, record: Any, source: str = "executed") -> None:
@@ -139,6 +129,3 @@ class CampaignProgress:
             "eta_seconds": round(eta, 3) if eta is not None else None,
             "wall_seconds": round(self.wall_seconds(), 3),
         }
-
-    def snapshot(self) -> dict:
-        return self.registry.snapshot()

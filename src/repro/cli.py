@@ -135,91 +135,6 @@ def _result_json(result, cfg) -> str:
     return json.dumps(payload)
 
 
-def _run_fabric(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    """``repro run --topology chain:4``: one mix replicated one stream per
-    cube across a routed multi-cube fabric."""
-    from repro.fabric import FabricConfig
-    from repro.system import System, SystemConfig
-    from repro.workloads.multistream import MultiStreamSpec, build_stream_traces
-
-    try:
-        fabric = FabricConfig.from_spec(args.topology, hmc=cfg.hmc)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    report_path = getattr(args, "report", None)
-    epoch = getattr(args, "epoch", None)
-    if report_path and epoch is None:
-        from repro.obs.timeseries import DEFAULT_EPOCH
-
-        epoch = DEFAULT_EPOCH
-    _check_output_dirs(args.trace, args.log_json, report_path)
-    tracer = _event_tracer(args)
-    spec = MultiStreamSpec.per_cube(
-        args.mix, fabric.cubes, cfg.refs_per_core, seed=cfg.seed
-    )
-    fsys = System(
-        build_stream_traces(spec, fabric),
-        SystemConfig(
-            fabric=fabric,
-            scheme=args.scheme,
-            integrity=cfg.integrity,
-            timeseries_epoch=epoch,
-        ),
-        workload=args.mix,
-        tracer=tracer,
-    )
-    result = fsys.run()
-    fx = result.extra["fabric"]
-
-    if args.json:
-        payload = json.loads(_result_json(result, cfg))
-        payload["topology"] = fabric.spec
-        payload["fabric"] = {
-            key: fx[key]
-            for key in (
-                "cubes",
-                "mean_hops",
-                "hop_histogram",
-                "hop_flits",
-                "fabric_link_utilization",
-                "per_cube",
-            )
-        }
-        print(json.dumps(payload))
-    else:
-        print(
-            f"{args.mix} @ {fabric.spec} / {args.scheme} "
-            f"({cfg.refs_per_core} refs/core x {fabric.cubes} stream(s), "
-            f"seed {cfg.seed})"
-        )
-        print(f"  cycles              {result.cycles}")
-        print(f"  geomean IPC         {result.geomean_ipc:.3f}")
-        print(f"  conflict rate       {result.conflict_rate:.3f}")
-        print(f"  prefetches issued   {result.prefetches_issued}")
-        print(f"  prefetch accuracy   {result.row_accuracy:.1%} (rows) / "
-              f"{result.line_accuracy:.1%} (lines)")
-        print(f"  mean read latency   {result.mean_read_latency:.0f} cycles")
-        print(f"  HMC energy          {result.energy_pj / 1e6:.1f} uJ")
-        hist = " ".join(
-            f"{h}:{n}" for h, n in sorted(fx["hop_histogram"].items())
-        )
-        print(f"  mean hops           {fx['mean_hops']:.2f}  ({hist})")
-        print(f"  host link util      {result.link_utilization:.1%}")
-        if fabric.cubes > 1:
-            print(f"  fabric link util    {fx['fabric_link_utilization']:.1%}")
-            rates = ", ".join(
-                f"q{p['cube']}:{p['conflict_rate']:.3f}" for p in fx["per_cube"]
-            )
-            print(f"  per-cube conflicts  {rates}")
-
-    _write_run_outputs(
-        args, tracer, fsys, result,
-        mix=args.mix, topology=fabric.spec,
-        refs_per_core=cfg.refs_per_core, seed=cfg.seed,
-    )
-    return 0
-
-
 def _check_output_dirs(*paths: Optional[str]) -> None:
     """Fail on bad output paths *before* simulating, not after."""
     from pathlib import Path
@@ -277,9 +192,17 @@ def _write_run_outputs(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """``repro run``: one mix on one cube, or with ``--topology chain:4``
+    replicated one stream per cube across a routed multi-cube fabric."""
     cfg = _experiment_config(args)
+    fabric = None
     if getattr(args, "topology", None):
-        return _run_fabric(args, cfg)
+        from repro.fabric import FabricConfig
+
+        try:
+            fabric = FabricConfig.from_spec(args.topology, hmc=cfg.hmc)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
     tracer = None
     system = None
     report_path = getattr(args, "report", None)
@@ -288,18 +211,32 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.obs.timeseries import DEFAULT_EPOCH
 
         epoch = DEFAULT_EPOCH
-    if args.trace or args.log_json or report_path or epoch is not None:
+    if fabric or args.trace or args.log_json or report_path or epoch is not None:
         _check_output_dirs(args.trace, args.log_json, report_path)
-        # Tracing/reporting needs a live System (the result cache only
-        # stores summaries), so build the cell directly and bypass the cache.
+        # Fabrics, tracing and reporting need a live System (the result
+        # cache only stores one-cube summaries), so build the cell directly.
         from repro.system import System, SystemConfig
 
+        if fabric is None:
+            traces = make_mix(
+                args.mix, cfg.refs_per_core, seed=cfg.seed, config=cfg.hmc
+            )
+        else:
+            from repro.workloads.multistream import (
+                MultiStreamSpec,
+                build_stream_traces,
+            )
+
+            spec = MultiStreamSpec.per_cube(
+                args.mix, fabric.cubes, cfg.refs_per_core, seed=cfg.seed
+            )
+            traces = build_stream_traces(spec, fabric)
         tracer = _event_tracer(args)
-        traces = make_mix(args.mix, cfg.refs_per_core, seed=cfg.seed, config=cfg.hmc)
         system = System(
             traces,
             SystemConfig(
                 hmc=cfg.hmc,
+                fabric=fabric,
                 scheme=args.scheme,
                 integrity=cfg.integrity,
                 timeseries_epoch=epoch,
@@ -310,28 +247,67 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = system.run()
     else:
         result = run_cell(args.mix, args.scheme, cfg)
+    fx = result.extra.get("fabric")
 
     if args.json:
-        print(_result_json(result, cfg))
+        payload = json.loads(_result_json(result, cfg))
+        if fabric is not None:
+            payload["topology"] = fabric.spec
+            payload["fabric"] = {
+                key: fx[key]
+                for key in (
+                    "cubes",
+                    "mean_hops",
+                    "hop_histogram",
+                    "hop_flits",
+                    "fabric_link_utilization",
+                    "per_cube",
+                )
+            }
+        print(json.dumps(payload))
     else:
-        print(f"{args.mix} / {args.scheme} ({cfg.refs_per_core} refs/core, seed {cfg.seed})")
+        if fabric is None:
+            print(f"{args.mix} / {args.scheme} ({cfg.refs_per_core} refs/core, "
+                  f"seed {cfg.seed})")
+        else:
+            print(f"{args.mix} @ {fabric.spec} / {args.scheme} "
+                  f"({cfg.refs_per_core} refs/core x {fabric.cubes} stream(s), "
+                  f"seed {cfg.seed})")
         print(f"  cycles              {result.cycles}")
         print(f"  geomean IPC         {result.geomean_ipc:.3f}")
-        print(f"  per-core IPC        {', '.join(f'{i:.2f}' for i in result.core_ipc)}")
+        if fabric is None:
+            print(f"  per-core IPC        "
+                  f"{', '.join(f'{i:.2f}' for i in result.core_ipc)}")
         print(f"  conflict rate       {result.conflict_rate:.3f}")
         print(f"  prefetches issued   {result.prefetches_issued}")
         print(f"  prefetch accuracy   {result.row_accuracy:.1%} (rows) / "
               f"{result.line_accuracy:.1%} (lines)")
         print(f"  mean read latency   {result.mean_read_latency:.0f} cycles")
         print(f"  HMC energy          {result.energy_pj / 1e6:.1f} uJ")
+        if fabric is not None:
+            hist = " ".join(
+                f"{h}:{n}" for h, n in sorted(fx["hop_histogram"].items())
+            )
+            print(f"  mean hops           {fx['mean_hops']:.2f}  ({hist})")
+            print(f"  host link util      {result.link_utilization:.1%}")
+            if fabric.cubes > 1:
+                print(f"  fabric link util    "
+                      f"{fx['fabric_link_utilization']:.1%}")
+                rates = ", ".join(
+                    f"q{p['cube']}:{p['conflict_rate']:.3f}"
+                    for p in fx["per_cube"]
+                )
+                print(f"  per-cube conflicts  {rates}")
         if args.baseline and args.baseline != args.scheme and system is None:
             base = run_cell(args.mix, args.baseline, cfg)
             print(f"  speedup vs {args.baseline:<9} {result.speedup_vs(base):.3f}x")
 
     if system is not None:
+        meta = {} if fabric is None else {"topology": fabric.spec}
         _write_run_outputs(
             args, tracer, system, result,
-            mix=args.mix, refs_per_core=cfg.refs_per_core, seed=cfg.seed,
+            mix=args.mix, **meta,
+            refs_per_core=cfg.refs_per_core, seed=cfg.seed,
         )
     return 0
 

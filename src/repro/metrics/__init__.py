@@ -15,8 +15,7 @@ from repro.metrics.collectors import (
     normalized_speedups,
 )
 from repro.metrics.report import format_table, write_csv
-from repro.metrics.plot import bar_chart, summary_bars
-from repro.metrics.timeline import Timeline, sparkline
+from repro.metrics.plot import bar_chart, sparkline, summary_bars
 from repro.metrics.latency import (
     LatencySlice,
     format_latency_table,
@@ -34,7 +33,6 @@ __all__ = [
     "write_csv",
     "bar_chart",
     "summary_bars",
-    "Timeline",
     "sparkline",
     "LatencySlice",
     "format_latency_table",

@@ -1,9 +1,10 @@
-"""Terminal bar charts for figure data (no plotting library required).
+"""Terminal charts for figure data (no plotting library required).
 
 The environment this reproduction targets is offline and matplotlib-free, so
 the figure benches and CLI render grouped horizontal bar charts in plain
 text.  Charts deliberately mirror the look of the paper's figures: one group
-of bars per workload mix, one bar per scheme.
+of bars per workload mix, one bar per scheme.  :func:`sparkline` renders a
+series (e.g. a :class:`~repro.obs.timeseries.Series`' values) on one line.
 """
 
 from __future__ import annotations
@@ -12,6 +13,31 @@ from typing import Dict, Optional, Sequence
 
 #: Fill characters per scheme position, cycled - distinguishable in any font.
 _FILLS = "#=+*o%@"
+
+_SPARK = "▁▂▃▄▅▆▇█"  # 8 levels
+
+
+def sparkline(values: Sequence[float], width: int = 64) -> str:
+    """Render a series as a fixed-width unicode sparkline (mean-pooled)."""
+    vals = [float(v) for v in values]
+    if not vals:
+        return ""
+    if len(vals) > width:
+        # mean-pool into `width` buckets
+        pooled = []
+        step = len(vals) / width
+        for i in range(width):
+            lo, hi = int(i * step), max(int(i * step) + 1, int((i + 1) * step))
+            chunk = vals[lo:hi]
+            pooled.append(sum(chunk) / len(chunk))
+        vals = pooled
+    vmin, vmax = min(vals), max(vals)
+    span = vmax - vmin
+    if span == 0:
+        return _SPARK[0] * len(vals)
+    return "".join(
+        _SPARK[min(7, int((v - vmin) / span * 8))] for v in vals
+    )
 
 
 def bar_chart(

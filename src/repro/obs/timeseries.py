@@ -1,13 +1,12 @@
 """Epoch-windowed metrics time series.
 
 A :class:`TimeseriesSampler` snapshots a configurable set of gauges every
-``epoch`` cycles into ring-buffered NumPy series: raw counter values, per-epoch
-rates, windowed ratios, and any subset of a
-:class:`~repro.obs.counters.CounterRegistry` selected by fnmatch patterns.
+``epoch`` cycles into ring-buffered NumPy series: raw values, per-epoch rates
+and windowed ratios.  It is the simulator's one periodic probe.
 :meth:`TimeseriesSampler.attach` wires the standard derived gauges the paper's
-discussion sections reason about - prefetch-buffer hit rate, per-vault
-row-conflict rate, queue occupancy, link/TSV utilization, drain-mode
-residency.
+discussion sections reason about - prefetch-buffer hit rate, row-conflict
+rate per vault (one cube) or per cube (a fabric), link utilization, and
+either the one-cube queue/TSV/drain gauges or the fabric's hop gauges.
 
 The sampler follows the same zero-cost contract as the rest of
 :mod:`repro.obs` (see :mod:`repro.obs.hooks`): it is *pull*-based, so an
@@ -33,12 +32,10 @@ the < 3 % runtime overhead bound in CI.
 
 from __future__ import annotations
 
-from fnmatch import fnmatchcase
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.counters import CounterRegistry, _read
 from repro.sim.arrays import BankArrays
 from repro.sim.engine import Engine
 
@@ -129,25 +126,30 @@ class Series:
 class _BankScan:
     """One fused per-tick pass over every bank's access counters.
 
-    The standard wiring needs per-vault windowed conflict rates (one series
-    per vault) *and* the device-wide access total (the buffer hit-rate
-    denominator), all from the same three bank attributes.  The gather and
-    the per-vault fold ride the shared NumPy state-array layer
-    (:class:`repro.sim.arrays.BankArrays`): one outcome gather refills the
-    counter arrays, and the epoch deltas / windowed rates are vectorized
-    instead of re-looped per vault per tick - the bench's < 3 % overhead
-    bound depends on the tick staying linear in banks with the arithmetic
-    in C.  The layer is read-only over simulation state, so sampled runs
-    stay byte-identical to unsampled ones (the module-docstring contract).
+    The standard wiring needs windowed conflict rates - one series per
+    vault on one cube, one per cube on a fabric - *and* the machine-wide
+    access total (the buffer hit-rate denominator), all from the same three
+    bank attributes.  The gather and the per-vault fold ride the shared
+    NumPy state-array layer (:class:`repro.sim.arrays.BankArrays`): one
+    outcome gather refills the counter arrays, the per-vault sums reshape
+    to ``(series, vaults per series)`` and sum into their series, and the
+    epoch deltas / windowed rates are vectorized instead of re-looped per
+    series per tick - the bench's < 3 % overhead bound depends on the tick
+    staying linear in banks with the arithmetic in C.  Every operand is an
+    integer summed exactly in int64, so the quotients equal scalar float
+    division.  The layer is read-only over simulation state, so sampled
+    runs stay byte-identical to unsampled ones (the module-docstring
+    contract).
     """
 
-    __slots__ = ("_arrays", "_series", "_prev_conf", "_prev_acc",
+    __slots__ = ("_arrays", "_series", "_shape", "_prev_conf", "_prev_acc",
                  "total_accesses")
 
     def __init__(self, vaults: List[Any], series: List[Series]) -> None:
         self._arrays = BankArrays(vaults)
         self._series = series
-        n = len(vaults)
+        n = len(series)
+        self._shape = (n, len(vaults) // n)
         self._prev_conf = np.zeros(n, dtype=np.int64)
         self._prev_acc = np.zeros(n, dtype=np.int64)
         self.total_accesses = 0
@@ -157,11 +159,14 @@ class _BankScan:
         arrays = self._arrays
         arrays.refresh_outcomes()
         conf, acc = arrays.vault_outcome_sums()
+        self.total_accesses = int(acc.sum())
+        conf = conf.reshape(self._shape).sum(axis=1)
+        acc = acc.reshape(self._shape).sum(axis=1)
         if now is not None:
             dc = conf - self._prev_conf
             da = acc - self._prev_acc
             # int64/int64 -> float64 matches the scalar quotient exactly at
-            # these magnitudes; where= leaves 0.0 for idle vaults.
+            # these magnitudes; where= leaves 0.0 for idle series.
             rates = np.divide(
                 dc, da, out=np.zeros(len(da), dtype=np.float64), where=da != 0
             )
@@ -169,7 +174,6 @@ class _BankScan:
                 series.append(now, rate)
         self._prev_conf = conf
         self._prev_acc = acc
-        self.total_accesses = int(acc.sum())
 
 
 class TimeseriesSampler:
@@ -254,28 +258,6 @@ class TimeseriesSampler:
         self._trackers.append((s, sample))
         return s
 
-    def track_registry(
-        self, registry: CounterRegistry, *patterns: str, sep: str = "."
-    ) -> List[Series]:
-        """Track every registry counter whose flattened name matches one of
-        the fnmatch ``patterns`` (e.g. ``"vault*.buffer_hits"``).
-
-        Sources are resolved once here; ticks read them directly instead of
-        re-flattening the tree.  Counters are cumulative, so the tracked
-        value is the running total - combine with :meth:`track_rate` flavors
-        via explicit gauges when a windowed view is wanted.
-        """
-        made: List[Series] = []
-        for path in sorted(registry._sources):
-            bucket = registry._sources[path]
-            for cname in bucket:
-                flat = sep.join(path + (cname,))
-                if not any(fnmatchcase(flat, p) for p in patterns):
-                    continue
-                source = bucket[cname]
-                made.append(self.track(flat, lambda src=source: _read(src)))
-        return made
-
     # ------------------------------------------------------------------
     # Standard wiring
     # ------------------------------------------------------------------
@@ -283,33 +265,68 @@ class TimeseriesSampler:
         """Wire the standard derived gauges against a built
         :class:`~repro.system.System` (before :meth:`~repro.system.System.run`).
 
-        Registers: prefetch-buffer hit rate and row accuracy, per-vault
-        row-conflict rate, mean queue occupancy, link and TSV utilization,
-        and drain-mode residency - each windowed per epoch where the
-        underlying counters are cumulative.
+        Every system gets the windowed prefetch-buffer hit rate, windowed
+        row-conflict rates and host link utilization.  The shape follows
+        the config:
+
+        * one cube (no fabric): ``vaultN.conflict_rate`` per vault,
+          ``link.utilization``, prefetch row accuracy, mean queue
+          occupancy, TSV utilization and drain-mode residency;
+        * a fabric (``chain:1`` included): ``cubeN.conflict_rate`` per cube
+          (not per vault - 8 cubes of 32 vaults would swamp the payload),
+          ``host.link_utilization``, inter-cube link utilization and hop
+          flit rate (when there are inter-cube links), and the mean hop
+          count.
         """
-        device = system.device
         host = system.host
-        vaults = device.vaults
+        devices = system.devices
+        vaults = [vc for device in devices for vc in device.vaults]
+        fabric = system.fabric is not None
         epoch = self.epoch
 
-        # One fused bank pass per tick fills every per-vault conflict-rate
-        # series and the hit-rate denominator (see _BankScan).  Stable
-        # objects (counters, buses, schedulers) are resolved once here so
+        # One fused bank pass per tick fills every conflict-rate series and
+        # the hit-rate denominator (see _BankScan).  Stable objects
+        # (counters, links, buses, schedulers) are resolved once here so
         # ticks do plain attribute reads, not dict lookups.
-        vault_series = [
-            self._new_series(f"vault{vc.vault_id}.conflict_rate")
-            for vc in vaults
-        ]
-        scan = _BankScan(vaults, vault_series)
+        if fabric:
+            names = [f"cube{c}.conflict_rate" for c in range(len(devices))]
+        else:
+            names = [f"vault{vc.vault_id}.conflict_rate" for vc in vaults]
+        scan = _BankScan(vaults, [self._new_series(n) for n in names])
         self._batch.append(scan.tick)
         buf_hits = [vc.stats.counter("buffer_hits") for vc in vaults]
-
         self.track_ratio(
             "buffer.hit_rate",
             lambda: sum(c.value for c in buf_hits),
             lambda: sum(c.value for c in buf_hits) + scan.total_accesses,
         )
+
+        links = host.links
+        link_cap = 2 * len(links) * epoch  # both directions of every link
+        self.track_rate(
+            "host.link_utilization" if fabric else "link.utilization",
+            lambda: sum(l.total_busy_cycles for l in links) / link_cap * epoch,
+        )
+
+        if fabric:
+            flinks = host.fabric_links
+            if flinks:
+                flink_cap = 2 * len(flinks) * epoch
+                self.track_rate(
+                    "fabric.link_utilization",
+                    lambda: sum(l.total_busy_cycles for l in flinks)
+                    / flink_cap
+                    * epoch,
+                )
+                routers = host.routers
+                self.track_rate(
+                    "fabric.hop_flit_rate",
+                    lambda: float(sum(r.hop_flits for r in routers)),
+                )
+            self.track("fabric.mean_hops", host.mean_hops)
+            return
+
+        device = system.device
         self.track("prefetch.row_accuracy", device.prefetch_row_accuracy)
         queue_groups = [vc.queues for vc in vaults]
         nvaults = len(vaults)
@@ -319,13 +336,6 @@ class TimeseriesSampler:
                 len(q) / (q.read_depth + q.write_depth) for q in queue_groups
             )
             / nvaults,
-        )
-
-        links = host.links
-        link_cap = 2 * len(links) * epoch  # both directions of every link
-        self.track_rate(
-            "link.utilization",
-            lambda: sum(l.total_busy_cycles for l in links) / link_cap * epoch,
         )
         buses = [vc.tsv_bus for vc in vaults]
         tsv_cap = nvaults * epoch
@@ -341,66 +351,6 @@ class TimeseriesSampler:
             / tsv_cap
             * epoch,
         )
-
-
-    def attach_fabric(self, fsys: Any) -> None:
-        """Wire the standard fabric gauges against a built
-        :class:`~repro.system.System` with a fabric (before ``run``).
-
-        Registers per-cube windowed conflict rates (one series per cube,
-        not per vault - 8 cubes of 32 vaults would swamp the payload),
-        host- and inter-cube-link utilization, the mean hop count, and the
-        fabric-wide windowed buffer hit rate.
-        """
-        host = fsys.host
-        devices = fsys.devices
-        epoch = self.epoch
-
-        for c, device in enumerate(devices):
-            banks = [b for vc in device.vaults for b in vc.banks]
-            self.track_ratio(
-                f"cube{c}.conflict_rate",
-                lambda banks=banks: sum(b.conflicts for b in banks),
-                lambda banks=banks: sum(
-                    b.hits + b.empties + b.conflicts for b in banks
-                ),
-            )
-        buf_hits = [
-            vc.stats.counter("buffer_hits")
-            for device in devices
-            for vc in device.vaults
-        ]
-        all_banks = [
-            b for device in devices for vc in device.vaults for b in vc.banks
-        ]
-        self.track_ratio(
-            "buffer.hit_rate",
-            lambda: sum(c.value for c in buf_hits),
-            lambda: sum(c.value for c in buf_hits)
-            + sum(b.hits + b.empties + b.conflicts for b in all_banks),
-        )
-
-        links = host.links
-        link_cap = 2 * len(links) * epoch
-        self.track_rate(
-            "host.link_utilization",
-            lambda: sum(l.total_busy_cycles for l in links) / link_cap * epoch,
-        )
-        flinks = host.fabric_links
-        if flinks:
-            flink_cap = 2 * len(flinks) * epoch
-            self.track_rate(
-                "fabric.link_utilization",
-                lambda: sum(l.total_busy_cycles for l in flinks)
-                / flink_cap
-                * epoch,
-            )
-            routers = host.routers
-            self.track_rate(
-                "fabric.hop_flit_rate",
-                lambda: float(sum(r.hop_flits for r in routers)),
-            )
-        self.track("fabric.mean_hops", host.mean_hops)
 
     # ------------------------------------------------------------------
     # Ticking

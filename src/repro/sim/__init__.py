@@ -8,13 +8,11 @@ never busy-wait, which keeps the Python event count per memory request small
 """
 
 from repro.sim.engine import Engine, Event
-from repro.sim.sampler import Sampler
 from repro.sim.stats import Counter, Histogram, StatGroup, geomean
 
 __all__ = [
     "Engine",
     "Event",
-    "Sampler",
     "Counter",
     "Histogram",
     "StatGroup",

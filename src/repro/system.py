@@ -37,7 +37,6 @@ from repro.hmc.config import HMCConfig
 from repro.hmc.device import HMCDevice
 from repro.request import MemoryRequest
 from repro.sim.engine import Engine
-from repro.sim.sampler import Sampler
 from repro.sim.stats import geomean
 from repro.workloads.trace import Trace
 
@@ -140,9 +139,6 @@ class SystemConfig:
     #: equivalent knob for the memory-side statistics.  Core IPC is always
     #: whole-run.
     stats_warmup_cycles: Optional[int] = None
-    #: sample queue depth / buffer occupancy every N cycles (None = off);
-    #: results appear in SimulationResult.extra["samples"]
-    sample_interval: Optional[int] = None
     #: epoch-windowed time series (repro.obs.timeseries): snapshot the
     #: standard derived gauges every N cycles into ring-buffered series
     #: (None = off).  The payload appears in
@@ -277,18 +273,6 @@ class System:
             )
             for i, t in enumerate(traces)
         ]
-        vaults = [vc for dev in self.devices for vc in dev.vaults]
-        self.sampler: Optional[Sampler] = None
-        if cfg.sample_interval is not None:
-            self.sampler = Sampler(self.engine, cfg.sample_interval)
-            self.sampler.probe(
-                "queue_depth", lambda: sum(len(vc.queues) for vc in vaults)
-            )
-            self.sampler.probe(
-                "buffer_occupancy",
-                lambda: sum(len(vc.buffer) for vc in vaults if vc.buffer),
-            )
-            self.sampler.probe("host_outstanding", lambda: self.host.outstanding)
         #: observability tracer (repro.obs.Tracer); wiring installs its event
         #: hooks on the engine, host, links, vaults, schedulers, prefetchers
         #: and banks (counters need none: see repro.obs.system_counters)
@@ -302,10 +286,7 @@ class System:
             # the unsampled build path free of the obs timeseries import
 
             self.timeseries = TimeseriesSampler(self.engine, epoch=cfg.timeseries_epoch)
-            if self.fabric is None:
-                self.timeseries.attach(self)
-            else:
-                self.timeseries.attach_fabric(self)
+            self.timeseries.attach(self)
         self.monitor = None
         if cfg.integrity:
             from repro.sim.integrity import IntegrityMonitor  # local: keep the
@@ -350,8 +331,6 @@ class System:
                 priority=-10,
                 weak=True,
             )
-        if self.sampler is not None:
-            self.sampler.start()
         if self.timeseries is not None:
             self.timeseries.start()
         for core in self.cores:
@@ -408,11 +387,6 @@ class System:
         if self.hierarchy is not None:
             extra["llc_misses"] = self.hierarchy.llc_misses()
             extra["llc_hit_rate"] = self.hierarchy.l3.hit_rate()
-        if self.sampler is not None:
-            extra["samples"] = {
-                name: {"mean": h.mean, "max": h.max, "n": h.n}
-                for name, h in self.sampler.histograms().items()
-            }
         # bank row-buffer outcome distribution (hit / empty / conflict)
         hits = empties = bank_conflicts = 0
         for vc in vaults:

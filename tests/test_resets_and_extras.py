@@ -77,18 +77,6 @@ class TestResultExtras:
         r = System(traces, SystemConfig(scheme="base")).run()
         assert "utilization_prefetches" not in r.extra
 
-    def test_samples_present_when_enabled(self, traces):
-        r = System(
-            traces, SystemConfig(scheme="camps-mod", sample_interval=500)
-        ).run()
-        s = r.extra["samples"]
-        assert {"queue_depth", "buffer_occupancy", "host_outstanding"} <= set(s)
-        assert all(v["n"] > 0 for v in s.values())
-
-    def test_samples_absent_by_default(self, traces):
-        r = System(traces, SystemConfig(scheme="camps-mod")).run()
-        assert "samples" not in r.extra
-
 
 class TestReportCLI:
     def test_report_to_stdout(self, capsys, tmp_path, monkeypatch):

@@ -1,10 +1,9 @@
-"""Tests for the timeline module, new SPEC profiles and the selftest CLI."""
+"""Tests for the text sparkline, new SPEC profiles and the selftest CLI."""
 
 import pytest
 
 from repro.cli import main
-from repro.metrics.timeline import Timeline, sparkline
-from repro.sim.engine import Engine
+from repro.metrics.plot import sparkline
 from repro.workloads.spec import PROFILES
 from repro.workloads.synthetic import generate_trace
 
@@ -56,84 +55,6 @@ class TestSparkline:
 
     def test_single_value(self):
         assert sparkline([42]) == "▁"
-
-
-class TestTimeline:
-    def test_records_series(self):
-        eng = Engine()
-        state = {"v": 0}
-
-        def bump():
-            state["v"] += 1
-
-        tl = Timeline(eng, interval=10)
-        tl.probe("v", lambda: state["v"])
-        tl.start()
-        for t in range(5, 100, 7):
-            eng.schedule(t, bump)
-        eng.run()
-        assert len(tl.times) == len(tl.series["v"]) > 3
-        assert tl.series["v"] == sorted(tl.series["v"])  # monotone counter
-
-    def test_text_rendering(self):
-        eng = Engine()
-        tl = Timeline(eng, interval=5)
-        tl.probe("x", lambda: eng.now)
-        tl.start()
-        eng.schedule(30, lambda: None)
-        eng.run()
-        text = tl.text()
-        assert "timeline:" in text and "mean=" in text
-
-    def test_no_samples(self):
-        tl = Timeline(Engine())
-        assert tl.text() == "(no samples)"
-
-    def test_duplicate_probe_rejected(self):
-        tl = Timeline(Engine())
-        tl.probe("x", lambda: 1)
-        with pytest.raises(ValueError):
-            tl.probe("x", lambda: 2)
-
-    def test_weak_events_do_not_block(self):
-        eng = Engine()
-        tl = Timeline(eng, interval=1)
-        tl.probe("x", lambda: 1)
-        tl.start()
-        eng.schedule(5, lambda: None)
-        eng.run()
-        assert eng.now == 5
-
-    def test_interval_validated(self):
-        with pytest.raises(ValueError):
-            Timeline(Engine(), interval=0)
-
-    def test_text_reports_min_mean_max(self):
-        eng = Engine()
-        tl = Timeline(eng, interval=10)
-        vals = iter([2.0, 4.0, 6.0, 8.0])
-        tl.probe("depth", lambda: next(vals))
-        tl.start()
-        # strong event past the last wanted tick keeps the weak ticks alive
-        eng.schedule(35, lambda: None)
-        eng.run()
-        text = tl.text()
-        assert "3 samples every 10 cycles (10..30)" in text
-        assert "min=2 mean=4.0 max=6" in text
-
-    def test_text_aligns_probe_names(self):
-        eng = Engine()
-        tl = Timeline(eng, interval=10)
-        tl.probe("a", lambda: 1.0)
-        tl.probe("longer_name", lambda: 2.0)
-        tl.start()
-        eng.schedule(10, lambda: None)
-        eng.run()
-        lines = tl.text().splitlines()
-        # sparklines of both rows start at the same column
-        col = len("longer_name") + 2
-        assert lines[1][:col].strip() == "a"
-        assert lines[2][:col].strip() == "longer_name"
 
 
 class TestExtendedProfiles:

@@ -1,9 +1,7 @@
-"""Tests for warmup statistics reset and the periodic sampler."""
+"""Tests for the warmup statistics reset."""
 
 import pytest
 
-from repro.sim.engine import Engine
-from repro.sim.sampler import Sampler
 from repro.system import System, SystemConfig, run_system
 from repro.workloads.synthetic import generate_trace
 
@@ -11,69 +9,6 @@ from repro.workloads.synthetic import generate_trace
 @pytest.fixture
 def traces():
     return [generate_trace("gcc", 500, seed=i, core_id=i) for i in range(2)]
-
-
-class TestSampler:
-    def test_samples_on_period(self):
-        eng = Engine()
-        state = {"v": 0}
-        s = Sampler(eng, interval=10)
-        hist = s.probe("v", lambda: state["v"])
-        s.start()
-        eng.schedule(35, lambda: None)  # strong work keeps the engine alive
-        eng.run()
-        assert s.samples_taken == 3  # t=10, 20, 30
-        assert hist.n == 3
-
-    def test_probe_values_recorded(self):
-        eng = Engine()
-        s = Sampler(eng, interval=5)
-        counter = iter(range(100))
-        hist = s.probe("c", lambda: next(counter))
-        s.start()
-        eng.schedule(20, lambda: None)
-        eng.run()
-        # ticks at t=5, 10, 15; the tick scheduled for t=20 does not fire
-        # because the last strong event completes first
-        assert hist.mean == pytest.approx((0 + 1 + 2) / 3)
-
-    def test_weak_events_do_not_block_termination(self):
-        eng = Engine()
-        s = Sampler(eng, interval=1)
-        s.probe("x", lambda: 1)
-        s.start()
-        eng.schedule(3, lambda: None)
-        eng.run()  # must terminate despite the self-rearming sampler
-        assert eng.now == 3
-
-    def test_start_idempotent(self):
-        eng = Engine()
-        s = Sampler(eng, interval=10)
-        s.probe("x", lambda: 1)
-        s.start()
-        s.start()
-        eng.schedule(10, lambda: None)
-        eng.run()
-        assert s.samples_taken == 1
-
-    def test_interval_validated(self):
-        with pytest.raises(ValueError):
-            Sampler(Engine(), interval=0)
-
-    def test_histograms_accessor(self):
-        s = Sampler(Engine())
-        s.probe("a", lambda: 1)
-        s.probe("b", lambda: 2)
-        assert set(s.histograms()) == {"a", "b"}
-
-    def test_duplicate_probe_rejected(self):
-        # A duplicate name would silently shadow the first histogram in
-        # histograms(); match Timeline.probe and refuse it up front.
-        s = Sampler(Engine())
-        s.probe("depth", lambda: 1)
-        with pytest.raises(ValueError, match="duplicate probe"):
-            s.probe("depth", lambda: 2)
-        assert set(s.histograms()) == {"depth"}
 
 
 class TestWarmup:
