@@ -4,9 +4,11 @@ A campaign is a set of independent (workload, scheme, config, seed) cells —
 a figure grid, a seed sweep, an ablation — executed across a
 ``multiprocessing`` worker pool (:class:`CellPool`, shared with ``repro
 serve``) with per-cell timeouts, bounded retry, failure isolation, and a
-resumable JSONL manifest.  It is the execution
-backend behind ``run_matrix(jobs=...)``, ``run_seeded(jobs=...)``,
-``Sweep.run(jobs=...)`` and the ``python -m repro campaign`` command.
+resumable JSONL manifest.  It is the one cell path: ``run_matrix``,
+``run_seeded``, ``Sweep.run``, ``repro run`` and ``python -m repro
+campaign`` all call :func:`run_campaign` (``jobs=1`` runs in-process), and
+:func:`build_cell_system` is the only code that turns a :class:`Cell` into
+a :class:`~repro.system.System`.
 
 Usage::
 
@@ -28,6 +30,7 @@ from repro.campaign.executor import (
     CampaignError,
     CampaignOptions,
     CampaignResult,
+    build_cell_system,
     execute_cell,
     matrix_digest,
     resolved_record,
@@ -67,6 +70,7 @@ __all__ = [
     "STATUS_OK",
     "STATUS_ERROR",
     "STATUS_TIMEOUT",
+    "build_cell_system",
     "execute_cell",
     "fabric_grid_cells",
     "grid_cells",

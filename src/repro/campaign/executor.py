@@ -97,18 +97,88 @@ def summarize(result: SimulationResult) -> dict:
     return {f: getattr(result, f) for f in _CACHED_FIELDS}
 
 
+#: the last cell's traces as ``(key, traces)``: every scheme of one mix
+#: runs on the same reference stream (the paper's normalized comparisons
+#: need that), so consecutive cells of one mix make their traces once
+_last_traces: Optional[Tuple[Any, List[Any]]] = None
+
+
+def _cell_traces(cell: Cell, fabric: Any) -> List[Any]:
+    """The cell's traces, reused from the previous cell when every input
+    that shapes them - mix, refs per core, seed, trace config, topology -
+    is the same (traces are read-only once built)."""
+    global _last_traces
+    cfg = cell.config
+    trace_hmc = cfg.hmc
+    if fabric is None and cell.trace_config is not None:
+        trace_hmc = cell.trace_config
+    key = (cell.workload, cfg.refs_per_core, cfg.seed, trace_hmc, cell.topology)
+    memo = _last_traces
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    _last_traces = None  # never hold two trace lists at once
+    if fabric is None:
+        from repro.workloads.mixes import mix as make_mix
+
+        traces = make_mix(
+            cell.workload, cfg.refs_per_core, seed=cfg.seed, config=trace_hmc
+        )
+    else:
+        from repro.workloads.multistream import MultiStreamSpec, build_stream_traces
+
+        spec = MultiStreamSpec.per_cube(
+            cell.workload, fabric.cubes, cfg.refs_per_core, seed=cfg.seed
+        )
+        traces = build_stream_traces(spec, fabric)
+    _last_traces = (key, traces)
+    return traces
+
+
+def build_cell_system(
+    cell: Cell,
+    *,
+    tracer: Optional[Any] = None,
+    timeseries_epoch: Optional[int] = None,
+) -> System:
+    """The one place a :class:`Cell` becomes a ready-to-run :class:`System`.
+
+    Cells carrying a ``topology`` spec run on that routed fabric: the
+    Table II mix is replicated as one independent stream per cube (each
+    with its own RNG stream, homed at its cube), the scheme runs per-vault
+    in every cube, and the workload is named ``<mix>@<topology>`` (a
+    :class:`ResultMatrix` keys by (workload, scheme), so a topology sweep
+    of one mix must not collapse to a single entry).
+    """
+    cfg = cell.config
+    fabric = None
+    workload = cell.workload
+    if cell.topology is not None:
+        from repro.fabric import FabricConfig
+
+        fabric = FabricConfig.from_spec(cell.topology, hmc=cfg.hmc)
+        workload = f"{cell.workload}@{cell.topology}"
+    return System(
+        _cell_traces(cell, fabric),
+        SystemConfig(
+            hmc=cfg.hmc,
+            fabric=fabric,
+            scheme=cell.scheme,
+            integrity=cfg.integrity,
+            timeseries_epoch=timeseries_epoch,
+        ),
+        workload=workload,
+        scheme_kwargs=cell.scheme_kwargs,
+        tracer=tracer,
+    )
+
+
 def execute_cell(
     cell: Cell, attempt: int = 1, report_dir: Optional[str] = None
 ) -> dict:
     """Default cell runner: build the system, simulate, return the summary.
 
-    Runs in the worker process; trace generation is seeded, so regenerating
-    per cell yields byte-identical traces to the serial shared-trace loop.
-
-    Cells carrying a ``topology`` spec run on that routed fabric: the
-    Table II mix is replicated as one independent stream per cube (each
-    with its own RNG stream, homed at its cube) and the scheme runs
-    per-vault in every cube.
+    Runs in the worker process (or in-process with ``jobs=1``); traces are
+    seeded, so a worker that makes them afresh gets byte-identical ones.
 
     With ``report_dir`` set (``functools.partial`` keeps the runner
     picklable under spawn), the run carries the default-epoch time series
@@ -119,45 +189,12 @@ def execute_cell(
     change the returned summary: it never perturbs simulation order, so
     cached and reported cells stay digest-identical.
     """
-    cfg = cell.config
-    fabric = None
-    workload = cell.workload
-    if cell.topology is None:
-        from repro.workloads.mixes import mix as make_mix
-
-        trace_hmc = cell.trace_config if cell.trace_config is not None else cfg.hmc
-        traces = make_mix(
-            cell.workload, cfg.refs_per_core, seed=cfg.seed, config=trace_hmc
-        )
-    else:
-        from repro.fabric import FabricConfig
-        from repro.workloads.multistream import MultiStreamSpec, build_stream_traces
-
-        fabric = FabricConfig.from_spec(cell.topology, hmc=cfg.hmc)
-        spec = MultiStreamSpec.per_cube(
-            cell.workload, fabric.cubes, cfg.refs_per_core, seed=cfg.seed
-        )
-        traces = build_stream_traces(spec, fabric)
-        # topology-qualified: ResultMatrix keys by (workload, scheme), so a
-        # topology sweep of one mix must not collapse to a single entry
-        workload = f"{cell.workload}@{cell.topology}"
     epoch = None
     if report_dir is not None:
         from repro.obs.timeseries import DEFAULT_EPOCH
 
         epoch = DEFAULT_EPOCH
-    system = System(
-        traces,
-        SystemConfig(
-            hmc=cfg.hmc,
-            fabric=fabric,
-            scheme=cell.scheme,
-            integrity=cfg.integrity,
-            timeseries_epoch=epoch,
-        ),
-        workload=workload,
-        scheme_kwargs=cell.scheme_kwargs,
-    )
+    system = build_cell_system(cell, timeseries_epoch=epoch)
     # Hand the live system to the telemetry sampler thread, if one is
     # armed for this process (a single is-None check otherwise — the
     # hot-path digests stay byte-identical with telemetry disabled).

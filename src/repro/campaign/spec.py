@@ -105,9 +105,10 @@ def grid_cells(
     config: Optional[ExperimentConfig] = None,
 ) -> List[Cell]:
     """The (workloads x schemes) grid as a flat cell list, in the same
-    (workload-major) order the serial :func:`run_matrix` loop uses."""
+    (workload-major) order :func:`run_matrix` fills its matrix in."""
     cfg = config or ExperimentConfig()
-    return [Cell(w, s, cfg) for w in workloads for s in schemes]
+    scheme_list = list(schemes)
+    return [Cell(w, s, cfg) for w in workloads for s in scheme_list]
 
 
 def fabric_grid_cells(

@@ -43,6 +43,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -60,12 +61,12 @@ from repro.experiments.figures import (
     figure8,
     figure9,
 )
-from repro.experiments.runner import ExperimentConfig, run_cell, run_matrix
+from repro.experiments.runner import ExperimentConfig, run_matrix
 from repro.experiments.tables import table1_text, table2_text
 from repro.faults import LinkFaultConfig
 from repro.hmc.config import HMCConfig
 from repro.metrics.report import write_csv
-from repro.workloads.mixes import mix as make_mix, mix_names
+from repro.workloads.mixes import mix_names
 from repro.workloads.spec import PROFILES
 from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace import trace_stats
@@ -191,19 +192,32 @@ def _write_run_outputs(
         print(text_summary(tracer))
 
 
+def _run_cached(cell: Any) -> Any:
+    """One cell through the result cache (a hit simulates nothing)."""
+    from repro.campaign import run_campaign
+    from repro.experiments.runner import default_cache
+
+    res = run_campaign([cell], cache=default_cache())
+    res.raise_on_failure()
+    return res.result_for(cell.cell_id)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """``repro run``: one mix on one cube, or with ``--topology chain:4``
     replicated one stream per cube across a routed multi-cube fabric."""
+    from repro.campaign import Cell, build_cell_system
+
     cfg = _experiment_config(args)
+    cell = Cell(args.mix, args.scheme, cfg, topology=args.topology or None)
     fabric = None
-    if getattr(args, "topology", None):
+    if cell.topology:
         from repro.fabric import FabricConfig
 
         try:
-            fabric = FabricConfig.from_spec(args.topology, hmc=cfg.hmc)
+            fabric = FabricConfig.from_spec(cell.topology, hmc=cfg.hmc)
         except ValueError as exc:
             raise SystemExit(str(exc))
-    tracer = None
+    tracer = _event_tracer(args)
     system = None
     report_path = getattr(args, "report", None)
     epoch = getattr(args, "epoch", None)
@@ -211,47 +225,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.obs.timeseries import DEFAULT_EPOCH
 
         epoch = DEFAULT_EPOCH
-    if fabric or args.trace or args.log_json or report_path or epoch is not None:
+    # Fabrics, tracing, reports, time series and link-fault counters need a
+    # live System (the result cache only stores one-cube summaries).
+    if fabric or tracer is not None or epoch is not None or cfg.hmc.faults.enabled:
         _check_output_dirs(args.trace, args.log_json, report_path)
-        # Fabrics, tracing and reporting need a live System (the result
-        # cache only stores one-cube summaries), so build the cell directly.
-        from repro.system import System, SystemConfig
-
-        if fabric is None:
-            traces = make_mix(
-                args.mix, cfg.refs_per_core, seed=cfg.seed, config=cfg.hmc
-            )
-        else:
-            from repro.workloads.multistream import (
-                MultiStreamSpec,
-                build_stream_traces,
-            )
-
-            spec = MultiStreamSpec.per_cube(
-                args.mix, fabric.cubes, cfg.refs_per_core, seed=cfg.seed
-            )
-            traces = build_stream_traces(spec, fabric)
-        tracer = _event_tracer(args)
-        system = System(
-            traces,
-            SystemConfig(
-                hmc=cfg.hmc,
-                fabric=fabric,
-                scheme=args.scheme,
-                integrity=cfg.integrity,
-                timeseries_epoch=epoch,
-            ),
-            workload=args.mix,
-            tracer=tracer,
-        )
+        system = build_cell_system(cell, tracer=tracer, timeseries_epoch=epoch)
         result = system.run()
     else:
-        result = run_cell(args.mix, args.scheme, cfg)
+        result = _run_cached(cell)
     fx = result.extra.get("fabric")
 
     if args.json:
         payload = json.loads(_result_json(result, cfg))
         if fabric is not None:
+            payload["mix"] = args.mix  # the result names it "<mix>@<spec>"
             payload["topology"] = fabric.spec
             payload["fabric"] = {
                 key: fx[key]
@@ -298,8 +285,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     for p in fx["per_cube"]
                 )
                 print(f"  per-cube conflicts  {rates}")
-        if args.baseline and args.baseline != args.scheme and system is None:
-            base = run_cell(args.mix, args.baseline, cfg)
+        if args.baseline and args.baseline != args.scheme:
+            base = _run_cached(dataclasses.replace(cell, scheme=args.baseline))
             print(f"  speedup vs {args.baseline:<9} {result.speedup_vs(base):.3f}x")
 
     if system is not None:
@@ -324,13 +311,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         subsystem_breakdown,
     )
 
-    cfg = _experiment_config(args)
-    traces = make_mix(args.mix, cfg.refs_per_core, seed=cfg.seed, config=cfg.hmc)
-    from repro.system import System, SystemConfig
+    from repro.campaign import Cell, build_cell_system
 
-    system = System(
-        traces, SystemConfig(hmc=cfg.hmc, scheme=args.scheme), workload=args.mix
-    )
+    cfg = _experiment_config(args)
+    system = build_cell_system(Cell(args.mix, args.scheme, cfg))
     profiler = cProfile.Profile()
     profiler.enable()
     result = system.run()
@@ -749,20 +733,17 @@ def _report_html(args: argparse.Namespace) -> int:
     if not reports and not rows:
         # nothing to render was supplied: simulate one sampled cell so
         # `repro report --out r.html` works out of the box
+        from repro.campaign import Cell, build_cell_system
         from repro.obs import build_run_report
         from repro.obs.timeseries import DEFAULT_EPOCH
-        from repro.system import System, SystemConfig
 
         cfg = _experiment_config(args)
         mix_name = _parse_mixes(args.mixes)[0]
         if not args.quiet:
             print(f"no inputs; simulating {mix_name}/camps-mod "
                   f"({cfg.refs_per_core} refs/core)")
-        system = System(
-            make_mix(mix_name, cfg.refs_per_core, seed=cfg.seed, config=cfg.hmc),
-            SystemConfig(hmc=cfg.hmc, scheme="camps-mod",
-                         timeseries_epoch=DEFAULT_EPOCH),
-            workload=mix_name,
+        system = build_cell_system(
+            Cell(mix_name, "camps-mod", cfg), timeseries_epoch=DEFAULT_EPOCH
         )
         result = system.run()
         reports = [build_run_report(system, result, refs_per_core=cfg.refs_per_core,

@@ -1,10 +1,14 @@
-"""Executes (workload mix x scheme) simulation cells.
+"""Experiment scale, the result cache, and the (mix x scheme) grid driver.
 
 A full figure needs up to 5 schemes x 12 mixes; each cell is an independent
 simulation, but all schemes of one mix share the *same* generated traces
-(that is what makes the normalized comparisons meaningful).  Completed cell
-summaries are cached on disk keyed by every input that affects the result,
-so re-running a bench or running several benches that share cells costs
+(that is what makes the normalized comparisons meaningful).
+:func:`run_matrix` hands the grid to :func:`repro.campaign.run_campaign`
+for any ``jobs`` value; every cell runs through
+:func:`repro.campaign.executor.execute_cell`, whose builder makes a mix's
+traces once for consecutive cells of that mix.  Completed cell summaries
+are cached on disk keyed by every input that affects the result, so
+re-running a bench or running several benches that share cells costs
 nothing the second time.
 
 Scale knobs come from the environment so the same benchmarks serve both
@@ -22,13 +26,12 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 import repro
 from repro.hmc.config import HMCConfig
 from repro.metrics.collectors import ResultMatrix
-from repro.system import SimulationResult, System, SystemConfig
-from repro.workloads.mixes import mix as make_mix
+from repro.system import SimulationResult
 
 
 def _env_int(name: str, default: int) -> int:
@@ -118,9 +121,8 @@ class ResultCache:
     the meantime, then atomically replaces the file via a temp file and
     ``os.replace`` — a killed or concurrent writer can never leave a torn or
     clobbered cache.  :meth:`put` only updates memory; callers batch any
-    number of puts behind one :meth:`flush` (``run_cell`` flushes per cell,
-    ``run_matrix`` and campaigns flush once per run, so a full matrix is not
-    O(cells^2) in rewrite cost).
+    number of puts behind one :meth:`flush` (a campaign flushes once per
+    run, so a full matrix is not O(cells^2) in rewrite cost).
 
     The file records a schema version and the persisted field list; caches
     written before a ``_CACHED_FIELDS`` change (or in the pre-schema flat
@@ -204,38 +206,6 @@ def default_cache() -> ResultCache:
     return _default_cache
 
 
-def run_cell(
-    workload: str,
-    scheme: str,
-    config: Optional[ExperimentConfig] = None,
-    traces=None,
-    cache: Optional[ResultCache] = None,
-    flush: bool = True,
-) -> SimulationResult:
-    """Run one (mix, scheme) simulation, consulting the cache first.
-
-    ``flush=False`` defers cache persistence to the caller (batch loops
-    flush once at the end instead of rewriting the file per cell).
-    """
-    cfg = config or ExperimentConfig()
-    c = cache if cache is not None else default_cache()
-    key = cfg.cache_key(workload, scheme)
-    hit = c.get(key)
-    if hit is not None:
-        return hit
-    if traces is None:
-        traces = make_mix(workload, cfg.refs_per_core, seed=cfg.seed, config=cfg.hmc)
-    result = System(
-        traces,
-        SystemConfig(hmc=cfg.hmc, scheme=scheme, integrity=cfg.integrity),
-        workload=workload,
-    ).run()
-    c.put(key, result)
-    if flush:
-        c.flush()
-    return result
-
-
 def run_matrix(
     workloads: Iterable[str],
     schemes: Iterable[str],
@@ -247,47 +217,26 @@ def run_matrix(
     retries: int = 0,
     manifest=None,
 ) -> ResultMatrix:
-    """Run the full (mixes x schemes) grid, sharing traces per mix.
+    """Run the full (mixes x schemes) grid as one :mod:`repro.campaign`.
 
-    ``jobs=1`` (the default) runs serially in-process as always; ``jobs>1``
-    shards the grid across a :mod:`repro.campaign` worker pool (with
-    optional per-cell ``timeout``, ``retries`` and a resumable ``manifest``)
-    and merges deterministically, so both paths produce identical summaries.
+    ``jobs=1`` (the default) runs the cells in-process; ``jobs>1`` shards
+    them across a worker pool (with optional per-cell ``timeout``,
+    ``retries`` and a resumable ``manifest``).  The matrix is filled in
+    workload-major order either way, and a failed cell raises
+    :class:`~repro.campaign.CampaignError`.
     """
-    cfg = config or ExperimentConfig()
-    c = cache if cache is not None else default_cache()
-    matrix = ResultMatrix()
-    workload_list = list(workloads)
-    scheme_list = list(schemes)
-    if jobs > 1:
-        # Deferred import: repro.campaign imports this module.
-        from repro.campaign import Cell, CampaignOptions, grid_cells, run_campaign
+    # Deferred import: repro.campaign imports this module.
+    from repro.campaign import CampaignOptions, grid_cells, run_campaign
 
-        res = run_campaign(
-            grid_cells(workload_list, scheme_list, cfg),
-            CampaignOptions(
-                jobs=jobs, timeout=timeout, retries=retries, progress=progress
-            ),
-            cache=c,
-            manifest=manifest,
-        )
-        res.raise_on_failure()
-        # Same insertion order as the serial loop -> identical matrices.
-        for w in workload_list:
-            for s in scheme_list:
-                matrix.add(res.result_for(Cell(w, s, cfg).cell_id))
-        return matrix
-    try:
-        for w in workload_list:
-            traces = None
-            for s in scheme_list:
-                if c.get(cfg.cache_key(w, s)) is None and traces is None:
-                    traces = make_mix(
-                        w, cfg.refs_per_core, seed=cfg.seed, config=cfg.hmc
-                    )
-                if progress:  # pragma: no cover - cosmetic
-                    print(f"  running {w} / {s} ...", flush=True)
-                matrix.add(run_cell(w, s, cfg, traces=traces, cache=c, flush=False))
-    finally:
-        c.flush()
+    cells = grid_cells(workloads, schemes, config)
+    res = run_campaign(
+        cells,
+        CampaignOptions(jobs=jobs, timeout=timeout, retries=retries, progress=progress),
+        cache=cache if cache is not None else default_cache(),
+        manifest=manifest,
+    )
+    res.raise_on_failure()
+    matrix = ResultMatrix()
+    for cell in cells:
+        matrix.add(res.result_for(cell.cell_id))
     return matrix

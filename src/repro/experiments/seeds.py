@@ -14,8 +14,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.runner import ExperimentConfig, ResultCache, run_matrix
-from repro.metrics.collectors import normalized_speedups
+from repro.experiments.runner import ExperimentConfig, ResultCache, default_cache
+from repro.metrics.collectors import ResultMatrix, normalized_speedups
 from repro.sim.stats import geomean
 
 
@@ -104,44 +104,32 @@ def run_seeded(
 ) -> SeededSpeedups:
     """Run the grid once per seed and aggregate Figure-5 speedups.
 
-    With ``jobs>1`` all (seed x workload x scheme) cells form *one*
-    campaign, so parallelism spans seeds as well as the grid.
+    All (seed x workload x scheme) cells form *one* campaign, so with
+    ``jobs>1`` parallelism spans seeds as well as the grid.
     """
+    from repro.campaign import CampaignOptions, grid_cells, run_campaign
+
     if not seeds:
         raise ValueError("need at least one seed")
     cfg0 = base_config or ExperimentConfig()
     workloads = list(workloads)
     schemes = list(schemes)
+    grids = [
+        grid_cells(workloads, schemes, dataclasses.replace(cfg0, seed=seed))
+        for seed in seeds
+    ]
+    res = run_campaign(
+        [cell for grid in grids for cell in grid],
+        CampaignOptions(jobs=jobs, timeout=timeout, retries=retries),
+        cache=cache if cache is not None else default_cache(),
+    )
+    res.raise_on_failure()
     per_seed: List[Dict[str, Dict[str, float]]] = []
-    seed_configs = [dataclasses.replace(cfg0, seed=seed) for seed in seeds]
-    if jobs > 1:
-        from repro.campaign import Cell, CampaignOptions, grid_cells, run_campaign
-        from repro.experiments.runner import default_cache
-        from repro.metrics.collectors import ResultMatrix
-
-        cells = [
-            c for cfg in seed_configs for c in grid_cells(workloads, schemes, cfg)
-        ]
-        res = run_campaign(
-            cells,
-            CampaignOptions(jobs=jobs, timeout=timeout, retries=retries),
-            cache=cache if cache is not None else default_cache(),
-        )
-        res.raise_on_failure()
-        for cfg in seed_configs:
-            matrix = ResultMatrix()
-            for w in workloads:
-                for s in schemes:
-                    matrix.add(res.result_for(Cell(w, s, cfg).cell_id))
-            per_seed.append(
-                normalized_speedups(matrix, schemes, workloads=workloads)
-            )
-    else:
-        for cfg in seed_configs:
-            matrix = run_matrix(workloads, schemes, cfg, cache=cache)
-            per_seed.append(
-                normalized_speedups(matrix, schemes, workloads=workloads)
-            )
+    for grid in grids:
+        matrix = ResultMatrix()
+        for cell in grid:
+            matrix.add(res.result_for(cell.cell_id))
+        per_seed.append(normalized_speedups(matrix, schemes, workloads=workloads))
     per_workload: Dict[str, Dict[str, SeededCell]] = {}
     for w in workloads:
         per_workload[w] = {}

@@ -19,8 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.camps import CampsParams
 from repro.dram.timing import DRAMTimings
 from repro.hmc.config import HMCConfig
-from repro.system import SimulationResult, System, SystemConfig
-from repro.workloads.mixes import mix as make_mix
+from repro.system import SimulationResult
 
 
 @dataclass
@@ -118,55 +117,12 @@ class Sweep:
         timeout: Optional[float] = None,
         retries: int = 0,
     ) -> SweepResult:
-        """Run the sweep; the workload's traces are generated once (under
-        the default config) and shared by every point and the baseline.
+        """Run the sweep as one :mod:`repro.campaign`: every point (and
+        its baseline) is one cell, sharded across workers with ``jobs>1``.
 
-        With ``jobs>1`` the points (and their baselines) run as one
-        :mod:`repro.campaign` — workers regenerate the same seeded traces,
-        so results match the serial path.
-        """
-        if jobs > 1:
-            return self._run_campaign(
-                workload, scheme, refs_per_core, seed, baseline_scheme,
-                jobs, timeout, retries,
-            )
-        traces = make_mix(workload, refs_per_core, seed=seed)
-        out = SweepResult(self.knob, workload, scheme)
-        for value in self.values:
-            hmc, scheme_kwargs = self._configure(value)
-            result = System(
-                traces,
-                SystemConfig(hmc=hmc, scheme=scheme),
-                workload=workload,
-                scheme_kwargs=scheme_kwargs,
-            ).run()
-            speedup = None
-            if baseline_scheme:
-                base = System(
-                    traces,
-                    SystemConfig(hmc=hmc, scheme=baseline_scheme),
-                    workload=workload,
-                ).run()
-                speedup = result.speedup_vs(base)
-            out.points.append(SweepPoint(value, result, speedup))
-        return out
-
-    def _run_campaign(
-        self,
-        workload: str,
-        scheme: str,
-        refs_per_core: int,
-        seed: int,
-        baseline_scheme: Optional[str],
-        jobs: int,
-        timeout: Optional[float],
-        retries: int,
-    ) -> SweepResult:
-        """Sharded sweep: every point (and baseline) is one campaign cell.
-
-        Sweep cells bypass the result cache — its key does not cover most
-        swept knobs — and pin ``trace_config`` to the default platform so
-        every point sees the same reference stream as the serial path.
+        Sweep cells bypass the result cache - its key does not cover most
+        swept knobs - and pin ``trace_config`` to the default platform, so
+        every point and baseline runs on the same reference stream.
         Identical baseline cells (scheme-kwarg sweeps) dedupe to one run.
         """
         from repro.campaign import Cell, CampaignOptions, run_campaign

@@ -3,7 +3,7 @@
 The executor tests drive run_campaign with fault-injecting fake cell
 runners (module-level so worker processes can resolve them); the
 determinism tests use the real simulator at tiny scale and compare the
-serial and sharded paths byte-for-byte via matrix_digest.
+in-process and pooled paths byte-for-byte via matrix_digest.
 """
 
 import json
@@ -307,7 +307,7 @@ class TestExecutor:
 
 
 # ----------------------------------------------------------------------
-# Determinism: sharded execution must match the serial loop exactly
+# Determinism: pooled execution must match the in-process (jobs=1) run exactly
 # ----------------------------------------------------------------------
 
 
@@ -353,6 +353,59 @@ class TestDeterminism:
         for a, b in zip(serial.points, sharded.points):
             assert a.result.cycles == b.result.cycles
             assert a.speedup_vs_base == pytest.approx(b.speedup_vs_base)
+
+
+def fresh_traces_runner(cell, attempt):
+    """execute_cell with the trace memo cleared first (no reuse)."""
+    from repro.campaign import executor
+
+    executor._last_traces = None
+    return executor.execute_cell(cell, attempt)
+
+
+class TestTraceMemo:
+    """build_cell_system makes a mix's traces once for consecutive cells."""
+
+    @pytest.fixture
+    def mix_calls(self, monkeypatch):
+        import repro.workloads.mixes as mixes
+        from repro.campaign import executor
+
+        monkeypatch.setattr(executor, "_last_traces", None)
+        calls = []
+        real = mixes.mix
+
+        def counting_mix(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mixes, "mix", counting_mix)
+        return calls
+
+    def test_one_mix_grid_makes_traces_once(self, mix_calls):
+        cells = grid_cells(["LM4"], ["none", "base", "camps-mod"], TINY)
+        shared = run_campaign(cells)
+        assert mix_calls == ["LM4"]
+        fresh = run_campaign(cells, runner=fresh_traces_runner)
+        assert mix_calls == ["LM4"] * 4
+        for cell in cells:
+            a = json.dumps(shared.records[cell.cell_id].summary, sort_keys=True)
+            b = json.dumps(fresh.records[cell.cell_id].summary, sort_keys=True)
+            assert a == b
+
+    def test_one_cube_and_fabric_cells_do_not_share(self, mix_calls):
+        from repro.campaign import executor
+        from repro.campaign.executor import build_cell_system
+
+        one = Cell("HM1", "base", TINY)
+        chain = Cell("HM1", "base", TINY, topology="chain:2")
+        build_cell_system(one)
+        one_traces = executor._last_traces[1]
+        build_cell_system(chain)
+        assert executor._last_traces[1] is not one_traces
+        assert len(executor._last_traces[1]) != len(one_traces)
+        build_cell_system(one)
+        assert mix_calls == ["HM1", "HM1"]  # the chain:2 cell evicted it
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -75,6 +77,30 @@ class TestCommands:
         main(["run", "LM4", "--refs", "300", "--scheme", "base"])
         out = capsys.readouterr().out
         assert "speedup vs" not in out
+
+    def test_run_baseline_with_report(self, capsys, tmp_path):
+        # a run that builds a live system still compares against --baseline
+        rc = main([
+            "run", "LM4", "--refs", "300", "--report", str(tmp_path / "r.json"),
+        ])
+        assert rc == 0
+        assert "speedup vs base" in capsys.readouterr().out
+
+    def test_run_baseline_on_fabric(self, capsys):
+        rc = main(["run", "MX1", "--topology", "chain:2", "--refs", "100"])
+        assert rc == 0
+        assert "speedup vs base" in capsys.readouterr().out
+
+    def test_run_json_link_faults_independent_of_cache(self, capsys):
+        # the second run of the same cell could be a cache hit; the JSON
+        # must carry the same keys (link_faults included) either way
+        argv = ["run", "HM1", "--refs", "300", "--ber", "1e-4", "--json"]
+        payloads = []
+        for _ in range(2):
+            assert main(argv) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert "link_faults" in payloads[0]
+        assert payloads[0] == payloads[1]
 
     def test_figure_command_with_csv_and_chart(self, capsys, tmp_path):
         csv = tmp_path / "fig5.csv"

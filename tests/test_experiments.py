@@ -14,12 +14,8 @@ from repro.experiments.figures import (
     figure8,
     figure9,
 )
-from repro.experiments.runner import (
-    ExperimentConfig,
-    ResultCache,
-    run_cell,
-    run_matrix,
-)
+from repro.campaign import CampaignError
+from repro.experiments.runner import ExperimentConfig, ResultCache, run_matrix
 from repro.experiments.tables import table1_text, table2_rows, table2_text
 from repro.hmc.config import HMCConfig
 
@@ -36,18 +32,22 @@ def nocache(tmp_path, monkeypatch):
 
 
 class TestRunner:
-    def test_run_cell_produces_result(self, tiny, nocache):
-        r = run_cell("LM4", "base", tiny, cache=nocache)
+    def test_run_matrix_single_cell_result(self, tiny, nocache):
+        r = run_matrix(["LM4"], ["base"], tiny, cache=nocache).get("LM4", "base")
         assert r.workload == "LM4" and r.scheme == "base"
         assert r.cycles > 0
 
     def test_cache_hit_round_trip(self, tiny, tmp_path):
         cache = ResultCache(tmp_path / "c.json")
-        r1 = run_cell("LM4", "base", tiny, cache=cache)
-        r2 = run_cell("LM4", "base", tiny, cache=cache)
-        assert r2.extra.get("cached") is True
+        r1 = run_matrix(["LM4"], ["base"], tiny, cache=cache).get("LM4", "base")
+        r2 = run_matrix(["LM4"], ["base"], tiny, cache=cache).get("LM4", "base")
+        assert r2.extra["attempts"] == 0  # resolved from the cache, not run
         assert r2.cycles == r1.cycles
         assert r2.core_ipc == r1.core_ipc
+
+    def test_failed_cell_raises_campaign_error(self, tiny, nocache):
+        with pytest.raises(CampaignError, match="LM4/no-such-scheme"):
+            run_matrix(["LM4"], ["no-such-scheme"], tiny, cache=nocache)
 
     def test_cache_key_distinguishes_inputs(self, tiny):
         k1 = tiny.cache_key("HM1", "base")
