@@ -14,9 +14,9 @@ serial leg stays a few seconds; REPRO_MIXES/REPRO_REFS raise it.
 import os
 import time
 
-from repro.campaign import matrix_digest
+from repro.campaign import Manifest, matrix_digest
 from repro.experiments.figures import FIG5_SCHEMES
-from repro.experiments.runner import ExperimentConfig, ResultCache, run_matrix
+from repro.experiments.runner import ExperimentConfig, run_matrix
 
 from conftest import selected_mixes
 
@@ -37,7 +37,7 @@ def test_campaign_parallel_identical_and_faster(benchmark, tmp_path):
     def both():
         t0 = time.perf_counter()
         serial = run_matrix(
-            mixes, FIG5_SCHEMES, cfg, cache=ResultCache(tmp_path / "serial.json")
+            mixes, FIG5_SCHEMES, cfg, cache=Manifest(tmp_path / "serial.jsonl")
         )
         serial_wall = time.perf_counter() - t0
         t0 = time.perf_counter()
@@ -45,7 +45,7 @@ def test_campaign_parallel_identical_and_faster(benchmark, tmp_path):
             mixes,
             FIG5_SCHEMES,
             cfg,
-            cache=ResultCache(tmp_path / "parallel.json"),
+            cache=Manifest(tmp_path / "parallel.jsonl"),
             jobs=JOBS,
         )
         parallel_wall = time.perf_counter() - t0

@@ -133,16 +133,16 @@ def test_inert_fault_run_byte_identical():
 def test_disabled_grid_digest_matches_pre_fault_tree(tmp_path):
     """The standard grid, faults disabled, reproduces the digest pinned
     before this subsystem existed - the off path is byte-identical."""
-    from repro.campaign import matrix_digest
+    from repro.campaign import Manifest, matrix_digest
     from repro.experiments.figures import FIG5_SCHEMES
-    from repro.experiments.runner import ExperimentConfig, ResultCache, run_matrix
+    from repro.experiments.runner import ExperimentConfig, run_matrix
 
     cfg = ExperimentConfig(refs_per_core=1000, seed=1)
     matrix = run_matrix(
         ["HM1", "LM1", "MX1"],
         FIG5_SCHEMES,
         cfg,
-        cache=ResultCache(tmp_path / "cache.json"),
+        cache=Manifest(tmp_path / "cache.jsonl"),
     )
     assert matrix_digest(matrix) == PRE_FAULT_DIGEST
 

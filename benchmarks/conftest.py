@@ -5,7 +5,7 @@ Scale knobs (environment):
 * ``REPRO_REFS``  - memory references per core per mix (default 4000).
 * ``REPRO_SEED``  - trace seed (default 1).
 * ``REPRO_MIXES`` - comma-separated subset of Table II mixes (default: all 12).
-* ``REPRO_CACHE`` - simulation summary cache path ("off" to disable).
+* ``REPRO_CACHE`` - result log path, a JSONL manifest ("off" to disable).
 * ``REPRO_JOBS``  - worker processes for the shared grid (default 1 =
   serial; >1 shards the grid through ``repro.campaign``).
 

@@ -18,8 +18,9 @@ specs and drives them to terminal state:
   an overrunning worker is terminated and the cell recorded as ``timeout``.
 * **Resume and cache** — :func:`resolved_record` satisfies a cell without
   running it: a manifest record that is ok or diagnosed (with
-  ``resume=True``), else a :class:`~repro.experiments.runner.ResultCache`
-  hit.
+  ``resume=True``), else a hit in the result log
+  (:func:`~repro.experiments.runner.default_cache`), a manifest of executed
+  ok records keyed by ``cell_id``.
 * **Deterministic merge** — :meth:`CampaignResult.matrix` orders results by
   cell id, so serial and parallel campaigns over the same cells produce
   identical summaries regardless of completion order (pin with
@@ -52,7 +53,7 @@ from repro.campaign.pool import (
 )
 from repro.campaign.progress import CampaignProgress
 from repro.campaign.spec import Cell
-from repro.experiments.runner import _CACHED_FIELDS, ResultCache
+from repro.experiments.runner import _CACHED_FIELDS
 from repro.metrics.collectors import ResultMatrix
 from repro.obs import telemetry as _telemetry
 from repro.obs.telemetry import publish_system
@@ -338,7 +339,7 @@ def matrix_digest(matrix: ResultMatrix) -> str:
 def resolved_record(
     cell: Cell,
     prior: Mapping[str, CellRecord],
-    cache: Optional[ResultCache],
+    cached: Mapping[str, CellRecord],
 ) -> Optional[CellRecord]:
     """The record that satisfies ``cell`` without running it, if any.
 
@@ -346,26 +347,49 @@ def resolved_record(
     the integrity layer convicted (wedge, invariant violation) is
     deterministic, so re-running it would reproduce the failure.
     Undiagnosed errors and timeouts stay eligible for re-execution.
-    Otherwise a ``cache`` hit becomes a ``cached`` ok record (attempts 0).
-    The returned record *is* the prior one when the manifest resolved it.
+    Otherwise a result-log record in ``cached`` becomes a ``cached`` ok
+    record (attempts 0) when it is ok and its summary has exactly the
+    persisted fields; anything else is a miss.  The returned record *is*
+    the prior one when the manifest resolved it.
     """
     old = prior.get(cell.cell_id)
     if old is not None and (old.ok or old.diagnosis is not None):
         return old
-    if cache is not None and cell.cacheable:
-        hit = cache.get(cell.config.cache_key(cell.workload, cell.scheme))
-        if hit is not None:
-            return CellRecord(
-                cell_id=cell.cell_id,
-                workload=cell.workload,
-                scheme=cell.scheme,
-                status=STATUS_OK,
-                attempts=0,
-                elapsed=0.0,
-                summary=summarize(hit),
-                cached=True,
-            )
-    return None
+    hit = cached.get(cell.cell_id)
+    if (
+        hit is None
+        or not hit.ok
+        or not isinstance(hit.summary, dict)
+        or set(hit.summary) != set(_CACHED_FIELDS)
+    ):
+        return None
+    return CellRecord(
+        cell_id=cell.cell_id,
+        workload=cell.workload,
+        scheme=cell.scheme,
+        status=STATUS_OK,
+        attempts=0,
+        elapsed=0.0,
+        summary={f: hit.summary[f] for f in _CACHED_FIELDS},
+        cached=True,
+    )
+
+
+def log_result(log: Optional[Manifest], rec: CellRecord) -> None:
+    """Append one executed ok record to the result log, best effort.
+
+    A log with a missing or incompatible header (say, a JSON cache file
+    from before the log format) is reset before the append; a failed
+    write is dropped, since a lost entry only costs a re-run.
+    """
+    if log is None or not rec.ok:
+        return
+    try:
+        if log.header() is None:
+            log.reset()
+        log.append(rec)
+    except OSError:
+        pass
 
 
 def settle(
@@ -420,7 +444,7 @@ class _Driver:
     def __init__(
         self,
         opts: CampaignOptions,
-        cache: Optional[ResultCache],
+        cache: Optional[Manifest],
         manifest: Optional[Manifest],
         progress: CampaignProgress,
         report_dir: Optional[str] = None,
@@ -447,12 +471,8 @@ class _Driver:
         self.records[rec.cell_id] = rec
         if source != "resumed" and self.manifest is not None:
             self.manifest.append(rec)
-        cell = self._cells[rec.cell_id]
-        if source == "executed" and rec.ok and self.cache is not None and cell.cacheable:
-            self.cache.put(
-                cell.config.cache_key(cell.workload, cell.scheme),
-                SimulationResult(extra={}, **rec.summary),
-            )
+        if source == "executed":
+            log_result(self.cache, rec)
         self.progress.cell_done(rec, source)
 
     def prepare(self, cells: Sequence[Cell]) -> List[Cell]:
@@ -462,10 +482,10 @@ class _Driver:
             if (self.manifest is not None and self.opts.resume)
             else {}
         )
-        self._cells = {cell.cell_id: cell for cell in cells}
+        cached = self.cache.records() if self.cache is not None else {}
         pending: List[Cell] = []
         for cell in cells:
-            rec = resolved_record(cell, prior, self.cache)
+            rec = resolved_record(cell, prior, cached)
             if rec is None:
                 pending.append(cell)
             else:
@@ -559,7 +579,7 @@ class _Driver:
 def run_campaign(
     cells: Sequence[Cell],
     options: Optional[CampaignOptions] = None,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[Manifest] = None,
     manifest: Optional[Manifest] = None,
     runner: CellRunner = execute_cell,
     report_dir: Optional[str] = None,
@@ -567,8 +587,8 @@ def run_campaign(
     """Drive every cell to a terminal manifest record.
 
     ``cells`` are deduplicated by cell id (first spec wins).  ``cache`` is
-    consulted before execution and updated (batched; flushed once at the
-    end) for cacheable cells; pass ``None`` to run uncached.  Without
+    the result log: read once before execution, and every executed ok
+    record is appended to it; pass ``None`` to run uncached.  Without
     ``resume`` an existing manifest file is rewritten fresh.  With
     ``report_dir``, every *executed* cell also writes a RunReport artifact
     there and its manifest record points at it (cached/resumed cells carry
@@ -672,8 +692,6 @@ def run_campaign(
             else:
                 driver.run_pool(pending, runner)
     finally:
-        if cache is not None:
-            cache.flush()
         for consumer in reversed(consumers):
             try:
                 consumer.stop()

@@ -77,7 +77,7 @@ class CellRecord:
     elapsed: float
     summary: Optional[dict] = None  # _CACHED_FIELDS projection when ok
     error: Optional[str] = None
-    cached: bool = False  # satisfied from the ResultCache, not simulated
+    cached: bool = False  # satisfied from the result log, not simulated
     #: structured diagnosis from the integrity layer (repro.sim.integrity):
     #: reason, stuck component, violations, crash-dump path.  A diagnosed
     #: error is deterministic - resume skips the cell instead of retrying it.
@@ -282,7 +282,7 @@ class Manifest:
         try:
             with open(self.path) as fh:
                 first = fh.readline()
-        except OSError:
+        except (OSError, ValueError):  # missing, unreadable or not UTF-8
             return None
         try:
             raw = json.loads(first)

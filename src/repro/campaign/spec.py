@@ -4,13 +4,14 @@ A *campaign* is a set of independent simulation cells — (workload, scheme,
 config, seed) tuples — executed by :mod:`repro.campaign.executor` across a
 worker pool.  :class:`Cell` is the unit of work: everything a worker needs
 to rebuild the simulation in a fresh process, plus a deterministic
-``cell_id`` that names the cell in manifests, caches and merged results.
+``cell_id`` that names the cell in manifests, the result log and merged
+results.
 
 The id reuses :meth:`repro.experiments.runner.ExperimentConfig.cache_key`
 (human-readable prefix) and appends a short digest over the *full* cell
-state — every ``HMCConfig`` field, any scheme constructor kwargs, and the
-trace-generation config — so two cells that differ only in a field the
-cache key does not cover still get distinct ids.
+state — every ``HMCConfig`` field, any scheme constructor kwargs, the
+trace-generation config and the fabric topology — so two cells that differ
+only in a field the readable prefix does not cover still get distinct ids.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ class Cell:
     """One independent simulation: the campaign's unit of work.
 
     ``scheme_kwargs`` are forwarded to the scheme constructor (as in
-    :class:`repro.system.System`); cells that carry them bypass the result
-    cache, whose key does not cover scheme parameters.  ``trace_config``
-    overrides the config used for *trace generation* only — sweeps generate
-    traces under the default platform so every sweep point sees the same
-    reference stream (matching :meth:`repro.experiments.sweep.Sweep.run`).
+    :class:`repro.system.System`).  ``trace_config`` overrides the config
+    used for *trace generation* only — sweeps generate traces under the
+    default platform so every sweep point sees the same reference stream
+    (matching :meth:`repro.experiments.sweep.Sweep.run`).  ``cell_id``
+    covers all of these, so every cell can be served from the result log.
     """
 
     workload: str
@@ -81,17 +82,6 @@ class Cell:
             base = f"{base}@{self.topology}"
         token = _digest(payload)
         return f"{base}|{token}"
-
-    @property
-    def cacheable(self) -> bool:
-        """True when the shared :class:`ResultCache` key fully identifies
-        this cell (no scheme kwargs, no trace-config override, no fabric
-        topology - the cache key predates all three)."""
-        return (
-            self.scheme_kwargs is None
-            and self.trace_config is None
-            and self.topology is None
-        )
 
     def describe(self) -> str:
         if self.topology is not None:
@@ -130,9 +120,10 @@ def fabric_grid_cells(
     for spec in specs:
         parse_topology(spec)
     cfg = config or ExperimentConfig()
+    workload_list, scheme_list = list(workloads), list(schemes)
     return [
         Cell(w, s, cfg, topology=t)
         for t in specs
-        for w in workloads
-        for s in schemes
+        for w in workload_list
+        for s in scheme_list
     ]

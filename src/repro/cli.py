@@ -193,7 +193,7 @@ def _write_run_outputs(
 
 
 def _run_cached(cell: Any) -> Any:
-    """One cell through the result cache (a hit simulates nothing)."""
+    """One cell through the result log (a hit simulates nothing)."""
     from repro.campaign import run_campaign
     from repro.experiments.runner import default_cache
 
@@ -226,7 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         epoch = DEFAULT_EPOCH
     # Fabrics, tracing, reports, time series and link-fault counters need a
-    # live System (the result cache only stores one-cube summaries).
+    # live System (the result log stores only the persisted summary fields).
     if fabric or tracer is not None or epoch is not None or cfg.hmc.faults.enabled:
         _check_output_dirs(args.trace, args.log_json, report_path)
         system = build_cell_system(cell, tracer=tracer, timeseries_epoch=epoch)
@@ -1047,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument(
         "--report-dir", dest="report_dir", metavar="DIR",
         help="write one RunReport artifact per executed cell into DIR "
-        "(manifest records point at them; disables the result cache)",
+        "(manifest records point at them; disables the result log)",
     )
     p_camp.add_argument(
         "--watch", action="store_true",
@@ -1146,7 +1146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--name", default=None,
                        help="work-queue worker name (default s<pid>)")
     p_srv.add_argument("--no-cache", dest="no_cache", action="store_true",
-                       help="bypass the shared ResultCache")
+                       help="bypass the shared result log (REPRO_CACHE)")
     p_srv.add_argument(
         "--exit-when-complete", dest="exit_when_complete",
         action="store_true",

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.runner import ExperimentConfig, ResultCache, default_cache
+from repro.experiments.runner import ExperimentConfig, default_cache
 from repro.metrics.collectors import ResultMatrix, normalized_speedups
 from repro.sim.stats import geomean
+
+if TYPE_CHECKING:
+    from repro.campaign.manifest import Manifest
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ def run_seeded(
     schemes: Sequence[str],
     base_config: Optional[ExperimentConfig] = None,
     seeds: Sequence[int] = (1, 2, 3),
-    cache: Optional[ResultCache] = None,
+    cache: Optional[Manifest] = None,
     jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,

@@ -120,13 +120,14 @@ class Sweep:
         """Run the sweep as one :mod:`repro.campaign`: every point (and
         its baseline) is one cell, sharded across workers with ``jobs>1``.
 
-        Sweep cells bypass the result cache - its key does not cover most
-        swept knobs - and pin ``trace_config`` to the default platform, so
-        every point and baseline runs on the same reference stream.
+        Sweep cells pin ``trace_config`` to the default platform, so every
+        point and baseline runs on the same reference stream; like every
+        campaign they go through the result log, whose ``cell_id`` key
+        covers each swept knob.
         Identical baseline cells (scheme-kwarg sweeps) dedupe to one run.
         """
         from repro.campaign import Cell, CampaignOptions, run_campaign
-        from repro.experiments.runner import ExperimentConfig
+        from repro.experiments.runner import ExperimentConfig, default_cache
 
         trace_hmc = HMCConfig()
         pairs = []  # (value, point cell, baseline cell | None)
@@ -147,7 +148,7 @@ class Sweep:
         res = run_campaign(
             cells,
             CampaignOptions(jobs=jobs, timeout=timeout, retries=retries),
-            cache=None,
+            cache=default_cache(),
         )
         res.raise_on_failure()
         out = SweepResult(self.knob, workload, scheme)

@@ -47,14 +47,15 @@ from collections import deque
 from repro.campaign.executor import (
     cell_report_path,
     execute_cell,
+    log_result,
     resolved_record,
     retry_delay,
     settle,
 )
-from repro.campaign.manifest import CellRecord, Manifest
+from repro.campaign.manifest import CellRecord, Manifest, ManifestFollower
 from repro.campaign.pool import STATUS_CRASH, CellPool, CellRunner, PoolResult
 from repro.campaign.spec import Cell
-from repro.experiments.runner import ResultCache
+from repro.experiments.runner import default_cache
 from repro.obs import telemetry as _telemetry
 from repro.obs.spans import (
     STAGE_ADMIT,
@@ -150,7 +151,7 @@ class ServeScheduler:
         self,
         cfg: ServeConfig,
         runner: CellRunner = execute_cell,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[Manifest] = None,
     ) -> None:
         self.cfg = cfg
         self.manifest = Manifest(cfg.manifest)
@@ -173,14 +174,12 @@ class ServeScheduler:
             LANE_QUICK: deque(),
             LANE_BULK: deque(),
         }
-        if cache is not None:
-            self.cache = cache
-        elif cfg.use_cache:
-            from repro.experiments.runner import default_cache
-
-            self.cache = default_cache()
-        else:
-            self.cache = None
+        if cache is None and cfg.use_cache:
+            cache = default_cache()
+        #: the result log, followed so each submission sees the records
+        #: appended since the last one (by this node or any other writer)
+        self.cache = cache
+        self._cached = ManifestFollower(cache.path) if cache is not None else None
         self.telemetry_dir: Optional[str] = None
         if cfg.telemetry:
             tdir = _telemetry.spool_dir_for(cfg.manifest)
@@ -252,11 +251,6 @@ class ServeScheduler:
         await asyncio.get_running_loop().run_in_executor(
             None, lambda: self.pool.stop(drain=False, timeout=1.0)
         )
-        if self.cache is not None:
-            try:
-                self.cache.flush()
-            except OSError:
-                pass
         self.stopped.set()
 
     # ------------------------------------------------------------------
@@ -294,10 +288,11 @@ class ServeScheduler:
         unique: Dict[str, Tuple[Cell, dict]] = {}
         for cell, spec in zip(cells, specs):
             unique.setdefault(cell.cell_id, (cell, dict(spec)))
-        # new cells satisfied by the manifest (resume) or the ResultCache
+        # new cells satisfied by the manifest (resume) or the result log
         # take no queue capacity
+        cached = self._cached_records()
         resolved = {
-            cid: resolved_record(cell, self._resume_records, self.cache)
+            cid: resolved_record(cell, self._resume_records, cached)
             for cid, (cell, _) in unique.items()
             if cid not in self.cells
         }
@@ -355,6 +350,13 @@ class ServeScheduler:
         if trace_id is not None:
             out["trace"] = trace_id
         return out
+
+    def _cached_records(self) -> Dict[str, CellRecord]:
+        """The result log's records, folded up to its current end."""
+        if self._cached is None:
+            return {}
+        self._cached.poll()
+        return self._cached.scan.records
 
     def _resolve(self, state: CellState, rec: Optional[CellRecord]) -> bool:
         """Satisfy a new cell with its :func:`resolved_record`, if any."""
@@ -552,22 +554,7 @@ class ServeScheduler:
             self.completed_cells += 1
             if rec.ok:
                 self.admission.observe_cell_seconds(rec.elapsed, lane=state.lane)
-        if (
-            rec.ok
-            and not rec.cached
-            and self.cache is not None
-            and state.cell.cacheable
-        ):
-            key = state.cell.config.cache_key(
-                state.cell.workload, state.cell.scheme
-            )
-            from repro.system import SimulationResult
-
-            self.cache.put(key, SimulationResult(extra={}, **rec.summary))
-            try:
-                self.cache.flush()
-            except OSError:
-                pass
+            log_result(self.cache, rec)
         for job in self.registry.cell_done(state.cell_id):
             event = self._job_events.get(job.job_id)
             if event is not None:
@@ -748,6 +735,7 @@ class ServeScheduler:
             lines = open(path).read().splitlines()
         except OSError:
             return
+        cached = self._cached_records()
         for line in lines:
             try:
                 raw = json.loads(line)
@@ -775,7 +763,7 @@ class ServeScheduler:
                 lane=lane,
                 trace_id=trace if isinstance(trace, str) else None,
             )
-            rec = resolved_record(cell, self._resume_records, self.cache)
+            rec = resolved_record(cell, self._resume_records, cached)
             if not self._resolve(state, rec):
                 state.enqueued = time.monotonic()
                 self.pending[lane].append(cid)
@@ -900,7 +888,7 @@ class ServeService:
         self,
         cfg: ServeConfig,
         runner: CellRunner = execute_cell,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[Manifest] = None,
     ) -> None:
         self.cfg = cfg
         self.node = ServeScheduler(cfg, runner=runner, cache=cache)
@@ -933,11 +921,6 @@ class ServeService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self.node.cache is not None:
-            try:
-                self.node.cache.flush()
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------
     async def _handle(
@@ -1278,11 +1261,6 @@ async def _serve_async(
     if service._server is not None:
         service._server.close()
         await service._server.wait_closed()
-    if service.node.cache is not None:
-        try:
-            service.node.cache.flush()
-        except OSError:
-            pass
     if announce:
         print("serve: drained and stopped", flush=True)
     return 0

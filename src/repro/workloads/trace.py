@@ -2,7 +2,7 @@
 
 A :class:`Trace` is three parallel NumPy arrays: instruction gaps between
 memory references, byte addresses, and write flags.  Traces can round-trip
-through ``.npz`` files so expensive generations are cacheable, and
+through ``.npz`` files so expensive generations can be reused, and
 :func:`trace_stats` summarizes the memory-side character (MPKI, row reuse,
 row utilization) that the synthetic generators are calibrated against.
 """

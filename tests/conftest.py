@@ -11,6 +11,13 @@ from repro.hmc.config import HMCConfig
 from repro.sim.engine import Engine
 
 
+@pytest.fixture(autouse=True)
+def isolated_cache(tmp_path, monkeypatch):
+    """Point the shared result log at this test's own directory, so no test
+    reads cells another test (or an earlier run) left behind."""
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache.jsonl"))
+
+
 @pytest.fixture
 def config() -> HMCConfig:
     """The paper's Table I configuration."""

@@ -19,18 +19,18 @@ from repro.campaign import (
     Manifest,
     grid_cells,
     matrix_digest,
+    resolved_record,
     run_campaign,
     summarize,
 )
-from repro.campaign.manifest import MANIFEST_VERSION
+from repro.campaign.manifest import MANIFEST_VERSION, STATUS_OK, CellRecord
 from repro.experiments.runner import (
     _CACHED_FIELDS,
     ExperimentConfig,
-    ResultCache,
+    default_cache,
     run_matrix,
 )
 from repro.hmc.config import HMCConfig
-from repro.system import SimulationResult
 
 TINY = ExperimentConfig(refs_per_core=150, seed=1)
 
@@ -94,8 +94,13 @@ def crash_hm1_runner(cell, attempt):
     return _summary(cell)
 
 
-def fake_result(cell):
-    return SimulationResult(extra={}, **_summary(cell))
+def ok_record(cell, summary=None):
+    """An executed ok record, as run_campaign appends it to the result log."""
+    return CellRecord(
+        cell_id=cell.cell_id, workload=cell.workload, scheme=cell.scheme,
+        status=STATUS_OK, attempts=1, elapsed=1.0,
+        summary=_summary(cell) if summary is None else summary,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -122,8 +127,6 @@ class TestCell:
         kw = Cell("HM1", "camps-mod", TINY, scheme_kwargs={"params": None})
         tc = Cell("HM1", "camps-mod", TINY, trace_config=HMCConfig(vaults=16))
         assert len({plain.cell_id, kw.cell_id, tc.cell_id}) == 3
-        assert plain.cacheable
-        assert not kw.cacheable and not tc.cacheable
 
     def test_grid_cells_workload_major_order(self):
         cells = grid_cells(["HM1", "LM1"], ["base", "mmd"], TINY)
@@ -270,14 +273,16 @@ class TestExecutor:
         assert res.stats["total"] == 1 and len(res.cells) == 1
 
     def test_cache_hits_skip_execution(self, tmp_path):
-        cache = ResultCache(tmp_path / "c.json")
+        log = Manifest(tmp_path / "c.jsonl")
         cells = grid_cells(["HM1", "LM1"], ["base"], TINY)
-        cache.put(TINY.cache_key("HM1", "base"), fake_result(cells[0]))
-        res = run_campaign(cells, cache=cache, runner=ok_runner)
+        log.append(ok_record(cells[0]))
+        res = run_campaign(cells, cache=log, runner=ok_runner)
         assert res.stats["cached"] == 1 and res.stats["executed"] == 1
-        # executed results were written back (and flushed) to the cache
-        fresh = ResultCache(tmp_path / "c.json")
-        assert fresh.get(TINY.cache_key("LM1", "base")) is not None
+        hit = res.records[cells[0].cell_id]
+        assert (hit.attempts, hit.elapsed, hit.cached) == (0, 0.0, True)
+        # the executed result was appended to the log; the hit was not
+        assert list(log.records()) == [cells[0].cell_id, cells[1].cell_id]
+        assert sum(1 for _ in open(log.path)) == 3  # header + two records
 
     def test_matrix_ordered_by_cell_id(self):
         cells = grid_cells(["MX1", "HM1"], ["mmd", "base"], TINY)
@@ -314,9 +319,9 @@ class TestExecutor:
 class TestDeterminism:
     def test_parallel_matrix_identical_to_serial(self, tmp_path):
         serial = run_matrix(["LM4"], ["base", "camps-mod"], TINY,
-                            cache=ResultCache(tmp_path / "a.json"))
+                            cache=Manifest(tmp_path / "a.jsonl"))
         parallel = run_matrix(["LM4"], ["base", "camps-mod"], TINY,
-                              cache=ResultCache(tmp_path / "b.json"), jobs=4)
+                              cache=Manifest(tmp_path / "b.jsonl"), jobs=4)
         assert matrix_digest(serial) == matrix_digest(parallel)
         assert serial.workloads() == parallel.workloads()
         assert serial.schemes() == parallel.schemes()
@@ -327,7 +332,7 @@ class TestDeterminism:
         res = run_campaign(
             cells,
             CampaignOptions(jobs=2, start_method="spawn"),
-            cache=ResultCache(tmp_path / "c.json"),
+            cache=Manifest(tmp_path / "c.jsonl"),
         )
         res.raise_on_failure()
         assert summarize(res.result_for(cells[0].cell_id))["cycles"] > 0
@@ -339,8 +344,8 @@ class TestDeterminism:
             workloads=["LM4"], schemes=["base", "camps-mod"],
             base_config=TINY, seeds=(1, 2),
         )
-        serial = run_seeded(cache=ResultCache(tmp_path / "a.json"), **kwargs)
-        sharded = run_seeded(cache=ResultCache(tmp_path / "b.json"), jobs=2,
+        serial = run_seeded(cache=Manifest(tmp_path / "a.jsonl"), **kwargs)
+        sharded = run_seeded(cache=Manifest(tmp_path / "b.jsonl"), jobs=2,
                              **kwargs)
         assert serial.per_workload == sharded.per_workload
 
@@ -409,81 +414,104 @@ class TestTraceMemo:
 
 
 # ----------------------------------------------------------------------
-# ResultCache: atomicity, batching, schema versioning
+# The result log (REPRO_CACHE): concurrent writers, foreign files, misses
 # ----------------------------------------------------------------------
 
 
+def _log_hit(log, cell):
+    """run_campaign's view of one cell: its cached record, or None."""
+    return resolved_record(cell, {}, log.records())
+
+
 class TestResultCache:
-    def test_put_batches_until_flush(self, tmp_path):
-        path = tmp_path / "c.json"
-        cache = ResultCache(path)
-        cache.put("k", fake_result(Cell("HM1", "base", TINY)))
-        assert not path.exists()  # nothing persisted yet
-        assert cache.get("k") is not None  # but visible in memory
-        cache.flush()
-        assert path.exists()
-        assert ResultCache(path).get("k") is not None
-
     def test_concurrent_writers_merge_not_clobber(self, tmp_path):
-        path = tmp_path / "c.json"
-        a, b = ResultCache(path), ResultCache(path)
-        a.put("ka", fake_result(Cell("HM1", "base", TINY)))
-        b.put("kb", fake_result(Cell("LM1", "base", TINY)))
-        a.flush()
-        b.flush()  # must re-read and keep a's entry
-        fresh = ResultCache(path)
-        assert fresh.get("ka") is not None and fresh.get("kb") is not None
+        import threading
 
-    def test_flush_leaves_no_temp_files(self, tmp_path):
-        path = tmp_path / "c.json"
-        cache = ResultCache(path)
-        cache.put("k", fake_result(Cell("HM1", "base", TINY)))
-        cache.flush()
-        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+        path = tmp_path / "c.jsonl"
+        Manifest(path).reset()
+        grids = [
+            [Cell("HM1", "base", ExperimentConfig(100 + i, seed)) for i in range(10)]
+            for seed in (1, 2)
+        ]
+        writers = [
+            threading.Thread(
+                target=run_campaign, args=(cells,),
+                kwargs={"cache": Manifest(path), "runner": ok_runner},
+            )
+            for cells in grids
+        ]
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join()
+        fresh = Manifest(path)
+        assert all(_log_hit(fresh, c) is not None for g in grids for c in g)
 
     def test_legacy_flat_format_invalidated(self, tmp_path):
-        # Pre-schema caches were a flat {key: fields} dict; they must be
-        # treated as empty rather than raising KeyError on lookup.
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"k": {"scheme": "base", "cycles": 1}}))
-        cache = ResultCache(path)
-        assert cache.get("k") is None
-
-    def test_stale_field_list_invalidated(self, tmp_path):
-        path = tmp_path / "c.json"
-        payload = {
-            "schema": 2,
-            "fields": _CACHED_FIELDS[:-1],  # written before a field was added
-            "entries": {"k": {f: 0 for f in _CACHED_FIELDS[:-1]}},
-        }
-        path.write_text(json.dumps(payload))
-        assert ResultCache(path).get("k") is None
-
-    def test_corrupt_file_treated_as_empty(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text("{not json")
-        cache = ResultCache(path)
-        assert cache.get("k") is None
-        cache.put("k", fake_result(Cell("HM1", "base", TINY)))
-        cache.flush()
-        assert ResultCache(path).get("k") is not None
-
-    def test_malformed_entry_is_a_miss(self, tmp_path):
+        # The JSON cache that predates the log (and, before it, a flat
+        # {key: fields} dict) reads as empty, then is reset on first append.
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
             "schema": 2, "fields": _CACHED_FIELDS,
-            "entries": {"k": {"cycles": 1}},  # entry itself is torn
+            "entries": {"k": {f: 0 for f in _CACHED_FIELDS}},
         }))
-        assert ResultCache(path).get("k") is None
+        log, cell = Manifest(path), Cell("HM1", "base", TINY)
+        assert log.records() == {} and _log_hit(log, cell) is None
+        res = run_campaign([cell], cache=log, runner=ok_runner)
+        assert res.stats["executed"] == 1
+        assert log.header()["version"] == MANIFEST_VERSION
+        assert _log_hit(log, cell) is not None
+
+    def test_stale_field_list_invalidated(self, tmp_path):
+        log, cell = Manifest(tmp_path / "c.jsonl"), Cell("HM1", "base", TINY)
+        # written before a field was added
+        stale = {f: 0 for f in _CACHED_FIELDS[:-1]}
+        log.append(ok_record(cell, summary=stale))
+        assert _log_hit(log, cell) is None
+        log.append(ok_record(cell, summary={**_summary(cell), "extra": 1}))
+        assert _log_hit(log, cell) is None
+
+    def test_corrupt_file_treated_as_empty(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\xff{not json")  # not JSON, not even UTF-8
+        log, cell = Manifest(path), Cell("HM1", "base", TINY)
+        assert _log_hit(log, cell) is None
+        run_campaign([cell], cache=log, runner=ok_runner)
+        assert _log_hit(Manifest(path), cell) is not None
+
+    def test_malformed_entry_is_a_miss(self, tmp_path):
+        log, cell = Manifest(tmp_path / "c.jsonl"), Cell("HM1", "base", TINY)
+        log.append(ok_record(cell, summary={"cycles": 1}))  # torn entry
+        assert _log_hit(log, cell) is None
+        failed = ok_record(cell)
+        failed.status = "error"
+        log.append(failed)  # a failed cell is never a hit
+        assert _log_hit(log, cell) is None
 
     def test_disabled_cache_never_touches_disk(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_CACHE", "off")
-        cache = ResultCache()
-        cache.put("k", fake_result(Cell("HM1", "base", TINY)))
-        cache.flush()
-        assert cache.get("k") is None
+        assert default_cache() is None
+        run_matrix(["HM1"], ["base"], TINY)
         assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_log_is_ignored(self, tmp_path):
+        # appends are best effort: a log that cannot be written costs the
+        # entry, not the campaign
+        log = Manifest(tmp_path / "no-such-dir" / "c.jsonl")
+        (tmp_path / "no-such-dir").write_text("a file, not a directory")
+        res = run_campaign(grid_cells(["HM1"], ["base"], TINY), cache=log,
+                           runner=ok_runner)
+        assert res.stats["ok"] == 1
+
+    def test_second_run_is_all_hits(self, tmp_path):
+        log = Manifest(tmp_path / "c.jsonl")
+        cells = grid_cells(["LM4"], ["base", "camps-mod"], TINY)
+        first = run_campaign(cells, cache=log)
+        second = run_campaign(cells, cache=log)
+        assert second.stats["cached"] == len(cells)
+        assert second.stats["executed"] == 0
+        assert matrix_digest(second.matrix()) == matrix_digest(first.matrix())
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +538,6 @@ class TestCampaignCLI:
     def test_campaign_command_end_to_end(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache.json"))
         manifest = tmp_path / "m.jsonl"
         argv = [
             "campaign", "--mixes", "LM4", "--schemes", "base,camps-mod",

@@ -7,11 +7,6 @@ import pytest
 from repro.cli import build_parser, main
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache.json"))
-
-
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

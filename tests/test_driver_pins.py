@@ -2,8 +2,8 @@
 
 ``run_matrix``, ``run_seeded`` and ``Sweep.run`` are the paper's grid
 drivers (Figs. 5-9, the seed study, the ablations).  These tests pin the
-persisted-summary digest of each on tiny inputs with the result cache off,
-so any change to how a driver builds traces, systems or results shows up
+persisted-summary digest of each on tiny inputs through a fresh result
+log, so any change to how a driver builds traces, systems or results shows up
 as a digest change rather than passing silently.
 """
 
@@ -12,13 +12,8 @@ import json
 
 import pytest
 
-from repro.campaign import matrix_digest
-from repro.experiments.runner import (
-    _CACHED_FIELDS,
-    ExperimentConfig,
-    ResultCache,
-    run_matrix,
-)
+from repro.campaign import Manifest, matrix_digest
+from repro.experiments.runner import _CACHED_FIELDS, ExperimentConfig, run_matrix
 from repro.experiments.seeds import run_seeded
 from repro.experiments.sweep import Sweep
 
@@ -26,9 +21,8 @@ TINY = ExperimentConfig(refs_per_core=150, seed=1)
 
 
 @pytest.fixture
-def no_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "off")
-    return ResultCache()
+def log(tmp_path):
+    return Manifest(tmp_path / "pins.jsonl")
 
 
 def _digest(payload) -> str:
@@ -45,27 +39,27 @@ def _sweep_digest(result) -> str:
 
 
 class TestDriverPins:
-    def test_run_matrix_serial(self, no_cache):
+    def test_run_matrix_serial(self, log):
         m = run_matrix(["LM4", "HM1"], ["none", "base", "camps-mod"], TINY,
-                       cache=no_cache)
+                       cache=log)
         assert m.workloads() == ["LM4", "HM1"]
         assert m.schemes() == ["none", "base", "camps-mod"]
         assert matrix_digest(m)[:16] == "0a108a9f5e3404fc"
 
-    def test_run_seeded_serial(self, no_cache):
+    def test_run_seeded_serial(self, log):
         s = run_seeded(["LM4"], ["base", "camps-mod"], TINY, seeds=(1, 2),
-                       cache=no_cache)
+                       cache=log)
         payload = {
             w: {k: list(c.values) for k, c in row.items()}
             for w, row in s.per_workload.items()
         }
         assert _digest(payload) == "75dbff8b1b1b25d4"
 
-    def test_sweep_hmc_knob_serial(self, no_cache):
+    def test_sweep_hmc_knob_serial(self):
         r = Sweep("pf_buffer_entries", [4, 8]).run("LM4", refs_per_core=150)
         assert _sweep_digest(r) == "debab3240d931834"
 
-    def test_sweep_scheme_knob_serial(self, no_cache):
+    def test_sweep_scheme_knob_serial(self):
         r = Sweep("scheme:utilization_threshold", [2, 8]).run(
             "HM1", refs_per_core=150
         )

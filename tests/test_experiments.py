@@ -15,7 +15,8 @@ from repro.experiments.figures import (
     figure9,
 )
 from repro.campaign import CampaignError
-from repro.experiments.runner import ExperimentConfig, ResultCache, run_matrix
+from repro.campaign import Manifest
+from repro.experiments.runner import ExperimentConfig, default_cache, run_matrix
 from repro.experiments.tables import table1_text, table2_rows, table2_text
 from repro.hmc.config import HMCConfig
 
@@ -25,29 +26,52 @@ def tiny():
     return ExperimentConfig(refs_per_core=150, seed=1)
 
 
-@pytest.fixture
-def nocache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache.json"))
-    return ResultCache(tmp_path / "cache.json")
-
-
 class TestRunner:
-    def test_run_matrix_single_cell_result(self, tiny, nocache):
-        r = run_matrix(["LM4"], ["base"], tiny, cache=nocache).get("LM4", "base")
+    def test_run_matrix_single_cell_result(self, tiny):
+        r = run_matrix(["LM4"], ["base"], tiny).get("LM4", "base")
         assert r.workload == "LM4" and r.scheme == "base"
         assert r.cycles > 0
 
     def test_cache_hit_round_trip(self, tiny, tmp_path):
-        cache = ResultCache(tmp_path / "c.json")
+        cache = Manifest(tmp_path / "c.jsonl")
         r1 = run_matrix(["LM4"], ["base"], tiny, cache=cache).get("LM4", "base")
         r2 = run_matrix(["LM4"], ["base"], tiny, cache=cache).get("LM4", "base")
         assert r2.extra["attempts"] == 0  # resolved from the cache, not run
         assert r2.cycles == r1.cycles
         assert r2.core_ipc == r1.core_ipc
 
-    def test_failed_cell_raises_campaign_error(self, tiny, nocache):
+    def test_page_policies_never_share_a_result(self, tmp_path, monkeypatch):
+        # page_policy is outside ExperimentConfig.cache_key: a result store
+        # keyed by that string handed the open-page result to the
+        # closed-page run.  The log is keyed by the full cell_id.
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "shared.jsonl"))
+        open_cfg = ExperimentConfig(refs_per_core=150, seed=1)
+        closed_cfg = ExperimentConfig(
+            refs_per_core=150, seed=1, hmc=HMCConfig(page_policy="closed")
+        )
+        opened = run_matrix(["HM1"], ["none"], open_cfg, cache=default_cache())
+        closed = run_matrix(["HM1"], ["none"], closed_cfg, cache=default_cache())
+        got = closed.get("HM1", "none")
+        assert got.extra["attempts"] == 1  # simulated, not a log hit
+        assert got.cycles != opened.get("HM1", "none").cycles
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        fresh = run_matrix(["HM1"], ["none"], closed_cfg).get("HM1", "none")
+        assert got.cycles == fresh.cycles
+
+    def test_default_cache_follows_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "a.jsonl"))
+        a = default_cache()
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "b.jsonl"))
+        b = default_cache()
+        assert a.path != b.path
+        run_matrix(["LM4"], ["base"], ExperimentConfig(150, 1))
+        assert b.records() and not a.records()
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        assert default_cache() is None
+
+    def test_failed_cell_raises_campaign_error(self, tiny):
         with pytest.raises(CampaignError, match="LM4/no-such-scheme"):
-            run_matrix(["LM4"], ["no-such-scheme"], tiny, cache=nocache)
+            run_matrix(["LM4"], ["no-such-scheme"], tiny)
 
     def test_cache_key_distinguishes_inputs(self, tiny):
         k1 = tiny.cache_key("HM1", "base")
@@ -69,16 +93,16 @@ class TestRunner:
         with pytest.raises(ValueError):
             ExperimentConfig()
 
-    def test_run_matrix_covers_grid(self, tiny, nocache):
-        m = run_matrix(["LM4"], ["base", "camps"], tiny, cache=nocache)
+    def test_run_matrix_covers_grid(self, tiny):
+        m = run_matrix(["LM4"], ["base", "camps"], tiny)
         assert ("LM4", "base") in m and ("LM4", "camps") in m
 
 
 class TestFigures:
     @pytest.fixture
-    def matrix(self, tiny, nocache):
+    def matrix(self, tiny):
         return run_matrix(
-            ["HM1", "LM4"], FIG5_SCHEMES, tiny, cache=nocache
+            ["HM1", "LM4"], FIG5_SCHEMES, tiny
         )
 
     def test_figure5_structure(self, matrix):

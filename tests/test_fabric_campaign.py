@@ -26,11 +26,6 @@ TINY = ExperimentConfig(
 )
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache.json"))
-
-
 class TestFabricCells:
     def test_pre_fabric_cell_id_unchanged(self):
         """Cells without a topology must keep their exact pre-fabric id:
@@ -53,9 +48,18 @@ class TestFabricCells:
         b = Cell("HM1", "base", TINY, topology="ring:2")
         assert a.cell_id != b.cell_id
 
-    def test_fabric_cells_bypass_cache(self):
-        assert Cell("HM1", "base", TINY).cacheable
-        assert not Cell("HM1", "base", TINY, topology="chain:2").cacheable
+    def test_fabric_cells_served_by_the_log(self, tmp_path):
+        """The result log keys on the full cell_id, topology included, so a
+        fabric cell is a log hit on its second run - and never on the
+        one-cube cell of the same mix."""
+        log = Manifest(tmp_path / "log.jsonl")
+        fab = [Cell("HM1", "base", TINY, topology="chain:2")]
+        first = run_campaign(fab, cache=log)
+        second = run_campaign(fab, cache=log)
+        assert first.stats["executed"] == 1 and second.stats["cached"] == 1
+        assert matrix_digest(first.matrix()) == matrix_digest(second.matrix())
+        plain = run_campaign([Cell("HM1", "base", TINY)], cache=log)
+        assert plain.stats["executed"] == 1
 
     def test_describe(self):
         assert (
@@ -77,6 +81,12 @@ class TestFabricGrid:
             ("MX1", "base"),
             ("MX1", "camps"),
         ]
+
+    def test_one_shot_iterables(self):
+        cells = fabric_grid_cells(
+            ["chain:1", "chain:2"], (w for w in ["HM1"]), iter(["base"]), TINY
+        )
+        assert [c.topology for c in cells] == ["chain:1", "chain:2"]
 
     def test_bad_spec_fails_at_build_time(self):
         with pytest.raises(ValueError, match="unknown topology"):

@@ -305,14 +305,14 @@ class TestDigestParity:
     PINNED = "e041b6721f31e396091e03c0742377f93922b5fe2814c9550da5df1da0591691"
 
     def test_small_grid_matrix_digest_unchanged(self, tmp_path):
-        from repro.campaign import matrix_digest
-        from repro.experiments.runner import ResultCache, run_matrix
+        from repro.campaign import Manifest, matrix_digest
+        from repro.experiments.runner import run_matrix
 
         cfg = ExperimentConfig(refs_per_core=500, seed=1)
         matrix = run_matrix(
             ["HM1", "LM1"],
             ["base", "camps-mod"],
             cfg,
-            cache=ResultCache(tmp_path / "cache.json"),
+            cache=Manifest(tmp_path / "cache.jsonl"),
         )
         assert matrix_digest(matrix) == self.PINNED

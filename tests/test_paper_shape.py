@@ -7,7 +7,8 @@ numbers are covered by the benchmark harness (EXPERIMENTS.md), not here.
 
 import pytest
 
-from repro.experiments.runner import ExperimentConfig, ResultCache, run_matrix
+from repro.campaign import Manifest
+from repro.experiments.runner import ExperimentConfig, run_matrix
 from repro.sim.stats import geomean
 
 SCHEMES = ["base", "base-hit", "mmd", "camps", "camps-mod"]
@@ -15,7 +16,7 @@ SCHEMES = ["base", "base-hit", "mmd", "camps", "camps-mod"]
 
 @pytest.fixture(scope="module")
 def matrix(tmp_path_factory):
-    cache = ResultCache(tmp_path_factory.mktemp("cache") / "c.json")
+    cache = Manifest(tmp_path_factory.mktemp("cache") / "c.jsonl")
     cfg = ExperimentConfig(refs_per_core=2500, seed=1)
     return run_matrix(["HM1", "LM1"], SCHEMES, cfg, cache=cache)
 

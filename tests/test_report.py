@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro.experiments.report import generate_report
-from repro.experiments.runner import ExperimentConfig, ResultCache, run_matrix
+from repro.campaign import Manifest
+from repro.experiments.runner import ExperimentConfig, run_matrix
 from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace import Trace
 
 
 @pytest.fixture(scope="module")
 def matrix(tmp_path_factory):
-    cache = ResultCache(tmp_path_factory.mktemp("c") / "cache.json")
+    cache = Manifest(tmp_path_factory.mktemp("c") / "cache.jsonl")
     cfg = ExperimentConfig(refs_per_core=200, seed=1)
     return run_matrix(
         ["HM1", "LM4"],

@@ -79,15 +79,13 @@ class TestResultExtras:
 
 
 class TestReportCLI:
-    def test_report_to_stdout(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "c.json"))
+    def test_report_to_stdout(self, capsys):
         rc = main(["report", "--mixes", "LM4", "--refs", "200", "--quiet"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "# CAMPS reproduction report" in out
 
-    def test_report_to_file(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "c.json"))
+    def test_report_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.md"
         rc = main([
             "report", "--mixes", "LM4", "--refs", "200",

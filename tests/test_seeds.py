@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.experiments.runner import ExperimentConfig, ResultCache
+from repro.campaign import Manifest
+from repro.experiments.runner import ExperimentConfig
 from repro.experiments.seeds import SeededCell, run_seeded
 
 
 @pytest.fixture(scope="module")
 def seeded(tmp_path_factory):
-    cache = ResultCache(tmp_path_factory.mktemp("c") / "cache.json")
+    cache = Manifest(tmp_path_factory.mktemp("c") / "cache.jsonl")
     cfg = ExperimentConfig(refs_per_core=250, seed=1)
     return run_seeded(
         ["LM4"], ["base", "camps-mod"], cfg, seeds=(1, 2, 3), cache=cache

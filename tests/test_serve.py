@@ -50,6 +50,13 @@ def ok_runner(cell, attempt):  # module-level: picklable for worker processes
     return _summary(cell)
 
 
+def full_runner(cell, attempt):
+    """A summary with every persisted field: one the result log can serve."""
+    from repro.experiments.runner import _CACHED_FIELDS
+
+    return {**dict.fromkeys(_CACHED_FIELDS, 0), **_summary(cell)}
+
+
 def slow_runner(cell, attempt):
     time.sleep(0.6)
     return _summary(cell)
@@ -648,6 +655,34 @@ class TestCheckpointResume:
             assert state.record is not None and state.record.ok
 
         _with_node(cfg2, ok_runner, second)
+
+    def test_result_log_serves_a_later_node(self, tmp_path, monkeypatch):
+        from repro.campaign.manifest import Manifest
+
+        log = tmp_path / "results.jsonl"
+        monkeypatch.setenv("REPRO_CACHE", str(log))
+        cfg = _cfg(tmp_path, use_cache=True)
+
+        async def first(node):
+            out = node.submit([_spec(seed=1)])
+            await _wait_job(node, out["job"])
+            assert node.completed_cells == 1
+
+        async def second(node):
+            out = node.submit([_spec(seed=1)])
+            job = node.registry.jobs[out["job"]]
+            assert job.status == "done"  # served from the result log
+            assert node.completed_cells == 0
+            (state,) = node.cells.values()
+            assert state.record.cached and state.record.attempts == 0
+
+        _with_node(cfg, full_runner, first)
+        _with_node(cfg, full_runner, second)  # fresh manifest, no resume
+        lines = [json.loads(line) for line in open(log)]
+        assert [r.get("kind") for r in lines] == ["header", None]
+        assert set(Manifest(log).records()) == {
+            cell_from_spec(_spec(seed=1)).cell_id
+        }
 
 
 # ----------------------------------------------------------------------

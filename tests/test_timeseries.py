@@ -500,9 +500,9 @@ class TestCampaignReports:
     def test_cached_cells_carry_no_report(self, tmp_path):
         from repro.campaign import grid_cells, run_campaign
         from repro.campaign.manifest import Manifest
-        from repro.experiments.runner import ExperimentConfig, ResultCache
+        from repro.experiments.runner import ExperimentConfig
 
-        cache = ResultCache(tmp_path / "cache.json")
+        cache = Manifest(tmp_path / "cache.jsonl")
         cells = grid_cells(
             ["HM1"], ["base"], ExperimentConfig(refs_per_core=150, seed=1)
         )
