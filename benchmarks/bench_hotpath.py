@@ -29,11 +29,14 @@ measured against the *pre-overhaul* tree it lands at **~1.8x** cumulative
 refs/core; the exact figure is printed per run and recorded in
 ``BENCH_hotpath.json``).  The issue targeted 2.5x; per the same
 honest-measurement policy as the 1.8x->1.66x pin above, the achieved
-number is recorded, not the target.  The ``batching`` block in ``BENCH_hotpath.json`` records the
-evidence: cohort-size histogram (how much same-cycle work each heap pop
-amortizes) and the warped idle-span distribution (cycles the clock jumps
-instead of stepping), both gathered by replaying the pinned workload one
-event at a time and matching ``Engine.idle_cycles_skipped`` exactly.
+number is recorded, not the target.  The cohort-dispatch loop and the
+Event freelist from that pass were later removed: on the ``sim_serial``
+grid neither made ``System.run()`` faster, and results stayed
+byte-identical without them.  The ``batching`` block in
+``BENCH_hotpath.json`` records the warped idle-span distribution (cycles
+the clock jumps instead of stepping), gathered by replaying the pinned
+workload one event at a time; its total must match
+``Engine.idle_cycles_skipped`` exactly.
 
 CI runs ``--quick --check``: digest parity plus a calibration-normalized
 cycles/sec comparison against the committed ``BENCH_hotpath.json``, failing
@@ -211,24 +214,8 @@ def normalized(sample: Dict[str, object], calib: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Batching census (cohort sizes + idle spans)
+# Idle-span census
 # ----------------------------------------------------------------------
-def _live_head(engine):
-    """The heap head that will fire next, dropping cancelled entries the
-    same way the run loop would (mirrors Engine.peek_time, key included)."""
-    heap = engine._heap
-    pool = engine._pool
-    while heap:
-        head = heap[0]
-        if len(head) != 4 or not head[3].cancelled:
-            return head
-        ev = heapq.heappop(heap)[3]
-        ev.fn = None
-        ev.args = ()
-        pool.append(ev)
-    return None
-
-
 def _bucket(n: int) -> str:
     """Power-of-two bucket label for a positive count."""
     lo = 1
@@ -237,72 +224,36 @@ def _bucket(n: int) -> str:
     return f"{lo}-{lo * 2 - 1}"
 
 
-def cohort_census(refs: int) -> Dict[str, object]:
+def idle_census(refs: int) -> Dict[str, object]:
     """One instrumented replay (separate from the timing rounds): drive the
-    engine one event at a time, recording each fired event's ``(time,
-    priority)`` cohort key.  Cohorts are maximal runs of consecutive fired
-    events sharing that key - exactly the batches the fast loop drains in
-    one pass - and idle spans are the warped gaps between consecutive event
-    cycles.  Single-stepping uses the engine's general loop, whose fire
-    order is identical to the batched loop (tests/test_engine_properties.py
-    pins the equivalence), so the census sees the true cohort structure.
+    engine one event at a time and histogram the idle spans - the gaps
+    between consecutive event cycles that the clock warps over.  The
+    census total is recorded next to ``Engine.idle_cycles_skipped``; the
+    two must agree.
     """
     system = _build(refs)
     engine = system.engine
     system._ran = True  # the census drives the engine manually
     for core in system.cores:
         core.start()
-    cohort_sizes: Dict[int, int] = {}
     idle_spans: Dict[str, int] = {}
     events = 0
-    cohorts = 0
     idle_cycles = 0
-    max_cohort = 0
     max_span = 0
-    cur_key = None
-    cur_n = 0
-    last_time: Optional[int] = None
-    while engine._strong:
-        head = _live_head(engine)
-        if head is None:
-            break
-        key = (head[0], head[1])
-        if key != cur_key:
-            if cur_n:
-                cohort_sizes[cur_n] = cohort_sizes.get(cur_n, 0) + 1
-                cohorts += 1
-                if cur_n > max_cohort:
-                    max_cohort = cur_n
-            t = head[0]
-            if last_time is not None and t - last_time > 1:
-                span = t - last_time - 1
-                idle_cycles += span
-                idle_spans[_bucket(span)] = idle_spans.get(_bucket(span), 0) + 1
-                if span > max_span:
-                    max_span = span
-            last_time = t
-            cur_key = key
-            cur_n = 0
-        if engine.run(max_events=1) != 1:
-            break
-        cur_n += 1
+    last_time = engine.now
+    while engine.run(max_events=1) == 1:
         events += 1
-    if cur_n:
-        cohort_sizes[cur_n] = cohort_sizes.get(cur_n, 0) + 1
-        cohorts += 1
-        if cur_n > max_cohort:
-            max_cohort = cur_n
+        t = engine.now
+        if t - last_time > 1:
+            span = t - last_time - 1
+            idle_cycles += span
+            idle_spans[_bucket(span)] = idle_spans.get(_bucket(span), 0) + 1
+            if span > max_span:
+                max_span = span
+        last_time = t
     return {
         "refs": refs,
         "events": events,
-        "cohorts": {
-            "count": cohorts,
-            "mean_size": events / cohorts if cohorts else 0.0,
-            "max_size": max_cohort,
-            "histogram": {
-                str(k): v for k, v in sorted(cohort_sizes.items())
-            },
-        },
         "idle": {
             "cycles_skipped": idle_cycles,
             "engine_cycles_skipped": engine.idle_cycles_skipped,
@@ -326,7 +277,7 @@ def generate(quick_only: bool = False) -> int:
         BASELINE_PRE_CHANGE["calib_ops_per_s"] / calib
     )
     speedup = baseline_wall / float(full["wall_s"]) if full else None
-    census = cohort_census(
+    census = idle_census(
         PINS["full"]["refs"] if not quick_only else PINS["quick"]["refs"]
     )
     payload = {
@@ -357,13 +308,16 @@ def generate(quick_only: bool = False) -> int:
             f"speedup vs pre-change baseline (calibration-normalized): "
             f"{speedup:.2f}x"
         )
-    co = census["cohorts"]
     idle = census["idle"]
+    tally = (
+        "matches"
+        if idle["cycles_skipped"] == idle["engine_cycles_skipped"]
+        else f"MISMATCH vs {idle['engine_cycles_skipped']}"
+    )
     print(
-        f"batching: {co['count']} cohorts over {census['events']} events "
-        f"(mean {co['mean_size']:.2f}, max {co['max_size']}); "
-        f"{idle['cycles_skipped']} idle cycles warped "
-        f"(longest span {idle['max_span']})"
+        f"idle: {idle['cycles_skipped']} cycles warped over "
+        f"{census['events']} events (longest span {idle['max_span']}; "
+        f"engine tally {tally})"
     )
     if not ok:
         print("DIGEST MISMATCH - not writing BENCH_hotpath.json", file=sys.stderr)
@@ -379,7 +333,6 @@ def generate(quick_only: bool = False) -> int:
                 digest=str(sample["digest"]),
                 meta={
                     "refs": sample["refs"],
-                    "cohort_mean": round(float(co["mean_size"]), 3),
                     "idle_cycles_skipped": int(idle["cycles_skipped"]),
                 },
             )

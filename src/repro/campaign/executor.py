@@ -353,7 +353,7 @@ def resolved_record(
     the prior one when the manifest resolved it.
     """
     old = prior.get(cell.cell_id)
-    if old is not None and (old.ok or old.diagnosis is not None):
+    if old is not None and old.settled:
         return old
     hit = cached.get(cell.cell_id)
     if (

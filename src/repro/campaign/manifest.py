@@ -92,6 +92,12 @@ class CellRecord:
     def ok(self) -> bool:
         return self.status == STATUS_OK
 
+    @property
+    def settled(self) -> bool:
+        """Ok or diagnosed: resume reuses the record instead of re-running
+        the cell.  Undiagnosed errors and timeouts stay re-runnable."""
+        return self.ok or self.diagnosis is not None
+
 
 @dataclass(frozen=True)
 class ClaimRecord:

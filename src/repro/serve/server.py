@@ -367,7 +367,7 @@ class ServeScheduler:
             state.status = (
                 CELL_QUARANTINED if rec.diagnosis is not None else CELL_DONE
             )
-            self.queue.done.add(state.cell_id)
+            self.queue.mark(rec)
         else:
             self._finish(state, rec, executed=False)
         return True
@@ -565,7 +565,7 @@ class ServeScheduler:
         for rec in self._unrecorded:
             try:
                 self.manifest.append(rec)
-                self.queue.done.add(rec.cell_id)
+                self.queue.mark(rec)
             except OSError:
                 still.append(rec)
         self._unrecorded = still

@@ -12,11 +12,14 @@ progress, so nothing can be stolen into the same wedge).
 
 The safety story, in order of authority:
 
-1. **Terminal records are exactly-once in the merge.**  ``records()`` is
+1. **Settled records are exactly-once in the merge.**  ``records()`` is
    last-wins by cell id and summaries are deterministic, so even a raced
    duplicate terminal record cannot change the merged matrix — but
    :meth:`WorkQueue.record` still refuses to append a terminal record for a
-   cell it has already seen terminal, keeping the file clean in practice.
+   cell it has already seen settled (ok or diagnosed), keeping the file
+   clean in practice.  A cell whose latest record is an undiagnosed error
+   or a timeout may be re-run (resume does so), and the re-run's record
+   is appended over it.
 2. **Execution is at-least-once.**  A stolen cell may still be running in
    a zombie owner; both finish, both try to record, rule 1 merges them.
 3. **Claims resolve deterministically.**  Two claims for one cell compare
@@ -77,6 +80,9 @@ class WorkQueue:
         self.mine: Set[str] = set()
         #: terminal cell ids seen in any scan or recorded by us
         self.done: Set[str] = set()
+        #: the subset of ``done`` whose latest record is not settled (an
+        #: undiagnosed error or a timeout): a re-run may record over it
+        self._unsettled: Set[str] = set()
         self.stolen_total = 0
         self._follower = ManifestFollower(manifest.path)
         #: terminal records folded but not yet handed out by scan()
@@ -181,7 +187,8 @@ class WorkQueue:
         follower.poll()
         fresh = follower.take_records()
         self._fresh.update(fresh)
-        self.done.update(fresh)
+        for rec in fresh.values():
+            self.mark(rec)
         self.clock = max(self.clock, follower.scan.clock)
 
     def scan(self) -> ManifestScan:
@@ -237,23 +244,34 @@ class WorkQueue:
         return out
 
     # ------------------------------------------------------------------
+    def mark(self, rec: CellRecord) -> None:
+        """Note ``rec`` as the cell's latest terminal record."""
+        self.done.add(rec.cell_id)
+        if rec.settled:
+            self._unsettled.discard(rec.cell_id)
+        else:
+            self._unsettled.add(rec.cell_id)
+
+    def _settled(self, cell_id: str) -> bool:
+        return cell_id in self.done and cell_id not in self._unsettled
+
     def record(self, rec: CellRecord) -> bool:
-        """Append a terminal record unless the cell is already terminal.
+        """Append a terminal record unless the cell is already settled.
 
         Returns True when this call appended the record (we won the merge);
         False when a peer (or a zombie former self) already recorded it.
         Raises ``OSError`` (e.g. ENOSPC) — callers retry until it lands.
         """
-        if rec.cell_id in self.done:
+        if self._settled(rec.cell_id):
             self.release(rec.cell_id)
             return False
         # freshness check: another scheduler may have recorded the cell
         # since our last scan (folds only the lines appended since then)
         self._follow()
-        if rec.cell_id in self.done:
+        if self._settled(rec.cell_id):
             self.release(rec.cell_id)
             return False
         self.manifest.append(rec)
-        self.done.add(rec.cell_id)
+        self.mark(rec)
         self.release(rec.cell_id)
         return True

@@ -17,22 +17,18 @@ Two hot-path choices are worth naming because they are invisible in the API:
   objects.  Tuple ordering is resolved in C; an object heap would route
   every sift comparison through ``Event.__lt__`` (the single hottest
   function before the change).
-* Fired and cancelled-and-popped events are recycled through a per-engine
-  freelist (weak refresh events included), so steady state allocates no
-  Event objects at all.  The price is that an :class:`Event` handle is
-  **single-use**: once it has fired, or once a cancelled handle's turn in
-  the heap has passed, the object may be reissued for an unrelated
-  callback, and a retained reference goes stale.  Cancel an event only
-  while it is still pending - the one supported pattern is
-  cancel-then-immediately-reschedule (see ``VaultController._arm_wake``).
 * Fire-and-forget callbacks (the vast majority: link deliveries, bank
   completions, core wakeups) go through :meth:`Engine.call_at`, which heaps
   a bare ``(time, priority, seq, fn, args)`` tuple with **no Event object
-  at all** - nothing to pool, reset, or recycle.  Such entries cannot be
-  cancelled; ``weak=True`` appends a sixth slot and makes the entry
-  background-only (it does not keep :meth:`run` alive - the telemetry epoch
-  tick uses this).  Use :meth:`Engine.schedule` / :meth:`Engine.schedule_at`
-  when a handle is needed.
+  at all**.  Such entries cannot be cancelled; ``weak=True`` appends a
+  sixth slot and makes the entry background-only (it does not keep
+  :meth:`run` alive - the telemetry epoch tick uses this).  Use
+  :meth:`Engine.schedule` / :meth:`Engine.schedule_at` when a cancellable
+  handle is needed.
+
+Event handles are plain objects: one is created per handled schedule and
+stays valid after it fires (``fired`` is set; a late ``cancel()`` is a
+no-op).
 """
 
 from __future__ import annotations
@@ -53,9 +49,6 @@ class Event:
     *Weak* events (periodic background work such as DRAM refresh) do not keep
     the simulation alive: :meth:`Engine.run` stops once only weak events
     remain pending.
-
-    Handles are pooled (see the module docstring): drop the reference once
-    the event has fired or been cancelled.
     """
 
     __slots__ = (
@@ -143,9 +136,6 @@ class Engine:
         self._weak_live: int = 0
         self._events_fired: int = 0
         self._running = False
-        #: freelist of recycled Event objects (fired, or cancelled and
-        #: popped); both schedule paths - strong and weak - draw from it
-        self._pool: List[Event] = []
         #: attached observability tracer (repro.obs.Tracer) or None; per-event
         #: span recording only happens when the tracer asks for engine_spans
         self.tracer = None
@@ -154,9 +144,9 @@ class Engine:
         self.watchdog = None
         #: cumulative wall-clock time spent inside run() (seconds)
         self.wall_seconds: float = 0.0
-        #: idle cycles skipped by the time-warp fast path: whenever the next
-        #: cohort is more than one cycle ahead, the clock jumps straight to
-        #: it and the span in between is tallied here.  Purely diagnostic -
+        #: idle cycles skipped by the time warp: whenever the next event is
+        #: more than one cycle ahead, the clock jumps straight to it and the
+        #: span in between is tallied here.  Purely diagnostic -
         #: the engine has always jumped (it is event-driven); the counter
         #: makes the warped spans visible to benches and the watchdog tests.
         self.idle_cycles_skipped: int = 0
@@ -181,28 +171,9 @@ class Engine:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = int(self.now + delay)
-        seq = self._seq + 1
-        self._seq = seq
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.priority = priority
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            ev.fired = False
-            ev.weak = weak
-        else:
-            ev = Event(time, priority, seq, fn, args, weak=weak, engine=self)
-        heapq.heappush(self._heap, (time, priority, seq, ev))
-        if weak:
-            self._weak_live += 1
-        else:
-            self._strong += 1
-        return ev
+        return self.schedule_at(
+            self.now + delay, fn, *args, priority=priority, weak=weak
+        )
 
     def schedule_at(
         self,
@@ -220,19 +191,7 @@ class Engine:
         time = int(time)
         seq = self._seq + 1
         self._seq = seq
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.priority = priority
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            ev.fired = False
-            ev.weak = weak
-        else:
-            ev = Event(time, priority, seq, fn, args, weak=weak, engine=self)
+        ev = Event(time, priority, seq, fn, args, weak=weak, engine=self)
         heapq.heappush(self._heap, (time, priority, seq, ev))
         if weak:
             self._weak_live += 1
@@ -285,7 +244,6 @@ class Engine:
         self._running = True
         fired = 0
         heap = self._heap
-        pool = self._pool
         heappop = heapq.heappop
         # Hoisted per-run: when no tracer wants spans, the loop pays one
         # falsy check per event and nothing else.
@@ -296,88 +254,14 @@ class Engine:
         wd_interval = watchdog.interval if watchdog is not None else 0
         wd_count = 0
         t0 = perf_counter()
-        # Generational GC only burns cycles here: the event/request pools
-        # remove the allocation churn that would trigger it, and the graphs
-        # the simulation does build (deques, tuples) die at run end anyway.
+        # Generational GC only burns cycles here: the request pool and the
+        # handle-free call_at() entries keep allocation churn low, and the
+        # graphs the simulation does build (deques, tuples) die at run end.
         # State-restoring, so a run() nested via another engine stays correct.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            if until is None and max_events is None and not spans and not wd_interval:
-                # Cohort-dispatch fast loop for the dominant configuration
-                # (plain run() with no limit, spans, or watchdog): identical
-                # fire order to the general loop below - entries still pop
-                # in exact (time, priority, seq) order - but structured as
-                # one pass per *cohort*, the maximal run of entries sharing
-                # ``(time, priority)``.  The clock is written and the warp
-                # span accounted once per cohort head instead of once per
-                # event, and the inner drain continues on a cheap heap-head
-                # peek.  A callback that schedules an earlier-sorting entry
-                # (same cycle, lower priority) makes that entry the new heap
-                # head, the peek mismatches, and the outer loop re-pops - so
-                # cohort membership is decided by the live heap, never by a
-                # stale snapshot.
-                # ``strong`` mirrors self._strong in a local; it is written
-                # back before every callback (which may schedule) and
-                # re-read after, so the attribute stays authoritative.
-                strong = self._strong
-                now = self.now
-                warped = 0
-                while heap and strong:
-                    entry = heappop(heap)
-                    t = entry[0]
-                    if t != now:
-                        # Time-warp: jump straight over the idle span.
-                        if t - now > 1:
-                            warped += t - now - 1
-                        self.now = now = t
-                    p = entry[1]
-                    while True:
-                        n = len(entry)
-                        if n != 4:
-                            # handle-free call_at() entry: nothing to cancel,
-                            # nothing to recycle (weak entries carry slot 5)
-                            if n == 5:
-                                self._strong = strong = strong - 1
-                            else:
-                                self._weak_live -= 1
-                            fired += 1
-                            entry[3](*entry[4])
-                            strong = self._strong
-                        else:
-                            ev = entry[3]
-                            if ev.cancelled:
-                                ev.fn = None
-                                ev.args = ()
-                                pool.append(ev)
-                                # a cancelled pop consumes nothing: keep
-                                # draining the cohort without a strong check
-                                if heap:
-                                    head = heap[0]
-                                    if head[0] == t and head[1] == p:
-                                        entry = heappop(heap)
-                                        continue
-                                break
-                            if ev.weak:
-                                self._weak_live -= 1
-                            else:
-                                self._strong = strong = strong - 1
-                            ev.fired = True
-                            fired += 1
-                            ev.fn(*ev.args)
-                            strong = self._strong
-                            ev.fn = None
-                            ev.args = ()
-                            pool.append(ev)
-                        if not strong or not heap:
-                            break
-                        head = heap[0]
-                        if head[0] != t or head[1] != p:
-                            break
-                        entry = heappop(heap)
-                self.idle_cycles_skipped += warped
-                return fired
             while heap:
                 if until is None and self._strong == 0:
                     break  # only weak (background) events remain
@@ -389,7 +273,8 @@ class Engine:
                 heappop(heap)
                 n = len(entry)
                 if n != 4:
-                    # handle-free call_at() entry (see the fast loop above)
+                    # handle-free call_at() entry: nothing to cancel (weak
+                    # entries carry a sixth slot)
                     if max_events is not None and fired >= max_events:
                         heapq.heappush(heap, entry)
                         break
@@ -413,9 +298,6 @@ class Engine:
                     continue
                 ev = entry[3]
                 if ev.cancelled:
-                    ev.fn = None
-                    ev.args = ()
-                    pool.append(ev)
                     continue
                 if max_events is not None and fired >= max_events:
                     heapq.heappush(heap, entry)
@@ -436,13 +318,6 @@ class Engine:
                 # up in events_fired (crash reports rely on the count).
                 fired += 1
                 fn(*args)
-                # Recycle only after the callback returns: a raising callback
-                # leaves its event out of the pool, preserving it for crash
-                # reports.  ``fired`` stays True until the handle is reissued,
-                # so a late cancel() on the stale handle is still a no-op.
-                ev.fn = None
-                ev.args = ()
-                pool.append(ev)
                 if wd_interval:
                     wd_count += 1
                     if wd_count >= wd_interval:
@@ -479,11 +354,6 @@ class Engine:
         return self._strong + self._weak_live
 
     @property
-    def pool_size(self) -> int:
-        """Recycled Event objects currently waiting for reuse."""
-        return len(self._pool)
-
-    @property
     def events_fired(self) -> int:
         """Total events executed over the engine's lifetime."""
         return self._events_fired
@@ -497,15 +367,11 @@ class Engine:
     def peek_time(self) -> Optional[int]:
         """Cycle of the next live event, or None when drained."""
         heap = self._heap
-        pool = self._pool
         while heap:
             head = heap[0]
             if len(head) != 4 or not head[3].cancelled:
                 return head[0]
-            ev = heapq.heappop(heap)[3]
-            ev.fn = None
-            ev.args = ()
-            pool.append(ev)
+            heapq.heappop(heap)
         return None
 
     def live_events(self) -> Iterator[Event]:

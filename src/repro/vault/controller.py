@@ -119,7 +119,6 @@ class VaultController:
         sched = self.scheduler
         self._issue_ctx = (
             sched,
-            sched._pick,
             q.reads_by_bank,
             q.writes_by_bank,
             q.reads_by_row,
@@ -138,7 +137,6 @@ class VaultController:
             q.reads_by_bank,
             q.writes_by_bank,
             self.banks,
-            engine._heap,
             self._wake_fired,
         )
         self._rebuild_hot_ctx()
@@ -305,16 +303,27 @@ class VaultController:
     # Scheduling
     # ------------------------------------------------------------------
     def _try_issue(self) -> None:
+        """FR-FCFS issue loop (the simulator's only implementation): every
+        idle bank with work accepts its best candidate, one slot per
+        iteration, until nothing can issue.
+
+        The scan runs over :class:`~repro.vault.queues.VaultQueues`' per-bank
+        buckets instead of the whole FIFO: only banks with pending work are
+        visited, a row hit is one ``(bank, open_row)`` dict probe, and
+        oldest-first ties are broken by the admission stamp ``req.qseq``.
+        This is order-identical to the naive FIFO scan: the naive scan
+        returns the minimum-``qseq`` ready row hit, else the minimum-``qseq``
+        ready request, and both minima distribute over the per-bank
+        partition (each bucket is ``qseq``-sorted, so bucket heads are the
+        only candidates the global minimum can come from).
+        ``tests/test_frfcfs_edges.py`` checks this against that naive scan.
+        :class:`FRFCFSScheduler` holds the drain state and issue counters.
+        """
         engine = self.engine
         now = engine.now
-        # FRFCFSScheduler.next_request inlined below (the scheduler keeps the
-        # reference implementation and the public API): at one frame per
-        # issue slot plus one per exhausted scan, the method call itself was
-        # the last per-issue overhead left in this loop.  See _issue_ctx for
-        # why the packed aliases stay current.
+        # See _issue_ctx for why the packed aliases stay current.
         (
             sched,
-            pick,
             rbb,
             wbb,
             rbr,
@@ -331,8 +340,8 @@ class VaultController:
         if not rbb and not wbb:
             # Nothing queued: no pick, no promote (staging implies a full
             # queue), no wake to arm.  Only a pending write-drain *exit* can
-            # matter here, and running it eagerly mirrors what the scheduler
-            # does on its own empty fast path.
+            # matter here (entry needs a non-empty write queue), and it is
+            # resolved identically now or at the next non-empty call.
             if sched.draining:
                 sched._update_drain_state(now)
             return
@@ -349,11 +358,10 @@ class VaultController:
                     sched._update_drain_state(now)
             elif pending_writes >= whigh:
                 sched._update_drain_state(now)
-            # FRFCFSScheduler._pick fused into the loop (the scheduler keeps
-            # the reference implementation): oldest ready row-hit, else
-            # oldest ready, scanning only banks with pending work.  Two
-            # copies - preferred direction then fallback - so no per-slot
-            # direction tuples are built.
+            # FR-FCFS pick over the preferred direction, then the other:
+            # oldest ready row-hit, else oldest ready, scanning only banks
+            # with pending work.  Two copies - preferred direction then
+            # fallback - so no per-slot direction tuples are built.
             if sched.draining:
                 by_bank, by_row = wbb, wbr
             else:
@@ -370,6 +378,8 @@ class VaultController:
                         cand = hits[0]
                         if req is None or cand.qseq < req.qseq:
                             req = cand
+                        # any row hit makes the ready fallback moot, so
+                        # this bank's head need not compete for it
                         continue
                 cand = bucket[0]
                 if best_ready is None or cand.qseq < best_ready.qseq:
@@ -422,8 +432,8 @@ class VaultController:
             if q.staging:
                 promote()
             if not rbb and not wbb:
-                # Queues drained mid-scan: mirror next_request's empty fast
-                # path (eager drain exit only).
+                # Queues drained mid-scan: eager drain exit only, as on the
+                # empty path at the top.
                 if sched.draining:
                     sched._update_drain_state(now)
                 break
@@ -439,12 +449,11 @@ class VaultController:
         needed while banks are busy solely due to prefetch transfers (which
         have no completion events) - so the timer is armed unconditionally.
         """
-        engine, rb, wb, banks, heap, wake_fired = self._wake_ctx
+        engine, rb, wb, banks, wake_fired = self._wake_ctx
         if not rb and not wb:
-            return  # nothing queued: earliest_wakeup would return None
-        # earliest_wakeup inlined (FRFCFSScheduler.earliest_wakeup holds the
-        # reference semantics): soonest busy-until among banks with work,
-        # None-equivalent bail-out when some such bank is already idle.
+            return  # nothing queued: no wake needed
+        # Soonest busy-until among banks with work; bail out when some such
+        # bank is already idle (issuing happens now, not later).
         now = engine.now
         t = None
         for bank_id in rb:
@@ -464,28 +473,7 @@ class VaultController:
             if wake.time <= t:
                 return
             wake.cancel()
-        # Engine.schedule_at inlined (the method stays the reference).  This
-        # is the one hot site that needs a *cancellable* handle (the
-        # cancel-then-reschedule pattern above), so it walks the Event pool
-        # exactly as schedule_at does; t > now structurally - every bank
-        # considered had busy_until > now.
-        engine._seq = seq = engine._seq + 1
-        pool = engine._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = t
-            ev.priority = 1
-            ev.seq = seq
-            ev.fn = wake_fired
-            ev.args = ()
-            ev.cancelled = False
-            ev.fired = False
-            ev.weak = False
-        else:
-            ev = Event(t, 1, seq, wake_fired, (), engine=engine)
-        heappush(heap, (t, 1, seq, ev))
-        engine._strong += 1
-        self._wake = ev
+        self._wake = engine.schedule_at(t, wake_fired, priority=1)
 
     def _wake_fired(self) -> None:
         self._wake = None

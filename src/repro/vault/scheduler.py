@@ -6,30 +6,25 @@ oldest wins.  Reads have priority over writes except when the write queue
 passes its high watermark, after which writes drain until the low watermark
 (standard write-drain hysteresis; the paper's Table I gives 32-entry queues).
 
-The issue scan runs over :class:`~repro.vault.queues.VaultQueues`' per-bank
-buckets instead of the whole FIFO: only banks with pending work are visited,
-a row hit is one ``(bank, open_row)`` dict probe, and oldest-first ties are
-broken by the admission stamp ``req.qseq``.  This is litedram's per-bank
-``BankMachine`` idea in Python form - ready state maintained incrementally,
-not re-derived per issue slot - and is provably order-identical to the naive
-FIFO scan: the naive scan returns the minimum-``qseq`` ready row hit, else
-the minimum-``qseq`` ready request, and both minima distribute over the
-per-bank partition (each bucket is ``qseq``-sorted, so bucket heads are the
-only candidates the global minimum can come from).
+This class holds the scheduler's *state*: the write-drain hysteresis, its
+residency statistics and the row-hit / FCFS issue counters.  The selection
+rule itself runs in :meth:`repro.vault.controller.VaultController._try_issue`
+(and the wake-up horizon in ``_arm_wake``), fused into the controller's
+issue loop, which is the only place the simulator picks a request.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.dram.bank import Bank
 from repro.obs.hooks import noop
-from repro.request import MemoryRequest
 from repro.vault.queues import VaultQueues
 
 
 class FRFCFSScheduler:
-    """Chooses the next request a vault controller should issue."""
+    """Write-drain state and issue statistics of one vault's FR-FCFS
+    scheduler (the pick itself is fused into ``VaultController``)."""
 
     def __init__(
         self,
@@ -38,7 +33,6 @@ class FRFCFSScheduler:
         write_high_watermark: Optional[int] = None,
         write_low_watermark: Optional[int] = None,
     ) -> None:
-        self.banks = banks
         self.queues = queues
         depth = queues.write_depth
         self.write_high = (
@@ -95,96 +89,6 @@ class FRFCFSScheduler:
         if self.draining:
             total += now - self._drain_since
         return total
-
-    def _pick(
-        self,
-        by_bank: Dict[int, Sequence[MemoryRequest]],
-        by_row: Dict[Tuple[int, int], Sequence[MemoryRequest]],
-        now: int,
-    ) -> Optional[MemoryRequest]:
-        """FR-FCFS over one direction: oldest ready row-hit, else oldest
-        ready, scanning only banks with pending work."""
-        banks = self.banks
-        best_hit: Optional[MemoryRequest] = None
-        best_ready: Optional[MemoryRequest] = None
-        for bank_id, bucket in by_bank.items():
-            bank = banks[bank_id]
-            if bank.busy_until > now:
-                continue
-            open_row = bank.open_row
-            if open_row is not None:
-                hits = by_row.get((bank_id, open_row))
-                if hits is not None:
-                    cand = hits[0]
-                    if best_hit is None or cand.qseq < best_hit.qseq:
-                        best_hit = cand
-                    # Any global row hit makes the ready fallback moot, so
-                    # this bank's head need not compete for it.
-                    continue
-            cand = bucket[0]
-            if best_ready is None or cand.qseq < best_ready.qseq:
-                best_ready = cand
-        return best_hit if best_hit is not None else best_ready
-
-    def next_request(self, now: int) -> Optional[MemoryRequest]:
-        """The request to issue at ``now``, already removed from its queue;
-        None when nothing can issue."""
-        q = self.queues
-        if not q.reads_by_bank and not q.writes_by_bank:
-            # Empty queues: the only drain-state work possibly pending is the
-            # exit transition (entry needs a non-empty write queue), which
-            # _update_drain_state resolves identically now or at the next
-            # non-empty call - run it eagerly only when it can fire.
-            if self.draining:
-                self._update_drain_state(now)
-            return None
-        # Drain hysteresis, transition checks inlined (_update_drain_state
-        # holds the reference semantics and still performs the transitions):
-        # most calls cross neither watermark and pay two comparisons.
-        pending_writes = len(q.writes)
-        if self.draining:
-            if pending_writes <= self.write_low:
-                self._update_drain_state(now)
-        elif pending_writes >= self.write_high:
-            self._update_drain_state(now)
-
-        # A direction with no buckets can be skipped without calling _pick
-        # (it would scan an empty dict and return None anyway); the guard at
-        # the top ensures at least one direction is non-empty.
-        rb = q.reads_by_bank
-        wb = q.writes_by_bank
-        if self.draining:
-            req = self._pick(wb, q.writes_by_row, now) if wb else None
-            if req is None and rb:
-                req = self._pick(rb, q.reads_by_row, now)
-        else:
-            req = self._pick(rb, q.reads_by_row, now) if rb else None
-            if req is None and wb:
-                req = self._pick(wb, q.writes_by_row, now)
-        if req is None:
-            return None
-        if self.banks[req.bank].open_row == req.row:
-            self.row_hit_issues += 1
-        else:
-            self.fcfs_issues += 1
-        q.remove(req)
-        return req
-
-    def earliest_wakeup(self, now: int) -> Optional[int]:
-        """The soonest future cycle at which a queued request's bank frees
-        up.  None when queues are empty or some bank is already idle (in
-        which case issuing should happen now, not later)."""
-        best: Optional[int] = None
-        banks = self.banks
-        q = self.queues
-        for by_bank in (q.reads_by_bank, q.writes_by_bank):
-            for bank_id in by_bank:
-                t = banks[bank_id].busy_until
-                if t <= now:
-                    return None  # something is issueable right now
-                if best is None or t < best:
-                    best = t
-        return best
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,13 +1,16 @@
-"""Property tests: the batched fast loop is observationally identical to
-the serial heap.
+"""Property tests for the engine's fire order.
 
-``Engine.run()`` with no limit/spans/watchdog takes the cohort-dispatch
-fast loop (with time-warp clock jumps); ``run(max_events=1)`` in a step
-loop forces the general serial loop.  Both must fire the same callbacks in
-the same ``(time, priority, seq)`` order with the same clock readings -
-including schedules generated *inside* callbacks (same-cycle reentrancy)
-and cancellations.  Hypothesis drives randomized schedules at both
-entry points and compares full observation logs.
+Two independent checks over randomized schedules - handled, handle-free
+and weak entries, cancellations, and callbacks that schedule more work
+(same-cycle reentrancy included):
+
+* **Oracle** - a deliberately naive reference model (a plain list, the
+  minimum live ``(time, priority, seq)`` entry fired next, stopping once
+  only weak entries remain) must predict the exact fire order, clock
+  readings, events_fired and idle_cycles_skipped of :meth:`Engine.run`.
+* **Stepping** - ``run()`` and a ``run(max_events=1)`` step loop must
+  produce the same observation log: stopping after every event (and
+  pushing the next entry back) must not perturb the order.
 """
 
 from __future__ import annotations
@@ -79,6 +82,57 @@ def _run_trace(schedule, cancels, serial: bool):
     return log, eng.now, eng.events_fired, eng.idle_cycles_skipped
 
 
+def _oracle_trace(schedule, cancels):
+    """The reference model: the same observation log as ``_run_trace``,
+    computed without the engine.  Entries are ``[time, priority, seq, tag,
+    reentry, weak, cancelled]`` in a list; the next fired entry is the live
+    minimum by ``(time, priority, seq)``."""
+    entries = []
+    seq = 0
+
+    def add(time, prio, tag, reentry, weak):
+        nonlocal seq
+        seq += 1
+        entries.append([time, prio, seq, tag, reentry, weak, False])
+
+    handles = []
+    for i, (delay, prio, weak, reentry) in enumerate(schedule):
+        add(delay, prio, f"cb{i}", reentry, weak and i % 3 != 2)
+        if i % 3 == 0:
+            handles.append(entries[-1])
+    for c in cancels:
+        if handles:
+            handles[c % len(handles)][6] = True
+    log = []
+    now = 0
+    skipped = 0
+    fired = 0
+    while True:
+        live = [e for e in entries if not e[6]]
+        if not any(not e[5] for e in live):
+            break  # only weak (background) entries remain
+        e = min(live, key=lambda e: (e[0], e[1], e[2]))
+        entries.remove(e)
+        if e[0] - now > 1:
+            skipped += e[0] - now - 1
+        now = e[0]
+        fired += 1
+        tag, reentry = e[3], e[4]
+        log.append((tag, now))
+        if reentry is not None:
+            extra_delay, extra_prio = reentry
+            add(now + extra_delay, extra_prio, f"{tag}+r", None, False)
+    return log, now, fired, skipped
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule=_SCHEDULE, cancels=_CANCELS)
+def test_run_matches_oracle(schedule, cancels):
+    assert _run_trace(schedule, cancels, serial=False) == _oracle_trace(
+        schedule, cancels
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(schedule=_SCHEDULE, cancels=_CANCELS)
 def test_fast_loop_matches_serial_heap(schedule, cancels):
@@ -92,8 +146,8 @@ def test_fast_loop_matches_serial_heap(schedule, cancels):
 @settings(max_examples=100, deadline=None)
 @given(schedule=_SCHEDULE)
 def test_warp_accounting_matches_serial(schedule):
-    """idle_cycles_skipped is identical between the loops: the fast loop's
-    per-cohort warp accounting equals the serial loop's per-event one."""
+    """idle_cycles_skipped is identical whether run() fires everything in
+    one call or one event per call."""
     fast = _run_trace(schedule, [], serial=False)
     serial = _run_trace(schedule, [], serial=True)
     assert fast[3] == serial[3]
@@ -106,8 +160,8 @@ def test_warp_accounting_matches_serial(schedule):
     )
 )
 def test_same_cycle_cascade(delays):
-    """Chains that keep scheduling same-cycle work drain in seq order in
-    both loops (the cohort peek must track the live heap, not a snapshot)."""
+    """Chains that keep scheduling same-cycle work at a lower priority
+    drain ahead of the rest of that cycle, with or without stepping."""
 
     def run(serial):
         eng = Engine()
@@ -133,8 +187,8 @@ def test_same_cycle_cascade(delays):
 
 
 def test_cancelled_cohort_member_is_skipped():
-    """A cancel between scheduling and firing must drop the event in both
-    loops, even mid-cohort."""
+    """A cancel between scheduling and firing must drop the event, even
+    among same-(time, priority) entries, with or without stepping."""
 
     def run(serial):
         eng = Engine()

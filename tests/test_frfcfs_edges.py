@@ -1,11 +1,15 @@
 """FR-FCFS edge cases: exact watermark transitions, oldest-first tie-breaks,
-and randomized equivalence of the indexed scheduler against a naive oracle.
+and randomized equivalence of the controller's issue loop against a naive
+oracle.
 
-The indexed scheduler scans per-bank buckets; its claim (module docstring of
-``repro.vault.scheduler``) is order-identity with the naive whole-FIFO scan:
-oldest ready row hit, else oldest ready request, with write-drain hysteresis
-deciding direction priority.  The oracle here *is* that naive scan, driven
-against the same queues and banks over randomized admission/issue streams.
+``VaultController._try_issue`` scans per-bank buckets; its claim (its
+docstring and ``docs/INTERNALS.md``) is order-identity with
+the naive whole-FIFO scan: oldest ready row hit, else oldest ready
+request, with write-drain hysteresis deciding direction priority,
+repeated until nothing more can issue.  The oracle here *is* that naive
+scan, run on a twin set of banks and queues fed the same randomized
+admission stream; each ``_try_issue`` call must issue exactly the
+requests the oracle issues, in the same order.
 """
 
 import random
@@ -13,26 +17,9 @@ import random
 import pytest
 
 from repro.dram.bank import AccessKind, Bank
-from repro.dram.timing import DRAMTimings
-from repro.request import MemoryRequest
+from repro.dram.bus import TsvBus
 from repro.vault.queues import VaultQueues
-from repro.vault.scheduler import FRFCFSScheduler
-
-
-def req(bank=0, row=0, write=False):
-    r = MemoryRequest(0, write)
-    r.bank, r.row = bank, row
-    return r
-
-
-def make(high, low, nbanks=4, depth=8):
-    t = DRAMTimings()
-    banks = [Bank(i, t) for i in range(nbanks)]
-    queues = VaultQueues(depth, depth)
-    sched = FRFCFSScheduler(
-        banks, queues, write_high_watermark=high, write_low_watermark=low
-    )
-    return banks, queues, sched
+from tests.vault_harness import issue, make_vc, req
 
 
 # ----------------------------------------------------------------------
@@ -40,43 +27,47 @@ def make(high, low, nbanks=4, depth=8):
 # ----------------------------------------------------------------------
 class TestWatermarkEdges:
     def test_drain_enters_exactly_at_high(self):
-        banks, q, s = make(high=3, low=1)
-        q.admit(req(bank=0))
-        q.admit(req(bank=1, write=True))
-        q.admit(req(bank=2, write=True))
-        # one write below the high watermark: reads keep priority
-        got = s.next_request(0)
-        assert not got.is_write
-        assert not s.draining and s.drain_entries == 0
+        vc = make_vc(depth=4)  # watermarks: high 3, low 1
+        q, s = vc.queues, vc.scheduler
+        vc.banks[3].access(AccessKind.READ, 0, 0)  # bank 3 busy: parks a write
         q.admit(req(bank=3, write=True))
-        q.admit(req(bank=0))
+        # an older write and a younger read on the same idle bank
+        w0, r0 = req(bank=0, write=True), req(bank=0)
+        q.admit(w0)
+        q.admit(r0)
+        # two writes pending, one below the high watermark: the read wins
+        assert issue(vc, 0) == [r0]
+        assert not s.draining and s.drain_entries == 0
+        w1, r1 = req(bank=1, write=True), req(bank=1)
+        q.admit(w1)
+        q.admit(r1)
         # pending writes == high: drain begins on this very call
-        got = s.next_request(0)
-        assert got.is_write
+        assert issue(vc, 0) == [w1]
         assert s.draining and s.drain_entries == 1
 
     def test_drain_exits_exactly_at_low(self):
-        banks, q, s = make(high=3, low=1)
-        for b in range(3):
-            q.admit(req(bank=b, write=True))
-        q.admit(req(bank=3))
-        w1 = s.next_request(0)  # 3 == high: enter drain, oldest write first
-        assert s.draining and w1.is_write
-        w2 = s.next_request(0)  # 2 pending: one above low, still draining
-        assert s.draining and w2.is_write
-        r = s.next_request(0)  # 1 pending == low: exit, reads regain priority
-        assert not s.draining and not r.is_write
-        w3 = s.next_request(0)  # remaining write issues only after the read
-        assert w3.is_write and not s.draining
+        vc = make_vc(depth=4)  # watermarks: high 3, low 1
+        writes = [req(bank=b, write=True) for b in range(3)]
+        for w in writes:
+            vc.queues.admit(w)
+        r = req(bank=3)
+        vc.queues.admit(r)
+        # 3 == high: drain, oldest write first; 2 pending: still draining;
+        # 1 pending == low: exit, the read regains priority; the last
+        # write issues only after it
+        assert issue(vc, 0) == [writes[0], writes[1], r, writes[2]]
+        assert not vc.scheduler.draining
+        assert vc.scheduler.drain_entries == 1
 
     def test_drain_exits_on_empty_queues(self):
-        banks, q, s = make(high=1, low=0)
-        q.admit(req(bank=0, write=True))
-        got = s.next_request(0)
-        assert got.is_write and s.draining
-        # queues now empty; the empty fast path must still run the exit
-        assert s.next_request(0) is None
-        assert not s.draining
+        vc = make_vc(depth=2)  # watermarks: high 1, low 0
+        w = req(bank=0, write=True)
+        vc.queues.admit(w)
+        # enters drain for the one write; the queues then empty mid-loop
+        # and the exit runs before the call returns
+        assert issue(vc, 0) == [w]
+        assert not vc.scheduler.draining
+        assert vc.scheduler.drain_entries == 1
 
 
 # ----------------------------------------------------------------------
@@ -84,17 +75,17 @@ class TestWatermarkEdges:
 # ----------------------------------------------------------------------
 class TestOldestFirst:
     def test_admission_order_wins_across_banks(self):
-        banks, q, s = make(high=8, low=2)
-        order = [2, 0, 3, 1]
-        reqs = [req(bank=b, row=b) for b in order]
+        vc = make_vc(depth=8)
+        reqs = [req(bank=b, row=b) for b in (2, 0, 3, 1)]
         for r in reqs:
-            q.admit(r)
+            vc.queues.admit(r)
         # all banks idle, no open rows: issue order is admission order,
         # regardless of bank numbering
-        assert [s.next_request(0) for _ in range(4)] == reqs
+        assert issue(vc, 0) == reqs
 
     def test_oldest_row_hit_wins_among_equally_ready_hits(self):
-        banks, q, s = make(high=8, low=2)
+        vc = make_vc(depth=8)
+        banks = vc.banks
         banks[1].access(AccessKind.READ, 7, 0)
         banks[2].access(AccessKind.READ, 7, 0)
         now = max(banks[1].busy_until, banks[2].busy_until)
@@ -102,40 +93,38 @@ class TestOldestFirst:
         older_hit = req(bank=2, row=7)
         younger_hit = req(bank=1, row=7)
         for r in (older_miss, older_hit, younger_hit):
-            q.admit(r)
+            vc.queues.admit(r)
         # both hits are ready; the older hit wins, bypassing the oldest
         # (non-hit) request entirely
-        assert s.next_request(now) is older_hit
-        assert s.next_request(now) is younger_hit
-        assert s.next_request(now) is older_miss
+        assert issue(vc, now) == [older_hit, younger_hit, older_miss]
 
 
 # ----------------------------------------------------------------------
 # Randomized equivalence against the naive whole-FIFO oracle
 # ----------------------------------------------------------------------
-def naive_oracle(banks, q, sched, now):
-    """The naive FR-FCFS scan the indexed scheduler claims identity with.
+class NaiveVault:
+    """The naive FR-FCFS scan the controller claims identity with.
 
-    Returns ``(request, draining_after)`` for the *pre-call* state, matching
-    ``next_request``'s exact decision order: empty fast path (with eager
-    drain exit), then hysteresis, then oldest-ready-hit-else-oldest-ready
-    over the prioritized direction.
+    Own banks (sharing one TSV bus, as a vault's do) and queues; the queues'
+    per-bank indexes are never read, only the FIFOs.  :meth:`issue_all`
+    follows ``_try_issue``'s decision order: empty queues end any drain,
+    then hysteresis, then oldest-ready-hit-else-oldest-ready over the
+    prioritized direction, repeated until nothing is ready.
     """
-    if not q.reads_by_bank and not q.writes_by_bank:
-        return None, False  # drain (if any) exits: 0 <= low always holds
-    draining = sched.draining
-    pending_writes = len(q.writes)
-    if draining:
-        if pending_writes <= sched.write_low:
-            draining = False
-    elif pending_writes >= sched.write_high:
-        draining = True
 
-    def scan(fifo):
+    def __init__(self, timings, nbanks, depth, high, low):
+        bus = TsvBus(0)
+        self.banks = [Bank(i, timings, bus=bus) for i in range(nbanks)]
+        self.q = VaultQueues(depth, depth)
+        self.high, self.low = high, low
+        self.draining = False
+        self.drain_entries = 0
+
+    def _scan(self, fifo, now):
         first_hit = None
         first_ready = None
-        for r in fifo:  # FIFO order == qseq order
-            bank = banks[r.bank]
+        for r in fifo:  # FIFO order == age order
+            bank = self.banks[r.bank]
             if bank.busy_until > now:
                 continue
             if bank.open_row is not None and bank.open_row == r.row:
@@ -145,56 +134,82 @@ def naive_oracle(banks, q, sched, now):
                 first_ready = r
         return first_hit if first_hit is not None else first_ready
 
-    if draining:
-        chosen = scan(q.writes) or scan(q.reads)
-    else:
-        chosen = scan(q.reads) or scan(q.writes)
-    return chosen, draining
+    def pick(self, now):
+        q = self.q
+        if not q.reads and not q.writes:
+            self.draining = False  # 0 <= low always holds
+            return None
+        pending_writes = len(q.writes)
+        if self.draining:
+            if pending_writes <= self.low:
+                self.draining = False
+        elif pending_writes >= self.high:
+            self.draining = True
+            self.drain_entries += 1
+        if self.draining:
+            return self._scan(q.writes, now) or self._scan(q.reads, now)
+        return self._scan(q.reads, now) or self._scan(q.writes, now)
+
+    def issue_all(self, now):
+        out = []
+        while True:
+            r = self.pick(now)
+            if r is None:
+                return out
+            self.q.remove(r)
+            kind = AccessKind.WRITE if r.is_write else AccessKind.READ
+            self.banks[r.bank].access(kind, r.row, now)
+            out.append(r)
 
 
-def run_equivalence(seed, steps=400, nbanks=8, depth=12, high=8, low=3):
+def run_equivalence(seed, steps=400, nbanks=8, depth=12):
+    """Returns ``(drain entries, issue calls where more than one ready row
+    hit competed)`` so callers can check the stream reached both edges."""
     rng = random.Random(seed)
-    timings = DRAMTimings()
-    banks = [Bank(i, timings) for i in range(nbanks)]
-    q = VaultQueues(depth, depth)
-    sched = FRFCFSScheduler(
-        banks, q, write_high_watermark=high, write_low_watermark=low
+    vc = make_vc(nbanks=nbanks, depth=depth, read_depth=depth)
+    sched = vc.scheduler
+    oracle = NaiveVault(
+        vc.config.timings, nbanks, depth, sched.write_high, sched.write_low
     )
+    twin = {}  # oracle request -> controller request
     now = 0
     issued = 0
-    drains = 0
+    contested = 0
     for _ in range(steps):
         for _ in range(rng.randrange(4)):
             write = rng.random() < 0.45
-            fifo = q.writes if write else q.reads
+            fifo = vc.queues.writes if write else vc.queues.reads
             if len(fifo) >= depth:
-                continue  # keep staging out of play: oracle scans the FIFOs
-            r = MemoryRequest(0, write)
-            r.bank = rng.randrange(nbanks)
-            r.row = rng.randrange(4)
-            q.admit(r)
-        expected, expected_draining = naive_oracle(banks, q, sched, now)
-        was_draining = sched.draining
-        got = sched.next_request(now)
-        assert got is expected, (
-            f"seed={seed} t={now}: indexed picked {got!r}, oracle {expected!r}"
+                continue  # keep staging out of play: the oracle scans FIFOs
+            bank, row = rng.randrange(nbanks), rng.randrange(4)
+            mine, theirs = req(bank, row, write), req(bank, row, write)
+            vc.queues.admit(mine)
+            oracle.q.admit(theirs)
+            twin[theirs] = mine
+        ready_hit_banks = sum(
+            1
+            for b, bank in enumerate(vc.banks)
+            if bank.busy_until <= now
+            and (b, bank.open_row) in vc.queues.reads_by_row
         )
-        assert sched.draining == expected_draining
-        if sched.draining and not was_draining:
-            drains += 1
-        if got is not None:
-            kind = AccessKind.WRITE if got.is_write else AccessKind.READ
-            banks[got.bank].access(kind, got.row, now)
-            issued += 1
+        contested += ready_hit_banks > 1
+        expected = [twin[r] for r in oracle.issue_all(now)]
+        got = issue(vc, now)
+        assert got == expected, (
+            f"seed={seed} t={now}: controller issued {got!r}, oracle {expected!r}"
+        )
+        assert sched.draining == oracle.draining
+        assert sched.drain_entries == oracle.drain_entries
+        issued += len(got)
         # advance unevenly: sometimes stay in-cycle (banks busy), sometimes
         # jump past every busy horizon
         if rng.random() < 0.6:
             now += rng.randrange(0, 12)
         else:
             now += rng.randrange(0, 120)
-    assert not q.staging
+    assert not vc.queues.staging
     assert issued > steps // 8, f"seed={seed}: degenerate stream ({issued} issues)"
-    return drains
+    return oracle.drain_entries, contested
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -203,7 +218,9 @@ def test_indexed_matches_naive_oracle(seed):
 
 
 def test_randomized_streams_exercise_drain_mode():
-    """The equivalence streams must actually cross the watermarks, or the
-    drain-direction half of the oracle is dead code."""
-    total = sum(run_equivalence(seed, steps=250) for seed in range(100, 104))
-    assert total > 0
+    """The equivalence streams must actually cross the watermarks and pit
+    ready row hits against each other, or the drain-direction half and the
+    oldest-hit tie-break of the oracle are dead code."""
+    runs = [run_equivalence(seed, steps=250) for seed in range(100, 104)]
+    assert sum(drains for drains, _ in runs) > 0
+    assert sum(contested for _, contested in runs) > 0

@@ -1,14 +1,11 @@
-"""Hot-path invariants: event pooling, weak-event recycling, handle-free
+"""Hot-path invariants: event cancellation, weak events, handle-free
 ``call_at`` scheduling, and MemoryRequest recycling.
 
-The engine freelist makes :class:`~repro.sim.engine.Event` handles
-single-use; the contract tested here is the one
-``benchmarks/bench_hotpath.py``'s speedup rests on:
-
-* pool reuse must never resurrect a cancelled (or fired) event's callback,
-* weak events must recycle through the pool without unbounded growth,
+* a cancelled event's callback must never fire, and a stale cancel (after
+  the event fired) must be a no-op,
+* weak events must not keep :meth:`Engine.run` alive,
 * ``call_at`` entries must order identically to ``schedule_at`` handles
-  (both draw ``seq`` from the same counter) while never touching the pool,
+  (both draw ``seq`` from the same counter),
 * recycled :class:`~repro.request.MemoryRequest` objects must be
   indistinguishable, result-wise, from fresh allocation.
 """
@@ -20,44 +17,27 @@ from repro.sim.engine import Engine, Event
 
 
 # ----------------------------------------------------------------------
-# Event pool: cancellation vs reuse
+# Event handles: cancellation
 # ----------------------------------------------------------------------
 class TestEventPool:
+    """Cancellation on plain Event handles (the engine no longer pools
+    them; a handle stays valid after it fires)."""
+
     def test_cancelled_callback_never_resurrected(self):
-        """A cancelled event's callback must not fire — not when its heap
-        turn passes, and not after its handle is recycled for new work."""
+        """A cancelled event's callback must not fire when its heap turn
+        passes, nor after more work is scheduled."""
         eng = Engine()
         fired = []
         victim = eng.schedule(5, fired.append, "victim")
-        keeper = eng.schedule(10, fired.append, "keeper")
+        eng.schedule(10, fired.append, "keeper")
         victim.cancel()
         eng.run()
         assert fired == ["keeper"]
-        # Both handles were recycled with their callbacks cleared: the pool
-        # holds no path back to the cancelled callback.
-        assert eng.pool_size == 2
-        assert victim.fn is None and victim.args == ()
-        assert keeper.fn is None and keeper.args == ()
-        # The pool reissues those same objects for unrelated callbacks...
-        e1 = eng.schedule(1, fired.append, "fresh-1")
-        e2 = eng.schedule(2, fired.append, "fresh-2")
-        assert {e1, e2} == {victim, keeper}
+        eng.schedule(1, fired.append, "fresh-1")
+        eng.schedule(2, fired.append, "fresh-2")
         eng.run()
-        # ...and only the new callbacks run; "victim" never appears.
         assert fired == ["keeper", "fresh-1", "fresh-2"]
         assert eng.events_fired == 3
-
-    def test_fired_handle_is_reset_on_reissue(self):
-        eng = Engine()
-        fired = []
-        first = eng.schedule(1, fired.append, "first")
-        eng.run()
-        assert first.fired and eng.pool_size == 1
-        second = eng.schedule(1, fired.append, "second")
-        assert second is first  # pooled reuse
-        assert not second.cancelled and not second.fired
-        eng.run()
-        assert fired == ["first", "second"]
 
     def test_stale_cancel_after_fire_is_noop(self):
         """cancel() on an already-fired handle must neither corrupt the
@@ -72,10 +52,11 @@ class TestEventPool:
         assert eng.pending == 1
         eng.run()
         assert fired == ["x", "y"]
+        assert ev.fired and not ev.cancelled  # the handle stays valid
 
     def test_cancel_then_reschedule_pattern(self):
-        """The one supported retained-handle pattern (VaultController's
-        wake timer): cancel a pending handle, immediately take a new one."""
+        """VaultController's wake timer: cancel a pending handle,
+        immediately take a new one."""
         eng = Engine()
         fired = []
         wake = eng.schedule_at(20, fired.append, "late")
@@ -86,18 +67,17 @@ class TestEventPool:
         assert eng.now == 10
         assert eng.pending == 0
         # The cancelled tombstone still sits in the heap; peek_time purges
-        # it (recycling the handle) instead of reporting it as live work.
+        # it instead of reporting it as live work.
         assert eng.peek_time() is None
-        assert eng.pool_size == 2
 
 
 # ----------------------------------------------------------------------
 # Weak events
 # ----------------------------------------------------------------------
 class TestWeakEvents:
-    def test_weak_events_recycle_through_pool(self):
-        """A self-rescheduling weak tick (the refresh idiom) must cycle
-        through the freelist, not grow it, and must not keep run() alive."""
+    def test_weak_tick_does_not_keep_run_alive(self):
+        """A self-rescheduling weak tick (the refresh idiom) fires while
+        strong work remains and must not keep run() alive after it."""
         eng = Engine()
         ticks = []
 
@@ -110,11 +90,8 @@ class TestWeakEvents:
         n = eng.run()
         assert ticks == [10, 20, 30, "strong-done"]
         assert n == 4
-        # run() stopped with the next weak tick still pending...
+        # run() stopped with the next weak tick still pending
         assert eng.pending == 1
-        # ...and steady-state reuse kept the pool bounded: one recycled tick
-        # handle plus the finished strong handle.
-        assert eng.pool_size == 2
 
     def test_cancelled_weak_event_releases_pending(self):
         eng = Engine()
@@ -123,8 +100,7 @@ class TestWeakEvents:
         ev.cancel()
         assert eng.pending == 0
         assert eng.run() == 0  # nothing strong: the engine never starts
-        assert eng.peek_time() is None  # tombstone purged and recycled
-        assert eng.pool_size == 1
+        assert eng.peek_time() is None  # tombstone purged
 
 
 # ----------------------------------------------------------------------
@@ -163,12 +139,12 @@ class TestCallAt:
         eng = Engine()
         eng.call_at(1, lambda: None)
         eng.call_at(2, lambda: None)
+        # bare tuples: no Event handle was created
+        assert all(len(entry) == 5 for entry in eng._heap)
         assert eng.pending == 2
         assert eng.run() == 2
         assert eng.pending == 0
         assert eng.events_fired == 2
-        # bare tuples: nothing was pooled
-        assert eng.pool_size == 0
 
     def test_max_events_pushes_entry_back(self):
         eng = Engine()

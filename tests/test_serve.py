@@ -656,6 +656,30 @@ class TestCheckpointResume:
 
         _with_node(cfg2, ok_runner, second)
 
+    def test_resume_reruns_an_errored_cell_and_records_it(self, tmp_path):
+        cfg = _cfg(tmp_path, retries=0)
+
+        async def first(node):
+            out = node.submit([_spec(seed=1)])
+            await _wait_job(node, out["job"])
+
+        _with_node(cfg, flaky_runner, first)
+        from repro.campaign.manifest import Manifest
+
+        (rec,) = Manifest(cfg.manifest).records().values()
+        assert rec.status == "error" and rec.diagnosis is None
+
+        cfg2 = _cfg(tmp_path, resume=True)
+
+        async def second(node):
+            out = node.submit([_spec(seed=1)])
+            await _wait_job(node, out["job"])
+            assert node.completed_cells == 1  # undiagnosed: re-executed
+
+        _with_node(cfg2, ok_runner, second)
+        (rec,) = Manifest(cfg.manifest).records().values()
+        assert rec.ok
+
     def test_result_log_serves_a_later_node(self, tmp_path, monkeypatch):
         from repro.campaign.manifest import Manifest
 

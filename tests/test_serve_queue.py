@@ -8,6 +8,7 @@ record), the incremental manifest follower's equivalence with a full
 by the campaign executor and the service.
 """
 
+import dataclasses
 import json
 import tempfile
 import types
@@ -245,6 +246,29 @@ class TestWorkQueue:
             if '"kind"' not in ln and ln.strip()
         ]
         assert len(terminals) == 1  # exactly once in the file too
+
+    def test_record_appends_over_a_rerunnable_error(self, tmp_path):
+        """A re-run of a cell whose latest record is an undiagnosed error
+        records its result; a settled (ok or diagnosed) cell stays as is."""
+        m = Manifest(tmp_path / "m.jsonl")
+        m.reset()
+        failed, diagnosed = _cid(_spec(seed=1)), _cid(_spec(seed=2))
+        m.append(dataclasses.replace(_record(failed), status="error", error="x"))
+        m.append(
+            dataclasses.replace(
+                _record(diagnosed), status="error", diagnosis={"reason": "wedge"}
+            )
+        )
+        q = WorkQueue(m, "node")
+        q.attach()
+        assert {failed, diagnosed} <= q.done
+        assert q.steals() == []  # terminal cells are never stolen
+        assert q.record(_record(diagnosed)) is False
+        assert q.record(_record(failed)) is True
+        assert q.record(_record(failed)) is False  # now settled: ok
+        records = m.records()
+        assert records[failed].ok
+        assert records[diagnosed].status == "error"
 
     def test_outbid_claim_leaves_mine(self, tmp_path):
         m = Manifest(tmp_path / "m.jsonl")

@@ -1,7 +1,7 @@
 """Warped idle spans vs the integrity watchdog and the timeseries tick.
 
-The engine's time-warp fast path jumps the clock over idle spans (tallied
-in ``Engine.idle_cycles_skipped``).  Two observers must stay correct
+The engine's run loop jumps the clock over idle spans (tallied in
+``Engine.idle_cycles_skipped``).  Two observers must stay correct
 across those jumps:
 
 * the forward-progress watchdog keys on *time not advancing* - a warp is
@@ -9,8 +9,8 @@ across those jumps:
   false-positive, while a genuine same-cycle livelock must still raise;
 * the timeseries epoch tick schedules itself ``epoch`` cycles ahead as a
   weak entry - epoch samples must land on the same cycles (and carry the
-  same values) whether the run is driven by the batched fast loop or the
-  serial step loop.
+  same values) whether one ``run()`` call drives the whole simulation or a
+  ``run(max_events=1)`` step loop does.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ def _series_snapshot(system):
 
 def test_epoch_samples_identical_fast_vs_serial():
     """Epoch samples land on the same cycles with the same values whether
-    the engine runs batched (fast loop) or serially (step loop)."""
-    fast = _sampled_system()
-    fast.run()
+    the engine runs in one call or one event per call (step loop)."""
+    whole = _sampled_system()
+    whole.run()
 
     serial = _sampled_system()
     serial._ran = True
@@ -117,13 +117,13 @@ def test_epoch_samples_identical_fast_vs_serial():
         pass
     serial.device.finalize()
 
-    assert fast.engine.now == serial.engine.now
-    snap_fast = _series_snapshot(fast)
+    assert whole.engine.now == serial.engine.now
+    snap_whole = _series_snapshot(whole)
     snap_serial = _series_snapshot(serial)
-    assert snap_fast.keys() == snap_serial.keys()
-    assert snap_fast == snap_serial
-    assert fast.timeseries.samples_taken == serial.timeseries.samples_taken
-    assert fast.timeseries.samples_taken > 0
+    assert snap_whole.keys() == snap_serial.keys()
+    assert snap_whole == snap_serial
+    assert whole.timeseries.samples_taken == serial.timeseries.samples_taken
+    assert whole.timeseries.samples_taken > 0
 
 
 def test_epoch_samples_on_epoch_grid():
@@ -140,10 +140,11 @@ def test_epoch_samples_on_epoch_grid():
 
 
 def test_warped_run_same_events_fired_as_serial():
-    """events_fired parity between the two loops on a full system run (the
-    digest ingredient the benches pin)."""
-    fast = _sampled_system()
-    fast.run()
+    """events_fired and idle_cycles_skipped parity between one run() call
+    and a step loop on a full system run (the digest ingredient the
+    benches pin)."""
+    whole = _sampled_system()
+    whole.run()
 
     serial = _sampled_system()
     serial._ran = True
@@ -154,5 +155,5 @@ def test_warped_run_same_events_fired_as_serial():
     while serial.engine.run(max_events=1):
         pass
 
-    assert fast.engine.idle_cycles_skipped == serial.engine.idle_cycles_skipped
-    assert fast.engine.events_fired == serial.engine.events_fired
+    assert whole.engine.idle_cycles_skipped == serial.engine.idle_cycles_skipped
+    assert whole.engine.events_fired == serial.engine.events_fired
