@@ -6,8 +6,10 @@ per entry, Section 3.3).
 """
 
 import pytest
+from conftest import check_claims
 
 from repro.core.camps import CampsParams
+from repro.experiments.figures import ablation_figure, run_scale
 from repro.system import System, SystemConfig
 from repro.workloads.mixes import mix
 
@@ -15,12 +17,16 @@ CT_SIZES = [4, 16, 32, 128]
 
 
 @pytest.fixture(scope="module")
-def traces(experiment_config):
-    refs = min(experiment_config.refs_per_core, 3000)
+def refs(experiment_config):
+    return min(experiment_config.refs_per_core, 3000)
+
+
+@pytest.fixture(scope="module")
+def traces(refs, experiment_config):
     return mix("HM3", refs, seed=experiment_config.seed)  # conflict-heavy mix
 
 
-def test_ablation_ct_size(benchmark, traces):
+def test_ablation_ct_size(benchmark, traces, refs):
     base = System(traces, SystemConfig(scheme="base"), workload="HM3").run()
 
     def sweep():
@@ -46,7 +52,9 @@ def test_ablation_ct_size(benchmark, traces):
 
     # A reasonable CT must beat a nearly-absent one on conflict-heavy traffic.
     assert results[32].conflict_rate <= results[4].conflict_rate + 0.02
-    # The paper's 32 entries capture most of the benefit of 128.
-    s32 = results[32].speedup_vs(base)
-    s128 = results[128].speedup_vs(base)
-    assert s32 >= s128 * 0.95
+    # the claims: the paper's 32 entries capture most of the benefit of 128
+    speedups = {n: r.speedup_vs(base) for n, r in results.items()}
+    check_claims(
+        {"ct_size": ablation_figure("ct_size", "HM3", speedups)},
+        run_scale(refs),
+    )

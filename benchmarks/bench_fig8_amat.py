@@ -1,24 +1,17 @@
 """Figure 8: reduction in average memory access time vs BASE.
 
-Paper headline: CAMPS-MOD reduces AMAT by 26% vs BASE and by 16.3% vs MMD on
-average.
+The paper's Figure 8 claims (CAMPS-MOD's AMAT reduction vs BASE and vs
+MMD) are rows of ``repro.experiments.figures.CLAIMS``.
 """
 
-from conftest import emit
+from conftest import check_claims, emit
 
-from repro.experiments.figures import figure8
+from repro.experiments.figures import paper_figures
 
 
-def test_fig8_amat_reduction(benchmark, paper_matrix, results_dir, full_scale):
+def test_fig8_amat_reduction(benchmark, paper_matrix, results_dir, claims_scale):
     data = benchmark.pedantic(
-        lambda: figure8(paper_matrix, schemes=["base", "mmd", "camps-mod"]),
-        rounds=1,
-        iterations=1,
+        lambda: paper_figures(paper_matrix)["fig8_amat"], rounds=1, iterations=1
     )
     emit(data, results_dir, "fig8_amat")
-
-    avg = data.summary["AVG"]
-    assert avg["base"] == 0.0  # by definition of the baseline
-    assert avg["camps-mod"] > 0.0  # CAMPS-MOD reduces AMAT
-    if full_scale:
-        assert avg["camps-mod"] > avg["mmd"]  # and by more than MMD
+    check_claims({"fig8_amat": data}, claims_scale)

@@ -1,22 +1,17 @@
 """Figure 9: HMC energy normalized to BASE.
 
-Paper headline: MMD and CAMPS-MOD consume 6.0% and 8.5% less energy than
-BASE respectively, mainly through fewer activate/precharge operations.
+The paper's Figure 9 claims (MMD and CAMPS-MOD save energy over BASE,
+CAMPS-MOD more than MMD) are rows of ``repro.experiments.figures.CLAIMS``.
 """
 
-from conftest import emit
+from conftest import check_claims, emit
 
-from repro.experiments.figures import figure9
+from repro.experiments.figures import paper_figures
 
 
-def test_fig9_energy(benchmark, paper_matrix, results_dir):
+def test_fig9_energy(benchmark, paper_matrix, results_dir, claims_scale):
     data = benchmark.pedantic(
-        lambda: figure9(paper_matrix), rounds=1, iterations=1
+        lambda: paper_figures(paper_matrix)["fig9_energy"], rounds=1, iterations=1
     )
     emit(data, results_dir, "fig9_energy")
-
-    avg = data.summary["AVG"]
-    assert avg["base"] == 1.0
-    assert avg["camps-mod"] < 1.0  # saves energy vs BASE
-    assert avg["camps-mod"] < avg["mmd"]  # and more than MMD
-    assert avg["camps-mod"] > 0.6  # not implausibly large savings
+    check_claims({"fig9_energy": data}, claims_scale)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.figures import FIG5_SCHEMES
+from repro.experiments.figures import FIG5_SCHEMES, required, run_scale
 from repro.experiments.runner import ExperimentConfig, run_matrix
 from repro.workloads.mixes import mix_names
 
@@ -111,14 +111,14 @@ def paper_matrix(experiment_config, mixes):
 
 
 @pytest.fixture(scope="session")
-def full_scale(experiment_config):
-    """True when running at or above the calibrated reference scale.
+def claims_scale(experiment_config, mixes):
+    """The claim scale of this run (``tier1``, ``full`` or None).
 
-    The paper-shape assertions (who beats whom) are only guaranteed at
-    REPRO_REFS >= 3000; quick runs below that still print every table but
-    skip the strict cross-scheme ordering checks.
+    Each row of :data:`repro.experiments.figures.CLAIMS` must hold from its
+    scale up (``full``: REPRO_REFS >= 3000 over all 12 mixes); runs below
+    tier-1 scale still print every table but check no claim.
     """
-    return experiment_config.refs_per_core >= 3000
+    return run_scale(experiment_config.refs_per_core, mixes)
 
 
 @pytest.fixture(scope="session")
@@ -139,3 +139,13 @@ def emit(figure_data, results_dir, name):
         results_dir / f"{name}.csv",
         summary=figure_data.summary,
     )
+
+
+def check_claims(figures, scale):
+    """Assert every claim on ``figures`` ({name: FigureData}) that must hold
+    at ``scale``."""
+    summaries = {name: data.summary for name, data in figures.items()}
+    broken = [
+        c.verdict(summaries) for c in required(scale, summaries) if not c.holds(summaries)
+    ]
+    assert not broken, "claims broken at this scale:\n" + "\n".join(broken)

@@ -23,6 +23,11 @@ one open for an unbounded stream of cells.
   A forked worker closes every parent-side pipe end it inherited and
   restores the default SIGTERM/SIGINT dispositions, so a parent killed
   outright leaves no worker behind: its death reaches each one as EOF.
+  Both signals stay blocked from the fork until that reset, so one sent
+  to a just-started worker waits for the default action instead of
+  meeting the parent's handler.
+* ``stop(drain=True)`` runs every submitted cell to its result, the ones
+  no worker has taken yet included.
 
 :func:`run_attempt` is the one body that runs an attempt; the workers and
 the in-process ``jobs=1`` campaign path both call it.
@@ -64,6 +69,9 @@ STATUS_CRASH = "crash"
 
 #: seconds before the pump retries a free slot that could not take work
 RETRY_INTERVAL = 0.1
+
+#: signals a forked worker resets to their default action
+_RESET_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 @dataclass
@@ -130,15 +138,18 @@ def _worker_loop(
     # A forked child holds copies of the parent's pipe ends (its own and
     # its elder siblings'); while any copy is open, the parent's death is
     # never seen as EOF.  The fork also inherits the parent's signal
-    # handlers and asyncio wakeup fd, which would swallow SIGTERM.
+    # handlers and asyncio wakeup fd, which would swallow SIGTERM; the
+    # parent forked with both signals blocked, so one already sent is
+    # delivered at the unblock, under the default action.
     for end in inherited:
         try:
             end.close()
         except OSError:
             pass
-    for signum in (signal.SIGTERM, signal.SIGINT):
+    for signum in _RESET_SIGNALS:
         signal.signal(signum, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _RESET_SIGNALS)
     wt = activate_telemetry(telemetry)
     while True:
         try:
@@ -170,16 +181,22 @@ class _Worker:
         siblings: Sequence[Any] = (),
     ) -> None:
         parent_conn, child_conn = ctx.Pipe()
-        # spawn and forkserver children inherit no pipe ends to close
-        inherited = (
-            [parent_conn, *siblings] if ctx.get_start_method() == "fork" else []
-        )
+        # spawn and forkserver children inherit no pipe ends to close, and
+        # no handlers to reset
+        fork = ctx.get_start_method() == "fork"
+        inherited = [parent_conn, *siblings] if fork else []
         self.proc = ctx.Process(
             target=_worker_loop,
             args=(child_conn, runner, telemetry, inherited),
             daemon=True,
         )
-        self.proc.start()
+        # the child inherits this thread's mask; _worker_loop unblocks
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _RESET_SIGNALS) if fork else None
+        try:
+            self.proc.start()
+        finally:
+            if mask is not None:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         child_conn.close()
         self.conn = parent_conn
         self.task: Optional[Tuple[Cell, int]] = None
@@ -259,9 +276,9 @@ class CellPool:
         self._on_result: Optional[Callable[[PoolResult], None]] = None
         self._workers: List[Optional[_Worker]] = [None] * jobs
         self._stop = threading.Event()
-        self._drain = threading.Event()
-        self._idle = threading.Event()
+        self._idle = threading.Event()  # every submitted cell has its result
         self._idle.set()
+        self._outstanding = 0  # submitted cells without a result yet
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
 
@@ -275,7 +292,9 @@ class CellPool:
         return self
 
     def submit(self, cell: Cell, attempt: int) -> None:
-        self._idle.clear()
+        with self._lock:
+            self._outstanding += 1
+            self._idle.clear()
         self._inbox.put((cell, attempt))
         self._wake()
 
@@ -302,10 +321,9 @@ class CellPool:
 
     # ------------------------------------------------------------------
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Stop the pump; with ``drain``, let in-flight cells finish first."""
+        """Stop the pump; with ``drain``, first let every submitted cell
+        finish (up to ``timeout`` seconds), queued ones included."""
         if drain:
-            self._drain.set()
-            self._wake()
             self._idle.wait(timeout)
         self._stop.set()
         self._wake()
@@ -330,12 +348,15 @@ class CellPool:
     # ------------------------------------------------------------------
     def _emit(self, result: PoolResult) -> None:
         cb = self._on_result
-        if cb is None:
-            return
         try:
-            cb(result)
+            if cb is not None:
+                cb(result)
         except Exception:  # pragma: no cover - a caller bug must not
             pass  # wedge the pump
+        with self._lock:
+            self._outstanding -= 1
+            if not self._outstanding:
+                self._idle.set()
 
     def _spawn(self, slot: int) -> Optional[_Worker]:
         telemetry: Optional[TelemetrySpec] = None
@@ -389,9 +410,8 @@ class CellPool:
             for i, w in enumerate(self._workers):
                 if w is not None and not w.alive:
                     self._reap(i, w)
-            # assign backlog to free slots (unless draining the pool)
-            draining = self._drain.is_set()
-            if backlog and not draining:
+            # assign backlog to free slots
+            if backlog:
                 for i, w in enumerate(self._workers):
                     if not backlog:
                         break
@@ -407,10 +427,6 @@ class CellPool:
                     except (BrokenPipeError, OSError):
                         backlog.appendleft((cell, attempt))
             busy = [w for w in self._workers if w is not None and w.busy]
-            if not busy and (not backlog or draining):
-                # draining: in-flight work is done; the untouched backlog is
-                # the caller's to checkpoint, not ours to hold idle open
-                self._idle.set()
             # the pump's one blocking point: a result (or a worker death)
             # on a busy pipe, a wake from submit()/stop(), or the nearest
             # cell deadline
@@ -418,7 +434,7 @@ class CellPool:
             deadlines = [w.deadline for w in busy if w.deadline is not None]
             if deadlines:
                 timeout = max(0.0, min(deadlines) - time.monotonic())
-            if backlog and not draining and len(busy) < self.jobs:
+            if backlog and len(busy) < self.jobs:
                 # a free slot could not take work (spawn or pipe failure)
                 timeout = (
                     RETRY_INTERVAL if timeout is None else min(timeout, RETRY_INTERVAL)

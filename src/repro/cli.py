@@ -50,17 +50,7 @@ import sys
 from typing import Any, List, Optional
 
 from repro.core.schemes import PAPER_SCHEMES, scheme_names
-from repro.experiments.figures import (
-    FIG5_SCHEMES,
-    FIG6_SCHEMES,
-    FIG8_SCHEMES,
-    FIG9_SCHEMES,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-)
+from repro.experiments.figures import FIG5_SCHEMES, paper_figures, run_scale
 from repro.experiments.runner import ExperimentConfig, run_matrix
 from repro.experiments.tables import table1_text, table2_text
 from repro.faults import LinkFaultConfig
@@ -71,12 +61,13 @@ from repro.workloads.spec import PROFILES
 from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace import trace_stats
 
+#: figure number -> its key in paper_figures() (the bench CSV name)
 _FIGURES = {
-    "5": (figure5, FIG5_SCHEMES),
-    "6": (figure6, FIG6_SCHEMES),
-    "7": (figure7, FIG5_SCHEMES),
-    "8": (figure8, ["base"] + list(FIG8_SCHEMES)),
-    "9": (figure9, FIG9_SCHEMES),
+    "5": "fig5_speedup",
+    "6": "fig6_conflicts",
+    "7": "fig7_accuracy",
+    "8": "fig8_amat",
+    "9": "fig9_energy",
 }
 
 
@@ -357,13 +348,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    fig_fn, schemes = _FIGURES[args.number]
     mixes = _parse_mixes(args.mixes)
     cfg = _experiment_config(args)
     # Every figure's schemes are a subset of the fig-5 set; running the full
     # set keeps the cache warm across figure invocations.
     matrix = run_matrix(mixes, FIG5_SCHEMES, cfg, progress=not args.quiet)
-    data = fig_fn(matrix)
+    data = paper_figures(matrix)[_FIGURES[args.number]]
     print(data.text())
     if args.chart:
         from repro.metrics.plot import summary_bars
@@ -765,9 +755,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     mixes = _parse_mixes(args.mixes)
     cfg = _experiment_config(args)
     matrix = run_matrix(mixes, FIG5_SCHEMES, cfg, progress=not args.quiet)
+    scale = run_scale(cfg.refs_per_core, mixes) or "below tier1"
     note = (
         f"Scale: {cfg.refs_per_core} post-LLC references per core, "
-        f"seed {cfg.seed}, mixes: {', '.join(mixes)}."
+        f"seed {cfg.seed}, mixes: {', '.join(mixes)} (claim scale: {scale})."
     )
     report = generate_report(matrix, scale_note=note)
     if args.out:

@@ -2,9 +2,11 @@
 
 :mod:`repro.experiments.runner` runs (mix x scheme) grids as one
 :mod:`repro.campaign` with an on-disk summary cache; :mod:`repro.experiments.figures` computes the
-data behind Figures 5-9; :mod:`repro.experiments.tables` reproduces Tables
-I-II.  The ``benchmarks/`` directory wraps these in pytest-benchmark
-entries, one per figure.
+data behind Figures 5-9 and holds the paper's claims about it (``CLAIMS``);
+:mod:`repro.experiments.tables` reproduces Tables I-II.  The
+``benchmarks/`` directory wraps these in pytest-benchmark entries, one per
+figure.  ``python -m repro.experiments`` regenerates the claims tables of
+EXPERIMENTS.md from the committed benchmark CSVs.
 """
 
 from repro.experiments.runner import ExperimentConfig, run_matrix

@@ -1,50 +1,63 @@
 """Markdown run report: measured vs. paper, generated from a result matrix.
 
-``generate_report`` renders every figure's per-mix table plus a
-measured-vs-paper comparison of the numbers the paper states in its text —
-the machine-generated counterpart of the hand-written EXPERIMENTS.md.
+``generate_report`` renders the claims table (:data:`~repro.experiments.
+figures.CLAIMS`) against the matrix, then every figure's per-mix table.
 Exposed on the CLI as ``python -m repro report``.
+
+The measured-vs-paper tables in EXPERIMENTS.md are the same renderer's
+output over the committed ``benchmarks/results/*.csv``, between
+``<!-- claims ... -->`` markers; regenerate them with
+``PYTHONPATH=src python -m repro.experiments``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import re
+from typing import Dict, Iterable, List, Optional
 
 from repro.experiments.figures import (
-    PAPER_FIG5_CAMPS_MOD_SPEEDUP,
-    PAPER_FIG5_VS,
-    PAPER_FIG6_REDUCTION_VS_BASEHIT,
-    PAPER_FIG6_REDUCTION_VS_MMD,
-    PAPER_FIG7_ACCURACY,
-    PAPER_FIG9_ENERGY,
+    CLAIMS,
+    Claim,
     FigureData,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
+    Summary,
+    fmt,
+    paper_figures,
 )
 from repro.metrics.collectors import ResultMatrix
 
+#: one generated block: ``<!-- claims fig5_speedup ... -->`` ... ``<!-- /claims -->``
+_BLOCK = re.compile(r"(<!-- claims ([\w ]+) -->\n).*?(<!-- /claims -->)", re.S)
 
-def _md_table(data: FigureData, fmt: str = "{:.3f}") -> List[str]:
+
+def claims_markdown(summaries: Dict[str, Summary], claims: Iterable[Claim]) -> List[str]:
+    """The claims as a markdown table measured against ``summaries``."""
+    lines = [
+        "| quantity | paper | measured | must be | from scale | holds |",
+        "|---|---|---|---|---|---|",
+    ]
+    for c in claims:
+        holds = {True: "yes", False: "**no**", None: "—"}[c.holds(summaries)]
+        scale = c.scale if c.relation else "—"
+        lines.append(
+            f"| {c.quantity} | {fmt(c.paper)} | {fmt(c.measured(summaries))} "
+            f"| {c.rule} | {scale} | {holds} |"
+        )
+    return lines
+
+
+def _md_table(data: FigureData, value_format: str = "{:.3f}") -> List[str]:
     lines = [f"### {data.figure}: {data.title}", ""]
     header = "| workload | " + " | ".join(data.schemes) + " |"
     sep = "|" + "---|" * (len(data.schemes) + 1)
     lines += [header, sep]
     for w, row in data.per_workload.items():
-        cells = " | ".join(fmt.format(row[s]) for s in data.schemes)
+        cells = " | ".join(value_format.format(row[s]) for s in data.schemes)
         lines.append(f"| {w} | {cells} |")
     for g, row in data.summary.items():
-        cells = " | ".join(fmt.format(row[s]) for s in data.schemes)
+        cells = " | ".join(value_format.format(row[s]) for s in data.schemes)
         lines.append(f"| **{g}** | {cells} |")
     lines.append("")
     return lines
-
-
-def _comparison_row(label: str, measured: float, paper: float) -> str:
-    delta = measured - paper
-    return f"| {label} | {measured:.3f} | {paper:.3f} | {delta:+.3f} |"
 
 
 def generate_report(
@@ -53,88 +66,34 @@ def generate_report(
     scale_note: Optional[str] = None,
 ) -> str:
     """Render the full measured-vs-paper markdown report."""
-    f5 = figure5(matrix)
-    f6 = figure6(matrix)
-    f7 = figure7(matrix)
-    f8 = figure8(matrix, schemes=["base", "mmd", "camps-mod"])
-    f9 = figure9(matrix)
+    figures = paper_figures(matrix)
+    summaries = {key: data.summary for key, data in figures.items()}
+    claims = [c for c in CLAIMS if c.figure in figures]
+    # rankings (their measured value is an ordering) get a section of their own
+    ordering = [c for c in claims if isinstance(c.measured(summaries), str)]
 
     lines: List[str] = [f"# {title}", ""]
     if scale_note:
         lines += [scale_note, ""]
-
-    # headline comparison table
     lines += ["## Headline comparison (measured vs paper)", ""]
-    lines += [
-        "| quantity | measured | paper | delta |",
-        "|---|---|---|---|",
-    ]
-    avg5 = f5.summary["AVG"]
-    lines.append(
-        _comparison_row(
-            "CAMPS-MOD speedup over BASE (AVG)", avg5["camps-mod"], PAPER_FIG5_VS["base"]
-        )
-    )
-    for grp in ("HM", "LM", "MX"):
-        if grp in f5.summary:
-            lines.append(
-                _comparison_row(
-                    f"CAMPS-MOD speedup over BASE ({grp})",
-                    f5.summary[grp]["camps-mod"],
-                    PAPER_FIG5_CAMPS_MOD_SPEEDUP[grp],
-                )
-            )
-    avg6 = f6.summary["AVG"]
-    if avg6.get("base-hit"):
-        lines.append(
-            _comparison_row(
-                "CAMPS conflict reduction vs BASE-HIT",
-                1 - avg6["camps"] / avg6["base-hit"],
-                PAPER_FIG6_REDUCTION_VS_BASEHIT,
-            )
-        )
-    if avg6.get("mmd"):
-        lines.append(
-            _comparison_row(
-                "CAMPS conflict reduction vs MMD",
-                1 - avg6["camps"] / avg6["mmd"],
-                PAPER_FIG6_REDUCTION_VS_MMD,
-            )
-        )
-    avg7 = f7.summary["AVG"]
-    for scheme in ("base", "camps", "camps-mod"):
-        lines.append(
-            _comparison_row(
-                f"prefetch accuracy ({scheme})",
-                avg7[scheme],
-                PAPER_FIG7_ACCURACY[scheme],
-            )
-        )
-    avg9 = f9.summary["AVG"]
-    for scheme in ("mmd", "camps-mod"):
-        lines.append(
-            _comparison_row(
-                f"energy vs BASE ({scheme})", avg9[scheme], PAPER_FIG9_ENERGY[scheme]
-            )
-        )
-    lines.append("")
-
-    # ordering check
-    order = sorted(avg5, key=avg5.get, reverse=True)
-    lines += [
-        "## Scheme ordering (Figure 5 AVG)",
-        "",
-        "measured: " + " > ".join(order),
-        "paper:    camps-mod > camps > mmd > base-hit > base",
-        "",
-    ]
-
-    # full figure tables
-    lines += ["## Figures", ""]
-    for data in (f5, f6, f7, f8, f9):
+    lines += claims_markdown(summaries, [c for c in claims if c not in ordering])
+    lines += ["", "## Scheme ordering", ""]
+    lines += claims_markdown(summaries, ordering)
+    lines += ["", "## Figures", ""]
+    for data in figures.values():
         lines += _md_table(data)
-        for note in data.notes:
-            lines.append(f"> {note}")
+        lines += [f"> {note}" for note in data.notes]
         lines.append("")
-
     return "\n".join(lines)
+
+
+def render_experiments(text: str, summaries: Dict[str, Summary]) -> str:
+    """``text`` with every generated claims block re-rendered."""
+
+    def block(m: "re.Match[str]") -> str:
+        keys = m.group(2).split()
+        rows = [c for c in CLAIMS if c.figure in keys]
+        return m.group(1) + "\n".join(claims_markdown(summaries, rows)) + "\n" + m.group(3)
+
+    return _BLOCK.sub(block, text)
+

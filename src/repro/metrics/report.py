@@ -56,13 +56,3 @@ def write_csv(
                 writer.writerow([g] + [row[s] for s in schemes])
     return path
 
-
-def format_comparison(
-    label: str,
-    mine: float,
-    paper: float,
-    unit: str = "",
-) -> str:
-    """One line of measured-vs-paper comparison for EXPERIMENTS.md style
-    reporting."""
-    return f"{label:<40s} measured={mine:8.3f}{unit}  paper={paper:8.3f}{unit}"

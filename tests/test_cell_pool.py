@@ -2,7 +2,10 @@
 
 * Worker lifetime: a pool owner killed outright leaves no worker behind,
   and a worker forked under an asyncio SIGTERM handler still dies on
-  SIGTERM without waking its parent's event loop.
+  SIGTERM without waking its parent's event loop, even when the signal
+  comes before the worker has reset its handlers.
+* Drain: ``stop(drain=True)`` runs every submitted cell, including one no
+  worker has taken yet.
 * Parity: ``run_campaign(jobs=1)`` and ``jobs=2`` settle the same attempts
   into equal records, because both run :func:`run_attempt` and
   :func:`settle`.
@@ -19,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignOptions, grid_cells, run_campaign
+from repro.campaign import CampaignOptions, CellPool, grid_cells, run_campaign
+from repro.campaign.pool import _Worker
 from repro.experiments.runner import ExperimentConfig
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -142,6 +146,39 @@ def test_sigterm_kills_a_worker_forked_under_an_asyncio_handler():
     took, woken = out.split()
     assert float(took) < 1.0  # no 2 s wait for the SIGKILL escalation
     assert woken == "0"  # the worker's SIGTERM never reached the parent
+
+
+def nap_runner(cell, attempt):  # module-level: picklable
+    time.sleep(0.3)
+    return {}
+
+
+@needs_fork
+def test_sigterm_right_after_the_fork_meets_the_default_action():
+    # the owner's handler ignores SIGTERM; a worker that still ran it when
+    # the signal came would survive until the SIGKILL escalation (2 s)
+    previous = signal.signal(signal.SIGTERM, lambda *_: None)
+    try:
+        for _ in range(5):
+            worker = _Worker(multiprocessing.get_context("fork"), nap_runner)
+            t0 = time.monotonic()
+            worker.kill()
+            assert time.monotonic() - t0 < 1.0
+            assert worker.proc.exitcode == -signal.SIGTERM
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def test_drain_runs_the_cells_no_worker_has_taken():
+    results = []
+    pool = CellPool(jobs=1, runner=nap_runner).start(results.append)
+    for cell in grid_cells(["HM1", "LM1"], ["base"], ExperimentConfig()):
+        pool.submit(cell, 1)  # LM1 waits in the backlog behind HM1
+    pool.stop(drain=True, timeout=30.0)
+    assert sorted((r.cell.workload, r.status) for r in results) == [
+        ("HM1", "ok"),
+        ("LM1", "ok"),
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.figures import CLAIMS, FULL, read_summaries, required
+from repro.experiments.report import render_experiments
+
 REPO = Path(__file__).resolve().parent.parent
 
 DOCS = [
@@ -85,3 +88,31 @@ class TestModuleReferences:
             assert var in runner
         assert "REPRO_MIXES" in readme
         assert "REPRO_MIXES" in (REPO / "benchmarks/conftest.py").read_text()
+
+
+class TestClaims:
+    """The claims table against the committed benchmark CSVs: EXPERIMENTS.md
+    shows its render, and every claim up to full scale holds there."""
+
+    RESULTS = REPO / "benchmarks" / "results"
+    BLOCK = re.compile(r"<!-- claims ([\w ]+) -->\n.*?<!-- /claims -->", re.S)
+
+    def test_experiments_blocks_match_their_render(self):
+        text = (REPO / "EXPERIMENTS.md").read_text()
+        summaries = read_summaries(self.RESULTS)
+        shown = {k for keys in self.BLOCK.findall(text) for k in keys.split()}
+        assert shown == set(summaries)  # a block for every committed CSV
+        rendered = render_experiments(text, summaries)
+        drifted = [m.group(0) for m in self.BLOCK.finditer(rendered) if m.group(0) not in text]
+        assert not drifted, (
+            "EXPERIMENTS.md claims blocks drifted from the committed CSVs; "
+            "regenerate with `PYTHONPATH=src python -m repro.experiments`. "
+            "Expected:\n" + "\n\n".join(drifted)
+        )
+
+    def test_full_scale_claims_hold_on_committed_results(self):
+        summaries = read_summaries(self.RESULTS)
+        # every claim without a committed CSV is an ablation, checked at tier-1
+        assert {c.figure for c in CLAIMS} - set(summaries) == {"ct_size", "rut_threshold"}
+        broken = [c.verdict(summaries) for c in required(FULL, summaries) if not c.holds(summaries)]
+        assert not broken, "\n".join(broken)

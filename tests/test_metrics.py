@@ -12,7 +12,7 @@ from repro.metrics.collectors import (
     group_mean,
     normalized_speedups,
 )
-from repro.metrics.report import format_comparison, format_table, write_csv
+from repro.metrics.report import format_table, write_csv
 from repro.system import SimulationResult
 
 
@@ -123,7 +123,3 @@ class TestReport:
         content = path.read_text()
         assert content.splitlines()[0] == "workload,base,camps"
         assert "HM1" in content
-
-    def test_format_comparison(self):
-        line = format_comparison("speedup", 1.18, 1.179)
-        assert "1.18" in line and "paper" in line

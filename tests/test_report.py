@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.experiments.figures import CLAIMS
 from repro.experiments.report import generate_report
 from repro.campaign import Manifest
 from repro.experiments.runner import ExperimentConfig, run_matrix
@@ -39,8 +40,8 @@ class TestReport:
 
     def test_paper_values_in_comparison(self, matrix):
         md = generate_report(matrix)
-        assert "1.179" in md  # paper's Fig 5 AVG speedup
-        assert "0.705" in md  # paper's CAMPS-MOD accuracy
+        paper = [c.paper for c in CLAIMS if isinstance(c.paper, float)]
+        assert paper and all(f"| {v:.3f} |" in md for v in paper)
 
     def test_scale_note_included(self, matrix):
         md = generate_report(matrix, scale_note="Scale: tiny test run.")
