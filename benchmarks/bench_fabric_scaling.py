@@ -244,6 +244,7 @@ def check(quick: bool = True) -> int:
                 "cubes": sample["cubes"],
                 "mode": "check",
             },
+            check=True,
         )
         reference = committed.get("samples", {}).get(topology)
         if not reference:

@@ -91,6 +91,14 @@ PINS = {
     },
 }
 
+#: append-only: every quick-pin digest the model has produced, with the
+#: ``repro.__version__`` it shipped as.  A re-pin appends a row *and* bumps
+#: the version (cell ids, and so result-log keys, carry it);
+#: :func:`test_quick_digest_parity` fails a re-pin that does not.
+MODEL_VERSIONS = [
+    ("856e367d2cdb96293482ee7f3d7b5fbf4f5bcf951cf38e69d128475a7fec65d0", "1.1.0"),
+]
+
 #: pre-change baseline, measured with the paired interleaved methodology
 #: described in the module docstring (full config, same machine that
 #: produced the committed BENCH_hotpath.json).
@@ -371,6 +379,7 @@ def check(quick: bool = True) -> int:
         calib_ops_per_s=calib,
         digest=str(sample["digest"]),
         meta={"refs": sample["refs"], "mode": "check"},
+        check=True,
     )
     print(
         f"{label}: digest ok; normalized cycles/sec {cur_norm:.4f} vs "
@@ -390,11 +399,21 @@ def check(quick: bool = True) -> int:
 # Pytest entry points (explicit path only, like the other benches)
 # ----------------------------------------------------------------------
 def test_quick_digest_parity():
-    """The quick config must reproduce the pre-overhaul digest exactly."""
-    sample = measure(PINS["quick"]["refs"], rounds=1)
-    assert sample["digest"] == PINS["quick"]["digest"], (
-        f"hot-path result drifted: {sample['digest']} != {PINS['quick']['digest']}"
+    """The quick config must reproduce the pinned digest and event count
+    exactly, and MODEL_VERSIONS must map that digest to the current
+    ``repro.__version__`` (tier-1 runs this through
+    ``tests/test_driver_pins.py``)."""
+    import repro
+
+    pin = PINS["quick"]
+    sample = measure(pin["refs"], rounds=1)
+    assert sample["digest"] == pin["digest"], (
+        f"hot-path result drifted: {sample['digest']} != {pin['digest']}"
     )
+    assert sample["events_fired"] == pin["events_fired"]
+    versions = [version for _, version in MODEL_VERSIONS]
+    assert len(versions) == len(set(versions)), "a re-pin must bump the version"
+    assert dict(MODEL_VERSIONS).get(pin["digest"]) == repro.__version__
 
 
 def test_committed_pin_digests_present():

@@ -290,6 +290,7 @@ def _record_history(quick: bool, calib: float, sample: Dict[str, object],
         calib_ops_per_s=calib,
         digest=str(sample["probe_digest"]),
         meta=meta,
+        check=mode == "check",
     )
 
 

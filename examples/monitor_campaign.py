@@ -4,15 +4,18 @@
 Launches a small campaign in a background thread with telemetry armed,
 then monitors it the way a second process would:
 
-1. poll the spool directory with :class:`TelemetryAggregator` and print a
-   status line per refresh (what ``repro monitor`` does under the hood);
-2. serve the merged view over HTTP with :class:`TelemetryServer` and
-   scrape ``/snapshot`` (JSON) and ``/metrics`` (Prometheus text,
-   validated by :func:`repro.obs.promtext.parse_exposition`) — the same
-   endpoint contract as ``repro campaign --telemetry-port N``;
+1. poll the spool directory and the manifest with
+   :class:`TelemetryAggregator` and print a status line per refresh (what
+   ``repro monitor`` does under the hood);
+2. serve the merged view with :class:`repro.serve.server.HttpFront` on a
+   loop thread and scrape ``/snapshot`` (JSON) and ``/metrics``
+   (Prometheus text, validated by
+   :func:`repro.obs.promtext.parse_exposition`) — exactly what
+   ``repro campaign --telemetry-port N`` serves;
 3. after the campaign finishes, render the final board with
-   :func:`repro.obs.watch.render_board` and reconcile the merged view
-   against the manifest's exactly-once cell records.
+   :func:`repro.obs.watch.render_board` and check that the view's
+   ``campaign`` block, derived from the manifest alone, equals the
+   campaign's own stats.
 
 Against a *real* long campaign you would skip the launcher and simply run
 ``python -m repro monitor path/to/manifest.jsonl`` — the aggregation below
@@ -32,12 +35,9 @@ from pathlib import Path
 from repro.campaign import CampaignOptions, Manifest, grid_cells, run_campaign
 from repro.experiments.runner import ExperimentConfig
 from repro.obs.promtext import parse_exposition
-from repro.obs.telemetry import (
-    TelemetryAggregator,
-    TelemetryServer,
-    spool_dir_for,
-)
+from repro.obs.telemetry import TelemetryAggregator, spool_dir_for
 from repro.obs.watch import render_board, render_status_line
+from repro.serve.server import HttpFront
 
 
 def launch_campaign(manifest: Path, refs: int, jobs: int) -> dict:
@@ -72,7 +72,7 @@ def launch_campaign(manifest: Path, refs: int, jobs: int) -> dict:
 def scrape(url: str) -> None:
     with urllib.request.urlopen(f"{url}/snapshot", timeout=5) as resp:
         snap = json.loads(resp.read())
-    print(f"  GET /snapshot -> manifest counts {snap['manifest']}")
+    print(f"  GET /snapshot -> campaign {snap['campaign']}")
     with urllib.request.urlopen(f"{url}/metrics", timeout=5) as resp:
         families = parse_exposition(resp.read().decode())
     print(f"  GET /metrics  -> {len(families)} metric families, "
@@ -98,14 +98,12 @@ def main() -> int:
     )
 
     # -- 2. and expose the merged view over HTTP ------------------------
-    server = TelemetryServer(
-        lambda: aggregator.refresh().to_snapshot(), port=0
-    ).start()
+    server = HttpFront(aggregator.snapshot).start_thread()
     print(f"serving telemetry at {server.url}")
 
     scraped = False
     while handle["thread"].is_alive():
-        snapshot = aggregator.refresh().to_snapshot()
+        snapshot = aggregator.snapshot()
         print("  " + render_status_line(snapshot))
         if not scraped and snapshot["workers"]:
             scrape(server.url)
@@ -114,20 +112,22 @@ def main() -> int:
     handle["thread"].join()
     if not scraped:  # tiny grids can finish before the first heartbeat
         scrape(server.url)
-    server.stop()
+    server.stop_thread()
 
     # -- 3. final board + exactly-once reconciliation -------------------
-    snapshot = aggregator.refresh().to_snapshot()
+    snapshot = aggregator.snapshot()
     print("\nfinal board:")
     for line in render_board(snapshot):
         print("  " + line)
 
     stats = handle["stats"]
     manifest_records = Manifest(manifest).records()
-    print(f"\ncampaign stats:      {stats['ok']}/{stats['total']} ok")
+    print(f"\ncampaign stats:      {stats}")
     print(f"manifest records:    {len(manifest_records)} terminal cells")
-    print(f"merged view counts:  {snapshot['manifest']}")
+    print(f"merged view:         {snapshot['campaign']}")
     assert len(manifest_records) == stats["total"], "exactly-once violated"
+    view = snapshot["campaign"]
+    assert all(view[k] == v for k, v in stats.items() if k != "resumed")
     return 0
 
 

@@ -50,7 +50,6 @@ from repro.campaign.manifest import (
     ManifestScan,
 )
 from repro.campaign.pool import STATUS_CRASH, CellPool, PoolResult, run_attempt
-from repro.campaign.progress import CampaignProgress
 from repro.campaign.spec import Cell, fabric_grid_cells, grid_cells
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "ClaimRecord",
     "CampaignError",
     "CampaignOptions",
-    "CampaignProgress",
     "CampaignResult",
     "CellPool",
     "Manifest",

@@ -32,9 +32,10 @@ from __future__ import annotations
 import heapq
 import os
 import queue
+import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.campaign.manifest import (
     STATUS_ERROR,
@@ -51,7 +52,6 @@ from repro.campaign.pool import (
     activate_telemetry,
     run_attempt,
 )
-from repro.campaign.progress import CampaignProgress
 from repro.campaign.spec import Cell
 from repro.experiments.runner import _CACHED_FIELDS
 from repro.metrics.collectors import ResultMatrix
@@ -242,7 +242,7 @@ class CampaignOptions:
     telemetry_interval: float = _telemetry.DEFAULT_INTERVAL
     #: serve /snapshot and /metrics on this port (0 = ephemeral)
     telemetry_port: Optional[int] = None
-    #: render the live terminal status board in the campaign process
+    #: run the ``repro monitor`` board in the campaign process until it ends
     watch: bool = False
 
     def __post_init__(self) -> None:
@@ -446,17 +446,19 @@ class _Driver:
         opts: CampaignOptions,
         cache: Optional[Manifest],
         manifest: Optional[Manifest],
-        progress: CampaignProgress,
+        total: int,
         report_dir: Optional[str] = None,
         telemetry_dir: Optional[str] = None,
     ) -> None:
         self.opts = opts
         self.cache = cache
         self.manifest = manifest
-        self.progress = progress
+        self.total = total
         self.report_dir = report_dir
         self.telemetry_dir = telemetry_dir
         self.records: Dict[str, CellRecord] = {}
+        #: ids of the cells a prior manifest record satisfied in this run
+        self.resumed: Set[str] = set()
 
     def record(self, rec: CellRecord, source: str = "executed") -> None:
         if (
@@ -469,11 +471,49 @@ class _Driver:
             # record carries it so readers never reconstruct the layout
             rec.report = str(cell_report_path(self.report_dir, rec.cell_id))
         self.records[rec.cell_id] = rec
-        if source != "resumed" and self.manifest is not None:
+        if source == "resumed":
+            self.resumed.add(rec.cell_id)
+        elif self.manifest is not None:
             self.manifest.append(rec)
         if source == "executed":
             log_result(self.cache, rec)
-        self.progress.cell_done(rec, source)
+        if self.opts.progress:
+            self._narrate(rec, source)
+
+    def _narrate(self, rec: CellRecord, source: str) -> None:
+        """One progress line per terminal cell, with the live view's ETA."""
+        from repro.obs.watch import fmt_duration
+
+        done = len(self.records)
+        note = "" if source == "executed" else f" ({source})"
+        status = rec.status if rec.ok else rec.status.upper()
+        line = (
+            f"  [{done}/{self.total}] {rec.workload}/{rec.scheme} "
+            f"{status}{note} {rec.elapsed:.1f}s"
+        )
+        if rec.diagnosis:
+            line += f"  [{rec.diagnosis.get('reason', 'integrity')}]"
+        eta = _telemetry.campaign_status(
+            self.records.values(), self.total, self.opts.jobs
+        )["eta_seconds"]
+        if eta is not None and done < self.total:
+            line += f"  eta {fmt_duration(eta)}"
+        print(line, flush=True)
+
+    def stats(self) -> Dict[str, Any]:
+        """Campaign-level counts: ``executed``, ``cached`` and ``retried``
+        cover the cells this run resolved itself, not the resumed ones."""
+        every = _telemetry.campaign_status(self.records.values())
+        fresh = _telemetry.campaign_status(
+            r for cid, r in self.records.items() if cid not in self.resumed
+        )
+        return {
+            "total": self.total,
+            "ok": every["ok"],
+            "failed": every["failed"],
+            **{key: fresh[key] for key in ("executed", "cached", "retried")},
+            "resumed": len(self.resumed),
+        }
 
     def prepare(self, cells: Sequence[Cell]) -> List[Cell]:
         """Resolve resume/cache hits; return the cells needing execution."""
@@ -499,7 +539,13 @@ class _Driver:
         """Record the attempt's verdict; False when it is to be retried."""
         rec = settle(cell, attempt, status, payload, elapsed, self.opts.retries)
         if rec is None:
-            self.progress.retry(cell, attempt, str(payload).strip().splitlines()[-1])
+            if self.opts.progress:
+                reason = str(payload).strip().splitlines()[-1]
+                print(
+                    f"  retrying {cell.describe()} (attempt {attempt} failed: "
+                    f"{reason})",
+                    flush=True,
+                )
             return False
         self.record(rec)
         return True
@@ -607,11 +653,13 @@ def run_campaign(
     for cell in cells:
         unique.setdefault(cell.cell_id, cell)
     ordered = list(unique.values())
-    if manifest is not None and not opts.resume:
-        manifest.reset(meta={"cells": len(ordered), "jobs": opts.jobs})
-    progress = CampaignProgress(
-        total=len(ordered), jobs=opts.jobs, enabled=opts.progress
-    )
+    if manifest is not None:
+        meta = {"cells": len(ordered), "jobs": opts.jobs}
+        if opts.resume and manifest.path.exists():
+            # the live view reads this run's grid and jobs off the last header
+            manifest.append_header(meta)
+        else:
+            manifest.reset(meta=meta)
 
     telemetry_dir: Optional[str] = None
     if opts.telemetry_enabled:
@@ -633,55 +681,51 @@ def run_campaign(
         opts,
         cache,
         manifest,
-        progress,
+        len(ordered),
         report_dir=report_dir,
         telemetry_dir=telemetry_dir,
     )
 
-    # Parent-side telemetry consumers: driver spool (campaign totals for
-    # out-of-process monitors), live board, HTTP endpoint.  All are daemon
-    # threads torn down in the finally block; none touches the simulation.
-    consumers: List[Any] = []
+    # Live views of the campaign: the HTTP front and the monitor board read
+    # one aggregator over the spools and the manifest.  Both run on daemon
+    # threads stopped in the finally block; neither touches the simulation.
+    stoppers: List[Any] = []
     stats_extra: Dict[str, Any] = {}
-    if telemetry_dir is not None:
-        consumers.append(
-            _telemetry.DriverTelemetry(
-                telemetry_dir, progress.status, opts.telemetry_interval
-            ).start()
+    if telemetry_dir is not None and (opts.watch or opts.telemetry_port is not None):
+        aggregator = _telemetry.TelemetryAggregator(
+            telemetry_dir,
+            manifest_path=manifest.path if manifest is not None else None,
         )
-        if opts.watch or opts.telemetry_port is not None:
-            aggregator = _telemetry.TelemetryAggregator(
-                telemetry_dir,
-                manifest_path=manifest.path if manifest is not None else None,
-            )
+        if opts.telemetry_port is not None:
+            from repro.serve.server import HttpFront
 
-            def snapshot_fn() -> dict:
-                snap = aggregator.refresh().to_snapshot()
-                # in-process totals beat the (slightly lagged) driver spool
-                snap["campaign"] = progress.status()
-                return snap
-
-            if opts.telemetry_port is not None:
-                server = _telemetry.TelemetryServer(
-                    snapshot_fn, port=opts.telemetry_port
-                ).start()
-                consumers.append(server)
-                stats_extra["telemetry_port"] = server.port
-                if opts.progress or opts.watch:
-                    print(
-                        f"telemetry: {server.url}/snapshot and "
-                        f"{server.url}/metrics",
-                        flush=True,
-                    )
-            if opts.watch:
-                from repro.obs.watch import WatchBoard
-
-                consumers.append(
-                    WatchBoard(
-                        snapshot_fn,
-                        interval=max(0.5, opts.telemetry_interval),
-                    ).start()
+            front = HttpFront(aggregator.snapshot, port=opts.telemetry_port)
+            front.start_thread()
+            stoppers.append(front.stop_thread)
+            stats_extra["telemetry_port"] = front.port
+            if opts.progress or opts.watch:
+                print(
+                    f"telemetry: {front.url}/snapshot and {front.url}/metrics",
+                    flush=True,
                 )
+        if opts.watch:
+            from repro.obs.watch import watch
+
+            stop = threading.Event()
+            board = threading.Thread(
+                target=watch,
+                args=(aggregator, max(0.5, opts.telemetry_interval)),
+                kwargs={"stop": stop},
+                name="repro-watch",
+                daemon=True,
+            )
+            board.start()
+
+            def stop_board() -> None:
+                stop.set()
+                board.join(timeout=5.0)
+
+            stoppers.append(stop_board)
 
     t0 = time.perf_counter()
     try:
@@ -692,24 +736,14 @@ def run_campaign(
             else:
                 driver.run_pool(pending, runner)
     finally:
-        for consumer in reversed(consumers):
+        for stopper in reversed(stoppers):
             try:
-                consumer.stop()
+                stopper()
             except Exception:  # pragma: no cover - teardown best-effort
                 pass
-    stats = {
-        "total": len(ordered),
-        "ok": progress.ok,
-        "failed": progress.failed,
-        "executed": progress._executed,
-        "cached": progress.cached,
-        "resumed": progress.resumed,
-        "retried": progress.retried,
-        **stats_extra,
-    }
     return CampaignResult(
         cells=ordered,
         records=driver.records,
-        stats=stats,
+        stats={**driver.stats(), **stats_extra},
         wall_seconds=time.perf_counter() - t0,
     )

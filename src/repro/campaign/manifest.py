@@ -318,6 +318,12 @@ class Manifest:
             fh.flush()
             os.fsync(fh.fileno())
 
+    def append_header(self, meta: dict) -> None:
+        """Append a header line carrying ``meta`` (a resumed campaign's
+        ``cells`` and ``jobs``); readers take the last header's fields."""
+        header = {"kind": KIND_HEADER, "version": MANIFEST_VERSION}
+        self._append_line({**meta, **header}, durable=True)
+
     def append(self, record: CellRecord) -> None:
         """Durably append one terminal cell record."""
         payload = {k: v for k, v in asdict(record).items() if v is not None}

@@ -22,7 +22,8 @@ one open for an unbounded stream of cells.
   so the pool works under both the ``fork`` and ``spawn`` start methods.
   A forked worker closes every parent-side pipe end it inherited and
   restores the default SIGTERM/SIGINT dispositions, so a parent killed
-  outright leaves no worker behind: its death reaches each one as EOF.
+  outright leaves no worker behind: its death reaches an idle worker as
+  EOF, and a busy one through a thread that watches its parent pid.
   Both signals stay blocked from the fork until that reset, so one sent
   to a just-started worker waits for the default action instead of
   meeting the parent's handler.
@@ -40,6 +41,7 @@ so the chaos harness can SIGKILL one mid-cell, and
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue
 import signal
 import socket
@@ -72,6 +74,9 @@ RETRY_INTERVAL = 0.1
 
 #: signals a forked worker resets to their default action
 _RESET_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+#: seconds between a worker's checks that its owner is still alive
+OWNER_POLL_INTERVAL = 0.2
 
 
 @dataclass
@@ -128,6 +133,15 @@ def run_attempt(
     return status, payload, elapsed
 
 
+def _exit_with_owner(parent: int) -> None:
+    """Exit the worker once its ``parent`` is gone, even in the middle of a
+    cell: an orphan is re-parented, so its parent pid changes.  Under
+    forkserver the parent is the fork server, which exits with the owner."""
+    while os.getppid() == parent:
+        time.sleep(OWNER_POLL_INTERVAL)
+    os._exit(1)
+
+
 def _worker_loop(
     conn: Any,
     runner: CellRunner,
@@ -150,6 +164,11 @@ def _worker_loop(
         signal.signal(signum, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _RESET_SIGNALS)
+    # an idle worker sees its owner's death as EOF; a busy one only here
+    threading.Thread(
+        target=_exit_with_owner, args=(os.getppid(),), name="repro-owner",
+        daemon=True,
+    ).start()
     wt = activate_telemetry(telemetry)
     while True:
         try:
@@ -314,10 +333,6 @@ class CellPool:
     def busy_count(self) -> int:
         with self._lock:
             return sum(1 for w in self._workers if w is not None and w.busy)
-
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        """Block until no cell is queued or in flight (drain barrier)."""
-        return self._idle.wait(timeout)
 
     # ------------------------------------------------------------------
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:

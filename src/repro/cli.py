@@ -1042,8 +1042,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--watch", action="store_true",
-        help="live terminal status board (per-worker rows, ETA, stall "
-        "highlighting); replaces the per-cell progress lines",
+        help="run the `repro monitor` board (per-worker rows, ETA, stall "
+        "highlighting) in this process; replaces the per-cell progress lines",
     )
     p_camp.add_argument(
         "--telemetry", action="store_true",

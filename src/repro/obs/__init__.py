@@ -61,7 +61,6 @@ _EXPORTS: Dict[str, str] = {
     "write_html": "html",
     "TelemetrySpool": "telemetry",
     "TelemetryAggregator": "telemetry",
-    "TelemetryServer": "telemetry",
     "WorkerTelemetry": "telemetry",
     "CampaignView": "telemetry",
     "publish_system": "telemetry",

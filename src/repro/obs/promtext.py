@@ -129,29 +129,17 @@ def render_metrics(snapshot: dict) -> str:
         return f
 
     campaign = snapshot.get("campaign") or {}
-    for key in ("total", "done", "ok", "failed", "cached", "resumed", "retried"):
+    for key in ("total", "done", "ok", "failed", "cached", "retried"):
         if key in campaign:
             fam(
                 f"repro_campaign_cells_{key}",
-                f"Campaign cells in state '{key}' (from the driver process).",
+                f"Campaign '{key}' count from the manifest's terminal records.",
             ).add(campaign[key])
     if campaign.get("eta_seconds") is not None:
         fam(
             "repro_campaign_eta_seconds",
             "Estimated wall-clock seconds until the campaign completes.",
         ).add(campaign["eta_seconds"])
-    if campaign.get("wall_seconds") is not None:
-        fam(
-            "repro_campaign_wall_seconds",
-            "Wall-clock seconds since the campaign started.",
-        ).add(campaign["wall_seconds"])
-
-    manifest = snapshot.get("manifest") or {}
-    for key, value in sorted(manifest.items()):
-        fam(
-            f"repro_manifest_cells_{key}",
-            f"Terminal cells counted as '{key}' in the manifest.",
-        ).add(value)
 
     serve = snapshot.get("serve") or {}
     if serve:

@@ -1,15 +1,18 @@
 """Live campaign telemetry: heartbeat spools, tailing, and aggregation.
 
-A running campaign is observable through per-worker *spool files* written
-next to the manifest.  Each worker process appends one compact JSON record
-(a *heartbeat*) every ``interval`` seconds plus one record at every cell
-boundary; the parent process — or a second terminal, or another host over a
-shared filesystem — tails the spools with :class:`TelemetryAggregator` and
-merges them into a single live :class:`CampaignView`.  Three consumers ship
-on top of that view: ``repro campaign --watch`` (:mod:`repro.obs.watch`),
-``repro monitor`` (same module, out of process), and ``--telemetry-port``
-(:class:`TelemetryServer` serving ``/snapshot`` JSON and ``/metrics``
-Prometheus text, see :mod:`repro.obs.promtext`).
+A running campaign is observable through its manifest plus per-worker
+*spool files* written next to it.  Each worker process appends one compact
+JSON record (a *heartbeat*) every ``interval`` seconds plus one record at
+every cell boundary; the campaign process — or a second terminal, or
+another host over a shared filesystem — tails the spools and the manifest
+with :class:`TelemetryAggregator` into one live :class:`CampaignView`.  The
+manifest is the only source of campaign totals (:func:`campaign_status`);
+spools only describe workers.  Every consumer reads the same view:
+``repro monitor`` and ``repro campaign --watch`` (:mod:`repro.obs.watch`),
+and ``/snapshot`` JSON plus ``/metrics`` Prometheus text (see
+:mod:`repro.obs.promtext`), served by the one HTTP front end in
+:mod:`repro.serve.server` for ``repro serve`` and ``repro campaign
+--telemetry-port`` alike.
 
 Zero-cost contract
 ------------------
@@ -58,15 +61,12 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 TELEMETRY_VERSION = 1
 
 SPOOL_PREFIX = "telemetry-"
 SPOOL_SUFFIX = ".jsonl"
-
-#: worker-name of the parent-process spool (campaign-level totals and ETA)
-DRIVER_WORKER = "driver"
 
 #: seconds between heartbeats
 DEFAULT_INTERVAL = 0.5
@@ -515,61 +515,6 @@ def deactivate_worker() -> None:
         w.stop()
 
 
-class DriverTelemetry:
-    """Parent-process spool: campaign totals, ETA, and liveness.
-
-    Workers only know their own cells; cached and resumed cells are resolved
-    in the parent, so campaign-level accounting (and the ETA) is sampled
-    from :class:`~repro.campaign.progress.CampaignProgress` here and written
-    to the ``driver`` spool for out-of-process monitors.
-    """
-
-    def __init__(
-        self,
-        spool_dir: Union[str, Path],
-        status_fn: Callable[[], dict],
-        interval: float = DEFAULT_INTERVAL,
-    ) -> None:
-        self.spool = TelemetrySpool(
-            spool_path(spool_dir, DRIVER_WORKER), DRIVER_WORKER
-        )
-        self.status_fn = status_fn
-        self.interval = interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def _record(self, phase: str) -> dict:
-        rec = {"ts": time.time(), "phase": phase, "rss": rss_bytes()}
-        try:
-            rec["campaign"] = self.status_fn()
-        except Exception:
-            pass
-        return rec
-
-    def start(self) -> "DriverTelemetry":
-        self.spool.append(self._record("driving"))
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-driver-telemetry", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.spool.append(self._record("driving"))
-            except Exception:  # pragma: no cover
-                pass
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-        self.spool.append(self._record("exit"), durable=True)
-        self.spool.close()
-
-
 # ----------------------------------------------------------------------
 # Aggregation
 # ----------------------------------------------------------------------
@@ -648,32 +593,71 @@ class WorkerView:
         return out
 
 
+def campaign_status(
+    records: Iterable[Any], total: Optional[int] = None, jobs: int = 1
+) -> dict:
+    """The live ``campaign`` block, derived from terminal cell records alone.
+
+    ``executed`` counts records not served from the result log and
+    ``retried`` is the sum of ``attempts - 1``.  ``eta_seconds`` is None
+    until one cell has run: the mean ``elapsed`` of executed records (cache
+    hits finish in ~0 s and would drag the mean toward zero) times the
+    remaining cells, divided by the effective parallelism
+    ``min(jobs, remaining)`` - with 3 cells left an 8-worker pool runs at
+    most 3 of them, so dividing by 8 would understate every campaign's tail.
+    """
+    done = ok = cached = retried = 0
+    elapsed = 0.0
+    for rec in records:
+        done += 1
+        ok += rec.ok
+        retried += max(rec.attempts - 1, 0)
+        if rec.cached:
+            cached += 1
+        else:
+            elapsed += rec.elapsed
+    executed = done - cached
+    eta = None
+    if executed and total is not None:
+        remaining = total - done
+        eta = 0.0
+        if remaining > 0:
+            eta = round(remaining * elapsed / executed / min(jobs, remaining), 3)
+    return {
+        "total": total,
+        "done": done,
+        "ok": ok,
+        "failed": done - ok,
+        "cached": cached,
+        "executed": executed,
+        "retried": retried,
+        "jobs": jobs,
+        "eta_seconds": eta,
+    }
+
+
 class CampaignView:
-    """Merged live state of one campaign: workers + manifest + driver."""
+    """Merged live state of one campaign: workers from the spools, every
+    count from the manifest."""
 
     def __init__(self, stale_after: float = DEFAULT_STALE_AFTER) -> None:
         self.workers: Dict[str, WorkerView] = {}
-        self.campaign: dict = {}  # driver spool totals/ETA (in-parent truth)
         self.manifest_meta: dict = {}  # manifest header fields (cells, jobs)
         #: cell_id -> last terminal CellRecord
         self.manifest_cells: Dict[str, Any] = {}
         self.stale_after = stale_after
 
     # -- derived -------------------------------------------------------
-    def manifest_counts(self) -> dict:
-        counts = {"done": 0, "ok": 0, "failed": 0, "cached": 0}
-        for rec in self.manifest_cells.values():
-            counts["done"] += 1
-            if rec.ok:
-                counts["ok"] += 1
-            else:
-                counts["failed"] += 1
-            if rec.cached:
-                counts["cached"] += 1
+    def campaign(self) -> dict:
+        """:func:`campaign_status` over the manifest's terminal records,
+        against the header's ``cells`` and ``jobs``."""
         total = self.manifest_meta.get("cells")
-        if isinstance(total, int):
-            counts["total"] = total
-        return counts
+        jobs = self.manifest_meta.get("jobs")
+        return campaign_status(
+            self.manifest_cells.values(),
+            total if isinstance(total, int) else None,
+            jobs if isinstance(jobs, int) and jobs > 0 else 1,
+        )
 
     def failures(self, limit: int = 5) -> List[dict]:
         """Most recent failed cells, with any watchdog diagnosis attached."""
@@ -693,23 +677,26 @@ class CampaignView:
     def to_snapshot(self, now: Optional[float] = None) -> dict:
         """JSON-ready snapshot served at ``/snapshot`` and rendered by UIs."""
         now = time.monotonic() if now is None else now
-        workers = [
-            self.workers[name].to_dict(now, self.stale_after)
-            for name in sorted(self.workers)
-            if name != DRIVER_WORKER
-        ]
+        campaign = self.campaign()
         return {
             "version": TELEMETRY_VERSION,
             "ts": time.time(),
-            "campaign": dict(self.campaign),
-            "manifest": self.manifest_counts(),
-            "workers": workers,
+            "campaign": campaign,
+            # the counts the /snapshot wire contract names under "manifest"
+            "manifest": {
+                k: campaign[k] for k in ("total", "done", "ok", "failed", "cached")
+            },
+            "workers": [
+                self.workers[name].to_dict(now, self.stale_after)
+                for name in sorted(self.workers)
+            ],
             "failures": self.failures(),
         }
 
 
 class TelemetryAggregator:
-    """Tail every spool (and optionally the manifest) into a CampaignView.
+    """Tail the spools and the manifest (either optional) into a
+    CampaignView.
 
     :meth:`refresh` is cheap and incremental — safe to call from a UI loop
     and an HTTP handler concurrently (internally serialized).
@@ -717,19 +704,19 @@ class TelemetryAggregator:
 
     def __init__(
         self,
-        spool_dir: Union[str, Path],
+        spool_dir: Optional[Union[str, Path]],
         manifest_path: Optional[Union[str, Path]] = None,
         stale_after: float = DEFAULT_STALE_AFTER,
     ) -> None:
         from repro.campaign.manifest import ManifestFollower
 
-        self.spool_dir = Path(spool_dir)
+        self.spool_dir = Path(spool_dir) if spool_dir is not None else None
         self.view = CampaignView(stale_after=stale_after)
         self._tailers: Dict[str, SpoolTailer] = {}
         self._manifest = (
             ManifestFollower(manifest_path) if manifest_path is not None else None
         )
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def refresh(self) -> CampaignView:
         with self._lock:
@@ -737,7 +724,15 @@ class TelemetryAggregator:
             self._poll_manifest()
             return self.view
 
+    def snapshot(self) -> dict:
+        """Refresh, then :meth:`CampaignView.to_snapshot` under the same
+        lock, so a concurrent refresh cannot change the view mid-read."""
+        with self._lock:
+            return self.refresh().to_snapshot()
+
     def _poll_spools(self) -> None:
+        if self.spool_dir is None:
+            return
         try:
             names = sorted(os.listdir(self.spool_dir))
         except OSError:
@@ -751,10 +746,6 @@ class TelemetryAggregator:
                 tailer = self._tailers[name] = SpoolTailer(self.spool_dir / name)
             for rec in tailer.poll():
                 worker = rec.get("worker") or name[len(SPOOL_PREFIX) : -len(SPOOL_SUFFIX)]
-                if worker == DRIVER_WORKER:
-                    if "campaign" in rec:
-                        self.view.campaign = rec["campaign"]
-                    continue
                 wv = self.view.workers.get(worker)
                 if wv is None:
                     wv = self.view.workers[worker] = WorkerView(worker)
@@ -768,81 +759,3 @@ class TelemetryAggregator:
         self._manifest.poll()
         self.view.manifest_meta = self._manifest.scan.meta
         self.view.manifest_cells = self._manifest.scan.records
-
-
-# ----------------------------------------------------------------------
-# HTTP endpoint
-# ----------------------------------------------------------------------
-
-
-class TelemetryServer:
-    """Stdlib HTTP thread serving ``/snapshot`` (JSON) and ``/metrics``
-    (Prometheus text exposition, see :mod:`repro.obs.promtext`)."""
-
-    def __init__(
-        self,
-        snapshot_fn: Callable[[], dict],
-        port: int = 0,
-        host: str = "127.0.0.1",
-    ) -> None:
-        self.snapshot_fn = snapshot_fn
-        self.host = host
-        self.port = port  # replaced with the bound port by start()
-        self._httpd: Optional[Any] = None
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> "TelemetryServer":
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        from repro.obs.promtext import render_metrics
-
-        snapshot_fn = self.snapshot_fn
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                path = self.path.split("?", 1)[0]
-                try:
-                    if path == "/snapshot":
-                        body = json.dumps(snapshot_fn()).encode()
-                        ctype = "application/json"
-                    elif path == "/metrics":
-                        body = render_metrics(snapshot_fn()).encode()
-                        ctype = "text/plain; version=0.0.4; charset=utf-8"
-                    else:
-                        self.send_error(404, "unknown path")
-                        return
-                except Exception as exc:  # pragma: no cover - handler safety
-                    self.send_error(500, str(exc))
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args: Any) -> None:
-                pass  # keep campaign output clean
-
-        self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
-        self._httpd.daemon_threads = True
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-telemetry-http",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def stop(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None

@@ -1,16 +1,14 @@
-"""Terminal UIs over live campaign telemetry.
+"""The terminal UI over live campaign telemetry.
 
-Two consumers of :class:`~repro.obs.telemetry.CampaignView`:
-
-* :class:`WatchBoard` — the in-process ``repro campaign --watch`` status
-  board.  A daemon thread refreshes a multi-line panel (per-worker rows,
-  campaign totals, ETA from non-cached cells, stall highlighting wired to
-  the watchdog diagnosis) on an ANSI terminal; on a non-TTY stream it
-  degrades to one plain status line per refresh interval so CI logs stay
-  useful.
-* :func:`run_monitor` — the out-of-process ``repro monitor`` loop: tails
-  the same spool directory (plus the manifest) from a second terminal or
-  another host over a shared filesystem and renders the same board.
+:func:`run_monitor` is the ``repro monitor`` loop: it tails a campaign's
+spool directory and manifest (:class:`~repro.obs.telemetry.TelemetryAggregator`)
+and repaints a multi-line board - campaign totals and ETA, per-worker rows,
+stall highlighting wired to the watchdog diagnosis - on an ANSI terminal;
+on a non-TTY stream it degrades to one plain status line per refresh so CI
+logs stay useful.  It runs from a second terminal, from another host over a
+shared filesystem, or inside the campaign process itself as
+``repro campaign --watch`` (:func:`watch`, on a thread, until the campaign
+ends).
 
 Rendering is pure (:func:`render_board` takes a snapshot dict and returns
 lines), so the tests never need a TTY or a live campaign.
@@ -38,7 +36,7 @@ _DIM = "\x1b[2m"
 _RESET = "\x1b[0m"
 
 
-def _fmt_duration(seconds: Optional[float]) -> str:
+def fmt_duration(seconds: Optional[float]) -> str:
     if seconds is None:
         return "--"
     seconds = max(0, int(round(seconds)))
@@ -70,15 +68,14 @@ def render_board(snapshot: dict, color: bool = False) -> List[str]:
         return f"{code}{text}{_RESET}" if color else text
 
     campaign = snapshot.get("campaign") or {}
-    manifest = snapshot.get("manifest") or {}
-    total = campaign.get("total", manifest.get("total"))
-    done = campaign.get("done", manifest.get("done", 0))
+    total = campaign.get("total")
+    done = campaign.get("done", 0)
     lines: List[str] = []
 
     header = f"campaign: {done}/{total if total is not None else '?'} cells"
     parts = []
-    for key in ("ok", "failed", "cached", "resumed", "retried"):
-        value = campaign.get(key, manifest.get(key))
+    for key in ("ok", "failed", "cached", "retried"):
+        value = campaign.get(key)
         if value:
             text = f"{value} {key}"
             if key == "failed":
@@ -88,7 +85,7 @@ def render_board(snapshot: dict, color: bool = False) -> List[str]:
         header += "  (" + ", ".join(parts) + ")"
     eta = campaign.get("eta_seconds")
     if eta is not None and total is not None and done < total:
-        header += f"  eta {_fmt_duration(eta)}"
+        header += f"  eta {fmt_duration(eta)}"
     lines.append(header)
 
     workers = snapshot.get("workers") or []
@@ -143,9 +140,8 @@ def render_board(snapshot: dict, color: bool = False) -> List[str]:
 def render_status_line(snapshot: dict) -> str:
     """One-line summary for non-TTY streams (CI logs, pipes)."""
     campaign = snapshot.get("campaign") or {}
-    manifest = snapshot.get("manifest") or {}
-    total = campaign.get("total", manifest.get("total", "?"))
-    done = campaign.get("done", manifest.get("done", 0))
+    total = campaign.get("total")
+    done = campaign.get("done", 0)
     running = [
         f"{(w.get('cell') or {}).get('workload', '?')}/"
         f"{(w.get('cell') or {}).get('scheme', '?')}"
@@ -153,73 +149,15 @@ def render_status_line(snapshot: dict) -> str:
         if w.get("phase") in ("running", "start") and w.get("cell")
     ]
     stalled = sum(1 for w in snapshot.get("workers") or [] if w.get("stalled"))
-    line = f"watch: {done}/{total} done"
+    line = f"watch: {done}/{total if total is not None else '?'} done"
     eta = campaign.get("eta_seconds")
     if eta is not None:
-        line += f", eta {_fmt_duration(eta)}"
+        line += f", eta {fmt_duration(eta)}"
     if running:
         line += ", running " + " ".join(running[:4])
     if stalled:
         line += f", {stalled} STALLED"
     return line
-
-
-class WatchBoard:
-    """Threaded live board for an in-process campaign.
-
-    ``snapshot_fn`` supplies the merged view (usually
-    ``aggregator.refresh().to_snapshot()`` with the driver's own progress
-    spliced in); the board only renders.
-    """
-
-    def __init__(
-        self,
-        snapshot_fn,
-        stream: Optional[TextIO] = None,
-        interval: float = 1.0,
-    ) -> None:
-        self.snapshot_fn = snapshot_fn
-        self.stream = stream or sys.stdout
-        self.interval = interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._last_height = 0
-        self._tty = bool(getattr(self.stream, "isatty", lambda: False)())
-
-    def start(self) -> "WatchBoard":
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-watch", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-        self._render_once()  # final state stays on screen
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self._render_once()
-            except Exception:  # pragma: no cover - UI must not kill the run
-                pass
-
-    def _render_once(self) -> None:
-        snapshot = self.snapshot_fn()
-        if self._tty:
-            lines = render_board(snapshot, color=True)
-            out = ""
-            if self._last_height:
-                out += f"\x1b[{self._last_height}F\x1b[J"  # up + clear below
-            out += "\n".join(lines) + "\n"
-            self.stream.write(out)
-            self._last_height = len(lines)
-        else:
-            self.stream.write(render_status_line(snapshot) + "\n")
-        self.stream.flush()
 
 
 # ----------------------------------------------------------------------
@@ -262,9 +200,9 @@ def resolve_monitor_paths(target: Union[str, Path]) -> tuple:
 
 def monitor_done(view_snapshot: dict) -> bool:
     """True once every cell the manifest promised is terminal."""
-    manifest = view_snapshot.get("manifest") or {}
-    total = manifest.get("total")
-    return isinstance(total, int) and total > 0 and manifest.get("done", 0) >= total
+    campaign = view_snapshot.get("campaign") or {}
+    total = campaign.get("total")
+    return isinstance(total, int) and total > 0 and campaign.get("done", 0) >= total
 
 
 def run_monitor(
@@ -276,45 +214,58 @@ def run_monitor(
     stale_after: float = DEFAULT_STALE_AFTER,
     max_seconds: Optional[float] = None,
 ) -> dict:
-    """Tail a campaign's spools from outside the campaign process.
+    """Tail a campaign's spools and manifest from outside its process.
 
     Returns the final snapshot (also printed as JSON with ``as_json``).
     Exits when the manifest reports every cell terminal, after one refresh
     with ``once``, or after ``max_seconds``.
     """
-    stream = stream or sys.stdout
     spool_dir, manifest_path = resolve_monitor_paths(target)
     aggregator = TelemetryAggregator(
         spool_dir, manifest_path=manifest_path, stale_after=stale_after
     )
+    return watch(aggregator, interval, once, as_json, stream, max_seconds)
+
+
+def watch(
+    aggregator: TelemetryAggregator,
+    interval: float = 1.0,
+    once: bool = False,
+    as_json: bool = False,
+    stream: Optional[TextIO] = None,
+    max_seconds: Optional[float] = None,
+    stop: Optional[threading.Event] = None,
+) -> dict:
+    """The monitor loop: repaint the board every ``interval`` seconds until
+    the campaign is done, ``once`` after one refresh, ``max_seconds`` pass
+    or ``stop`` is set; the final board (or JSON snapshot) stays printed."""
+    stream = stream or sys.stdout
+    stop = stop or threading.Event()
     tty = bool(getattr(stream, "isatty", lambda: False)())
     deadline = time.monotonic() + max_seconds if max_seconds else None
     last_height = 0
     while True:
-        snapshot = aggregator.refresh().to_snapshot()
-        finished = monitor_done(snapshot)
-        if once or finished or (deadline and time.monotonic() >= deadline):
-            if as_json:
+        snapshot = aggregator.snapshot()
+        final = (
+            once
+            or stop.is_set()
+            or monitor_done(snapshot)
+            or (deadline is not None and time.monotonic() >= deadline)
+        )
+        if as_json:
+            if final:  # JSON mode only emits the terminal snapshot
                 import json
 
                 stream.write(json.dumps(snapshot, indent=2) + "\n")
-            else:
-                if tty and last_height:
-                    stream.write(f"\x1b[{last_height}F\x1b[J")
-                stream.write("\n".join(render_board(snapshot, color=tty)) + "\n")
-            stream.flush()
-            return snapshot
-        if as_json:
-            pass  # JSON mode only emits the terminal snapshot
-        elif tty:
-            lines = render_board(snapshot, color=True)
-            out = ""
+        elif tty or final:
+            lines = render_board(snapshot, color=tty)
             if last_height:
-                out += f"\x1b[{last_height}F\x1b[J"
-            out += "\n".join(lines) + "\n"
-            stream.write(out)
+                stream.write(f"\x1b[{last_height}F\x1b[J")  # up + clear below
+            stream.write("\n".join(lines) + "\n")
             last_height = len(lines)
         else:
             stream.write(render_status_line(snapshot) + "\n")
         stream.flush()
-        time.sleep(interval)
+        if final:
+            return snapshot
+        stop.wait(interval)

@@ -93,20 +93,6 @@ def tear_manifest(path: str, rng: Optional[random.Random] = None) -> str:
     return torn
 
 
-def heal_torn_line(path: str) -> None:
-    """Terminate a torn trailing line so later appends stay parseable.
-
-    The manifest writers already do this themselves before every append
-    (``Manifest._append_line`` checks the file tail), so this helper only
-    matters for readers that want a clean file without writing a record.
-    Either way the tear stays confined to the crashed writer's own line:
-    the reader skips it, and the at-least-once execution layer re-runs
-    whatever that record would have retired.
-    """
-    with open(path, "a") as fh:
-        fh.write("\n")
-
-
 def duplicate_manifest_lines(
     path: str, rng: random.Random, count: int = 2
 ) -> int:

@@ -15,8 +15,11 @@ Two cooperating layers live here:
 * :class:`ServeService` — the wire front end: one ``asyncio.start_server``
   socket speaking both HTTP/1.1 (hand-parsed, stdlib only) and raw
   newline-delimited JSON (a connection whose first byte is ``{`` is a JSONL
-  session).  Endpooints: ``POST /submit``, ``GET /jobs/<id>``,
+  session).  Endpoints: ``POST /submit``, ``GET /jobs/<id>``,
   ``/healthz``, ``/readyz``, ``/snapshot``, ``/metrics``, ``POST /drain``.
+  Its HTTP half is :class:`HttpFront`, the one HTTP implementation: ``repro
+  campaign --telemetry-port`` runs a bare front (``/snapshot`` and
+  ``/metrics`` only) on a loop thread.
 
 Degradation ladder (documented in docs/API.md):
 
@@ -38,6 +41,7 @@ import asyncio
 import functools
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -185,6 +189,9 @@ class ServeScheduler:
             tdir = _telemetry.spool_dir_for(cfg.manifest)
             tdir.mkdir(parents=True, exist_ok=True)
             self.telemetry_dir = str(tdir)
+        self._view = _telemetry.TelemetryAggregator(
+            self.telemetry_dir, manifest_path=cfg.manifest
+        )
         self.pool = CellPool(
             cfg.jobs,
             runner,
@@ -855,21 +862,9 @@ class ServeScheduler:
         return render_html(reports, title=f"repro serve job {job.job_id}")
 
     def snapshot(self) -> dict:
-        if self.telemetry_dir is not None:
-            if not hasattr(self, "_aggregator"):
-                self._aggregator = _telemetry.TelemetryAggregator(
-                    self.telemetry_dir, manifest_path=self.cfg.manifest
-                )
-            snap = self._aggregator.refresh().to_snapshot()
-        else:
-            snap = {
-                "version": _telemetry.TELEMETRY_VERSION,
-                "ts": time.time(),
-                "campaign": {},
-                "manifest": {},
-                "workers": [],
-                "failures": [],
-            }
+        """The campaign view of this node's manifest (and worker spools),
+        plus the node's own ``serve`` block."""
+        snap = self._view.snapshot()
         snap["serve"] = self.serve_stats()
         return snap
 
@@ -881,59 +876,68 @@ class ServeScheduler:
 _MAX_BODY = 8 * 1024 * 1024
 
 
-class ServeService:
-    """HTTP + JSONL listener bound to one :class:`ServeScheduler`."""
+class HttpFront:
+    """One asyncio listener speaking hand-parsed HTTP/1.1.
+
+    Serves ``GET /snapshot`` (JSON) and ``GET /metrics`` (Prometheus text,
+    :mod:`repro.obs.promtext`) from ``snapshot_fn()`` and answers 404 for
+    anything else; :class:`ServeService` adds its routes and the JSONL
+    protocol on top.  Run it inside an event loop with :meth:`listen` /
+    :meth:`close`, or on its own loop thread with :meth:`start_thread` /
+    :meth:`stop_thread`.
+    """
 
     def __init__(
-        self,
-        cfg: ServeConfig,
-        runner: CellRunner = execute_cell,
-        cache: Optional[Manifest] = None,
+        self, snapshot_fn: Any, host: str = "127.0.0.1", port: int = 0
     ) -> None:
-        self.cfg = cfg
-        self.node = ServeScheduler(cfg, runner=runner, cache=cache)
+        self.snapshot_fn = snapshot_fn
+        self.host = host
+        self.port = port  # replaced with the bound port by listen()
         self._server: Optional[asyncio.AbstractServer] = None
-        self.port = cfg.port
-
-    async def start(self) -> "ServeService":
-        await self.node.start()
-        self._server = await asyncio.start_server(
-            self._handle, self.cfg.host, self.cfg.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
 
     @property
     def url(self) -> str:
-        return f"http://{self.cfg.host}:{self.port}"
+        return f"http://{self.host}:{self.port}"
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await self.node.aclose()
+    async def listen(self) -> None:
+        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        self.port = self._server.sockets[0].getsockname()[1]
 
-    async def drain_and_stop(self) -> None:
-        self.node.begin_drain()
-        await self.node.stopped.wait()
+    async def close(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
 
-    # ------------------------------------------------------------------
+    def start_thread(self) -> "HttpFront":
+        """Listen on a fresh event loop in a daemon thread."""
+        loop = self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=loop.run_forever, name="repro-http", daemon=True
+        )
+        self._thread.start()
+        asyncio.run_coroutine_threadsafe(self.listen(), loop).result(timeout=30)
+        return self
+
+    def stop_thread(self) -> None:
+        loop = self._loop
+        if loop is None:
+            return
+        asyncio.run_coroutine_threadsafe(self.close(), loop).result(timeout=5)
+        loop.call_soon_threadsafe(loop.stop)
+        self._thread.join(timeout=5)
+        loop.close()
+        self._loop = None
+
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
             first = await reader.readline()
-            if not first:
-                return
-            if first.lstrip().startswith(b"{"):
-                await self._jsonl_session(first, reader, writer)
-            else:
-                await self._http_request(first, reader, writer)
+            if first:
+                await self._session(first, reader, writer)
         except (
             ConnectionError,
             asyncio.IncompleteReadError,
@@ -949,13 +953,108 @@ class ServeService:
             except Exception:
                 pass
 
-    # -- JSONL protocol ------------------------------------------------
-    async def _jsonl_session(
+    async def _session(
         self,
         first: bytes,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        """Serve one connection whose first line is ``first``."""
+        await self._http_request(first, reader, writer)
+
+    async def _http_request(
+        self,
+        request_line: bytes,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        try:
+            method, target, _version = (
+                request_line.decode("latin-1").strip().split(" ", 2)
+            )
+        except ValueError:
+            await _respond(writer, 400, {"error": "malformed request line"})
+            return
+        headers: Dict[str, str] = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if b":" in line:
+                key, _, value = line.decode("latin-1").partition(":")
+                headers[key.strip().lower()] = value.strip()
+        body = b""
+        length = headers.get("content-length")
+        if length is not None:
+            try:
+                n = int(length)
+            except ValueError:
+                await _respond(writer, 400, {"error": "bad Content-Length"})
+                return
+            if n > _MAX_BODY:
+                await _respond(writer, 413, {"error": "body too large"})
+                return
+            if n:
+                body = await reader.readexactly(n)
+        path = target.split("?", 1)[0]
+        await self._route(writer, method, path, body, headers)
+
+    async def _route(
+        self,
+        writer: asyncio.StreamWriter,
+        method: str,
+        path: str,
+        body: bytes,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        if method == "GET" and path == "/snapshot":
+            await _respond(writer, 200, self.snapshot_fn())
+        elif method == "GET" and path == "/metrics":
+            from repro.obs.promtext import render_metrics
+
+            await _respond(
+                writer,
+                200,
+                render_metrics(self.snapshot_fn()).encode(),
+                content_type="text/plain; version=0.0.4; charset=utf-8",
+            )
+        else:
+            await _respond(writer, 404, {"error": f"no route {method} {path}"})
+
+
+class ServeService(HttpFront):
+    """HTTP + JSONL listener bound to one :class:`ServeScheduler`."""
+
+    def __init__(
+        self,
+        cfg: ServeConfig,
+        runner: CellRunner = execute_cell,
+        cache: Optional[Manifest] = None,
+    ) -> None:
+        self.cfg = cfg
+        self.node = ServeScheduler(cfg, runner=runner, cache=cache)
+        super().__init__(self.node.snapshot, cfg.host, cfg.port)
+
+    async def start(self) -> "ServeService":
+        await self.node.start()
+        await self.listen()
+        return self
+
+    async def stop(self) -> None:
+        await self.close()
+        await self.node.aclose()
+
+    # -- JSONL protocol ------------------------------------------------
+    async def _session(
+        self,
+        first: bytes,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """A connection whose first byte is ``{`` speaks JSONL, else HTTP."""
+        if not first.lstrip().startswith(b"{"):
+            await self._http_request(first, reader, writer)
+            return
         line = first
         while line:
             try:
@@ -1023,44 +1122,7 @@ class ServeService:
             return {"ok": True, **node.job_info(job)}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
-    # -- HTTP protocol -------------------------------------------------
-    async def _http_request(
-        self,
-        request_line: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            method, target, _version = (
-                request_line.decode("latin-1").strip().split(" ", 2)
-            )
-        except ValueError:
-            await _respond(writer, 400, {"error": "malformed request line"})
-            return
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if b":" in line:
-                key, _, value = line.decode("latin-1").partition(":")
-                headers[key.strip().lower()] = value.strip()
-        body = b""
-        length = headers.get("content-length")
-        if length is not None:
-            try:
-                n = int(length)
-            except ValueError:
-                await _respond(writer, 400, {"error": "bad Content-Length"})
-                return
-            if n > _MAX_BODY:
-                await _respond(writer, 413, {"error": "body too large"})
-                return
-            if n:
-                body = await reader.readexactly(n)
-        path = target.split("?", 1)[0]
-        await self._route(writer, method, path, body, headers)
-
+    # -- HTTP routes ---------------------------------------------------
     async def _route(
         self,
         writer: asyncio.StreamWriter,
@@ -1081,20 +1143,6 @@ class ServeService:
                 await _respond(writer, 503, {"ready": False, "reason": "draining"})
             else:
                 await _respond(writer, 200, {"ready": True})
-            return
-        if method == "GET" and path == "/snapshot":
-            await _respond(writer, 200, node.snapshot())
-            return
-        if method == "GET" and path == "/metrics":
-            from repro.obs.promtext import render_metrics
-
-            text = render_metrics(node.snapshot())
-            await _respond(
-                writer,
-                200,
-                text.encode(),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
             return
         if method == "GET" and path.startswith("/jobs/"):
             rest = path[len("/jobs/") :]
@@ -1153,7 +1201,7 @@ class ServeService:
             node.begin_drain()
             await _respond(writer, 202, {"draining": True})
             return
-        await _respond(writer, 404, {"error": f"no route {method} {path}"})
+        await super()._route(writer, method, path, body, headers)
 
 
 def _expand_cells(req: dict) -> List[dict]:
@@ -1258,9 +1306,7 @@ async def _serve_async(
             flush=True,
         )
     await service.node.stopped.wait()
-    if service._server is not None:
-        service._server.close()
-        await service._server.wait_closed()
+    await service.close()
     if announce:
         print("serve: drained and stopped", flush=True)
     return 0

@@ -20,6 +20,11 @@ diagnosis.  This module makes such failures loud and cheap instead:
 * :func:`crash_report` / :func:`write_crash_dump` - a JSON snapshot of
   engine state, per-vault queue depths, bank states and the last-K trace
   events, written on any violation or unhandled engine exception.
+* :func:`command_timing_violations` - an independent DRAM timing check
+  over the per-bank command logs of a ``record_commands=True`` run
+  (tRCD, tRP, tRAS, tWR; tRRD and tFAW, which the model does not
+  enforce, are reported too).  It reads the logs only and never calls
+  the bank model it checks.
 * :class:`IntegrityMonitor` - wires the above onto a built
   :class:`~repro.system.System` and converts any failure into a single
   :class:`IntegrityError` carrying a compact ``report`` (what the campaign
@@ -162,6 +167,72 @@ class Watchdog:
             "same_cycle_callbacks": dict(ranked[:10]),
             "stuck_component": ranked[0][0] if ranked else None,
         }
+
+
+#: DDR3-1600 (1 KB page) limits the bank model does not declare, in
+#: memory-bus cycles: ACT to ACT of another bank, and the four-activate window
+DDR3_TRRD = 5
+DDR3_TFAW = 24
+
+
+def command_timing_violations(system: Any) -> Dict[str, int]:
+    """Count DRAM timing-rule violations in a finished run's command logs.
+
+    Per bank: ACTIVATE to a column command (READ, WRITE, ROW_FETCH,
+    ROW_RESTORE) at least tRCD; PRECHARGE to ACTIVATE at least tRP;
+    ACTIVATE to PRECHARGE at least tRAS; and PRECHARGE at least tWR after
+    the write data of every WRITE since the row opened, taking the data to
+    end no earlier than the WRITE cycle + tCL + tBurst (the TSV bus can
+    only push it later, so this is a lower bound on the violations).  Per
+    vault, :data:`DDR3_TRRD` and :data:`DDR3_TFAW` are checked across banks
+    and reported only: the model leaves both rules out.
+    """
+    import math
+
+    from repro.dram.commands import CommandKind
+
+    t = system.config.hmc.timings
+    trrd_cpu = math.ceil(DDR3_TRRD * t.ratio)
+    tfaw_cpu = math.ceil(DDR3_TFAW * t.ratio)
+    column = {
+        CommandKind.READ,
+        CommandKind.WRITE,
+        CommandKind.ROW_FETCH,
+        CommandKind.ROW_RESTORE,
+    }
+    counts = {"tRCD": 0, "tRP": 0, "tRAS": 0, "tWR": 0, "tRRD": 0, "tFAW": 0}
+    for device in system.devices:
+        for vc in device.vaults:
+            acts = []  # (cycle, bank) of every ACTIVATE in the vault
+            for bank in vc.banks:
+                act = pre = write_end = None
+                for cmd in sorted(bank.command_log, key=lambda c: c.cycle):
+                    cycle = cmd.cycle
+                    if cmd.kind is CommandKind.ACTIVATE:
+                        if pre is not None and cycle - pre < t.trp_cpu:
+                            counts["tRP"] += 1
+                        act = cycle
+                        acts.append((cycle, cmd.bank))
+                    elif cmd.kind is CommandKind.PRECHARGE:
+                        if act is not None and cycle - act < t.tras_cpu:
+                            counts["tRAS"] += 1
+                        if write_end is not None and cycle - write_end < t.twr_cpu:
+                            counts["tWR"] += 1
+                        pre, write_end = cycle, None
+                    elif cmd.kind in column:
+                        if act is not None and cycle - act < t.trcd_cpu:
+                            counts["tRCD"] += 1
+                        if cmd.kind is CommandKind.WRITE:
+                            end = cycle + t.tcl_cpu + t.tburst_cpu
+                            write_end = max(write_end or end, end)
+            acts.sort()
+            for i in range(1, len(acts)):
+                (prev, prev_bank), (cycle, bank) = acts[i - 1], acts[i]
+                if cycle - prev < trrd_cpu and bank != prev_bank:
+                    counts["tRRD"] += 1
+                if i >= 4 and cycle - acts[i - 4][0] < tfaw_cpu:
+                    counts["tFAW"] += 1
+    return counts
 
 
 class InvariantChecker:

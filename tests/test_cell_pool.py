@@ -1,9 +1,10 @@
 """The shared cell pool (repro.campaign.pool) and the one attempt policy.
 
 * Worker lifetime: a pool owner killed outright leaves no worker behind,
-  and a worker forked under an asyncio SIGTERM handler still dies on
-  SIGTERM without waking its parent's event loop, even when the signal
-  comes before the worker has reset its handlers.
+  not even one busy with a long cell, and a worker forked under an
+  asyncio SIGTERM handler still dies on SIGTERM without waking its
+  parent's event loop, even when the signal comes before the worker has
+  reset its handlers.
 * Drain: ``stop(drain=True)`` runs every submitted cell, including one no
   worker has taken yet.
 * Parity: ``run_campaign(jobs=1)`` and ``jobs=2`` settle the same attempts
@@ -34,7 +35,8 @@ needs_fork = pytest.mark.skipif(
     reason="forked workers and /proc are needed",
 )
 
-#: a pool owner whose two workers are busy when it prints their PIDs
+#: a pool owner whose two workers are busy ({nap} s cells) when it prints
+#: their PIDs
 _OWNER = textwrap.dedent(
     """
     import time
@@ -43,8 +45,8 @@ _OWNER = textwrap.dedent(
     from repro.experiments.runner import ExperimentConfig
 
     def slow(cell, attempt):
-        time.sleep(1.0)
-        return {}
+        time.sleep({nap})
+        return {{}}
 
     pool = CellPool(jobs=2, runner=slow, start_method="fork").start(
         lambda res: None
@@ -115,20 +117,24 @@ def _gone(pid):
 
 @needs_fork
 def test_workers_exit_when_the_owner_is_sigkilled():
-    owner = _owner(_OWNER)
+    # a 1 s cell ends soon after the kill; a 30 s one must not be waited out
+    owners = [_owner(_OWNER.format(nap=nap)) for nap in (1.0, 30.0)]
     pids = []
     try:
-        pids = [int(p) for p in owner.stdout.readline().split()]
-        assert len(pids) == 2
-        owner.send_signal(signal.SIGKILL)
-        owner.wait(timeout=10)
+        for owner in owners:
+            pids += [int(p) for p in owner.stdout.readline().split()]
+        assert len(pids) == 4
+        for owner in owners:
+            owner.send_signal(signal.SIGKILL)
+            owner.wait(timeout=10)
         deadline = time.monotonic() + 3.0
         while not all(_gone(p) for p in pids) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert [p for p in pids if not _gone(p)] == []
     finally:
-        owner.kill()
-        owner.stdout.close()
+        for owner in owners:
+            owner.kill()
+            owner.stdout.close()
         for pid in pids:
             try:
                 os.kill(pid, signal.SIGKILL)

@@ -4,11 +4,14 @@
 drivers (Figs. 5-9, the seed study, the ablations).  These tests pin the
 persisted-summary digest of each on tiny inputs through a fresh result
 log, so any change to how a driver builds traces, systems or results shows up
-as a digest change rather than passing silently.
+as a digest change rather than passing silently.  The hot-path quick pin
+(``benchmarks/bench_hotpath.py``) runs here too, tied to the model version.
 """
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +67,11 @@ class TestDriverPins:
             "HM1", refs_per_core=150
         )
         assert _sweep_digest(r) == "aff1b59810457172"
+
+
+def test_quick_hotpath_pin_matches_model_version():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_hotpath.py"
+    spec = importlib.util.spec_from_file_location("bench_hotpath", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.test_quick_digest_parity()  # digest, events_fired, version table

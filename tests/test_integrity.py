@@ -1,6 +1,8 @@
-"""Simulation integrity layer: watchdog, invariants, crash dumps, and the
-campaign's handling of diagnosed failures (terminal, resumable, narrated)."""
+"""Simulation integrity layer: watchdog, invariants, crash dumps, the
+command-log timing checker, and the campaign's handling of diagnosed
+failures (terminal, resumable, narrated)."""
 
+import functools
 import json
 import os
 
@@ -24,9 +26,11 @@ from repro.sim.integrity import (
     InvariantChecker,
     InvariantViolation,
     Watchdog,
+    command_timing_violations,
     crash_report,
     write_crash_dump,
 )
+from repro.dram.commands import Command, CommandKind
 from repro.system import System, SystemConfig, run_system
 from repro.workloads.mixes import mix as make_mix
 from repro.workloads.multistream import MultiStreamSpec, build_stream_traces
@@ -138,6 +142,39 @@ class TestInvariantChecker:
         sys_.host.stats.counters["reads_sent"].value += 3  # issued, never retired
         violations = InvariantChecker(sys_).check_conservation()
         assert any("never retired" in v for v in violations)
+
+
+class TestCommandTiming:
+    """The independent timing checker over ``record_commands`` logs."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _quick(scheme):
+        # the hot-path quick config: MX1, 800 refs/core, seed 1
+        system = System(make_mix("MX1", 800, seed=1),
+                        SystemConfig(scheme=scheme, record_commands=True),
+                        workload="MX1")
+        system.run()
+        return command_timing_violations(system)
+
+    def test_counts_each_rule_on_a_scripted_log(self):
+        t = HMCConfig().timings
+        act, pre, wr = CommandKind.ACTIVATE, CommandKind.PRECHARGE, CommandKind.WRITE
+        system = _system(integrity=False)  # built, not run: empty logs
+        bank0, bank1 = system.device.vaults[0].banks[:2]
+        bank0.command_log[:] = [
+            Command(act, 0, 1, 0), Command(wr, 0, 1, t.trcd_cpu - 1),
+            Command(pre, 0, 1, t.tras_cpu - 1), Command(act, 0, 2, t.tras_cpu)]
+        bank1.command_log[:] = [Command(act, 1, 3, t.tras_cpu + 1)]
+        assert command_timing_violations(system) == {
+            "tRCD": 1, "tRP": 1, "tRAS": 1, "tWR": 1, "tRRD": 1, "tFAW": 0}
+
+    @pytest.mark.parametrize("scheme", ["none", "camps"])
+    @pytest.mark.parametrize("rule", ["tRCD", "tRP", "tRAS", pytest.param(
+        "tWR", marks=pytest.mark.xfail(strict=True, reason="only restore_row "
+                                       "waits tWR before a precharge"))])
+    def test_quick_config_obeys(self, rule, scheme):
+        assert self._quick(scheme)[rule] == 0
 
 
 class TestCrashDumps:

@@ -6,13 +6,16 @@ lost records), the aggregator that merges worker spools plus the manifest
 into a CampaignView, the Prometheus text exposition, the /snapshot + /metrics
 HTTP endpoint, the terminal board renderers, and an end-to-end run_campaign
 with telemetry armed (exactly-once cell accounting, out-of-process monitor
-convergence).
+convergence to the campaign's own stats).
 """
 
 import io
 import json
 import os
+import subprocess
+import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +30,6 @@ from repro.obs.telemetry import (
     CampaignView,
     SpoolTailer,
     TelemetryAggregator,
-    TelemetryServer,
     TelemetrySpool,
     WorkerTelemetry,
     WorkerView,
@@ -42,6 +44,7 @@ from repro.obs.watch import (
     resolve_monitor_paths,
     run_monitor,
 )
+from repro.serve.server import HttpFront
 
 TINY = ExperimentConfig(refs_per_core=150, seed=1)
 
@@ -57,6 +60,12 @@ def _summary(cell):
 
 
 def ok_runner(cell, attempt):  # module-level: picklable for worker processes
+    return _summary(cell)
+
+
+def lm1_flaky_runner(cell, attempt):
+    if cell.workload == "LM1" and attempt == 1:
+        raise RuntimeError("transient glitch")
     return _summary(cell)
 
 
@@ -411,7 +420,7 @@ def _write_manifest(path, cells, records):
 
 
 class TestAggregator:
-    def test_merges_workers_driver_and_manifest(self, tmp_path):
+    def test_merges_workers_and_manifest(self, tmp_path):
         for name in ("w0", "w1"):
             spool = TelemetrySpool(spool_path(tmp_path, name), name)
             spool.append({"phase": "running", "ts": 0.0,
@@ -420,22 +429,22 @@ class TestAggregator:
                                    "scheme": "base", "attempt": 1},
                           "cycle": 100, "rss": 1 << 20})
             spool.close()
-        driver = TelemetrySpool(spool_path(tmp_path, "driver"), "driver")
-        driver.append({"phase": "driving", "ts": 0.0,
-                       "campaign": {"total": 4, "done": 2}})
-        driver.close()
         manifest = tmp_path / "m.jsonl"
         _write_manifest(manifest, 4, [
             {"cell_id": "a", "workload": "HM1", "scheme": "base",
-             "status": "ok", "cached": False},
+             "status": "ok", "attempts": 2, "elapsed": 3.0, "cached": False},
             {"cell_id": "b", "workload": "LM1", "scheme": "base",
-             "status": "timeout",
+             "status": "timeout", "elapsed": 5.0,
              "diagnosis": {"reason": "livelock", "stuck_component": "vault3"}},
         ])
         agg = TelemetryAggregator(tmp_path, manifest_path=manifest)
         snap = agg.refresh().to_snapshot()
         assert [w["worker"] for w in snap["workers"]] == ["w0", "w1"]
-        assert snap["campaign"] == {"total": 4, "done": 2}
+        # 2 cells left, 2 jobs, mean executed elapsed 4 s
+        assert snap["campaign"] == {"total": 4, "done": 2, "ok": 1,
+                                    "failed": 1, "cached": 0, "executed": 2,
+                                    "retried": 1, "jobs": 2,
+                                    "eta_seconds": 4.0}
         assert snap["manifest"] == {"done": 2, "ok": 1, "failed": 1,
                                     "cached": 0, "total": 4}
         (failure,) = snap["failures"]
@@ -448,7 +457,7 @@ class TestAggregator:
                "status": "ok"}
         _write_manifest(manifest, 2, [rec, rec])  # resume rewrote the cell
         agg = TelemetryAggregator(tmp_path, manifest_path=manifest)
-        assert agg.refresh().manifest_counts()["done"] == 1
+        assert agg.refresh().campaign()["done"] == 1
 
     def test_fresh_manifest_header_voids_prior_cells(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
@@ -456,9 +465,9 @@ class TestAggregator:
             {"cell_id": "a", "status": "ok", "workload": "x", "scheme": "y"},
         ])
         agg = TelemetryAggregator(tmp_path, manifest_path=manifest)
-        assert agg.refresh().manifest_counts()["done"] == 1
+        assert agg.refresh().campaign()["done"] == 1
         _write_manifest(manifest, 3, [])  # campaign restarted from scratch
-        counts = agg.refresh().manifest_counts()
+        counts = agg.refresh().campaign()
         assert counts["done"] == 0 and counts["total"] == 3
 
     def test_serve_overlay_lines_are_not_cells(self, tmp_path):
@@ -546,8 +555,8 @@ def _snapshot():
         "version": TELEMETRY_VERSION,
         "ts": 0.0,
         "campaign": {"total": 4, "done": 2, "ok": 2, "failed": 0,
-                     "cached": 1, "resumed": 0, "retried": 0,
-                     "eta_seconds": 12.5, "wall_seconds": 30.0, "jobs": 2},
+                     "cached": 1, "executed": 1, "retried": 0,
+                     "eta_seconds": 12.5, "jobs": 2},
         "manifest": {"done": 2, "ok": 2, "failed": 0, "cached": 1, "total": 4},
         "workers": [
             {"worker": "w0", "phase": "running", "age_seconds": 0.2,
@@ -607,9 +616,9 @@ class TestPromtext:
 # ----------------------------------------------------------------------
 
 
-class TestTelemetryServer:
+class TestHttpFront:
     def test_snapshot_and_metrics_endpoints(self):
-        server = TelemetryServer(_snapshot, port=0).start()
+        server = HttpFront(_snapshot).start_thread()
         try:
             assert server.port > 0
             with urllib.request.urlopen(f"{server.url}/snapshot") as resp:
@@ -624,7 +633,7 @@ class TestTelemetryServer:
                 urllib.request.urlopen(f"{server.url}/nope")
             assert err.value.code == 404
         finally:
-            server.stop()
+            server.stop_thread()
 
 
 # ----------------------------------------------------------------------
@@ -687,9 +696,9 @@ class TestRenderers:
             resolve_monitor_paths(tmp_path)  # empty dir: nothing to monitor
 
     def test_monitor_done_requires_known_total(self):
-        assert not monitor_done({"manifest": {"done": 3}})
-        assert not monitor_done({"manifest": {"done": 3, "total": 4}})
-        assert monitor_done({"manifest": {"done": 4, "total": 4}})
+        assert not monitor_done({"campaign": {"done": 3, "total": None}})
+        assert not monitor_done({"campaign": {"done": 3, "total": 4}})
+        assert monitor_done({"campaign": {"done": 4, "total": 4}})
 
 
 # ----------------------------------------------------------------------
@@ -712,26 +721,34 @@ class TestCampaignTelemetry:
         assert res.stats["ok"] == 4
         sdir = spool_dir_for(manifest)
         names = sorted(p.name for p in sdir.glob("telemetry-*.jsonl"))
-        assert "telemetry-driver.jsonl" in names
-        assert "telemetry-w0.jsonl" in names
+        assert names == [f"telemetry-w{i}.jsonl" for i in range(jobs)]
         # the merged view converges to the manifest's exactly-once record
         agg = TelemetryAggregator(sdir, manifest_path=manifest)
         view = agg.refresh()
-        assert view.manifest_counts() == {"done": 4, "ok": 4, "failed": 0,
-                                          "cached": 0, "total": 4}
-        assert view.campaign.get("total") == 4
+        assert view.to_snapshot()["manifest"] == {
+            "done": 4, "ok": 4, "failed": 0, "cached": 0, "total": 4}
         # worker end-records sum to the cells each worker executed
         done = sum((wv.record.get("cells") or {}).get("done", 0)
                    for wv in view.workers.values())
         assert done == 4
 
-    def test_manifest_header_carries_campaign_meta(self, tmp_path):
-        cells = grid_cells(["HM1"], ["base"], TINY)
+    def test_manifest_header_carries_campaign_meta(self, tmp_path, capsys):
+        cells = grid_cells(["HM1", "LM1"], ["base"], TINY)
         manifest = tmp_path / "m.jsonl"
-        run_campaign(cells, CampaignOptions(jobs=1), runner=ok_runner,
+        run_campaign(cells[:1], CampaignOptions(jobs=1), runner=ok_runner,
                      manifest=Manifest(manifest))
         header = Manifest(manifest).header()
         assert header["cells"] == 1 and header["jobs"] == 1
+        # a resume with a larger grid and more jobs (or with no manifest
+        # file yet) states them in a header the live view reads
+        for path in (manifest, tmp_path / "fresh.jsonl"):
+            run_campaign(cells, CampaignOptions(jobs=2, resume=True, watch=True,
+                                                telemetry_interval=0.05),
+                         runner=ok_runner, manifest=Manifest(path))
+            assert "campaign: 2/2 cells" in capsys.readouterr().out
+            snap = TelemetryAggregator(spool_dir_for(path), manifest_path=path)
+            campaign = snap.snapshot()["campaign"]
+            assert (campaign["total"], campaign["jobs"]) == (2, 2)
 
     def test_telemetry_port_binds_and_reports(self, tmp_path):
         cells = grid_cells(["HM1"], ["base"], TINY)
@@ -805,19 +822,27 @@ class TestMonitorCLI:
         assert rc == 1
         assert "monitor:" in capsys.readouterr().err
 
-    def test_once_json_over_finished_campaign(self, tmp_path, capsys):
-        from repro.cli import main
-
-        cells = grid_cells(["HM1"], ["base"], TINY)
-        manifest = tmp_path / "m.jsonl"
-        run_campaign(cells,
-                     CampaignOptions(jobs=1, telemetry=True,
-                                     telemetry_interval=0.05),
-                     runner=ok_runner, manifest=Manifest(manifest))
-        rc = main(["monitor", str(manifest), "--once", "--json"])
-        assert rc == 0
-        snap = json.loads(capsys.readouterr().out)
-        assert snap["manifest"]["done"] == 1
+    def test_once_json_over_finished_campaign(self, tmp_path):
+        # one cached and one retried cell; the monitor runs in its own
+        # process, so its campaign block comes from the manifest alone
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        cells = grid_cells(["HM1", "LM1", "MX1"], ["base"], TINY)
+        for jobs in (1, 2):
+            cache = Manifest(tmp_path / f"cache{jobs}.jsonl")
+            run_campaign(cells[:1], cache=cache, runner=ok_runner)  # HM1
+            manifest = tmp_path / f"m{jobs}.jsonl"
+            res = run_campaign(
+                cells, CampaignOptions(jobs=jobs, retries=1, backoff=0.01),
+                cache=cache, manifest=Manifest(manifest),
+                runner=lm1_flaky_runner)
+            assert res.stats["cached"] == 1 and res.stats["retried"] == 1
+            out = subprocess.run(
+                [sys.executable, "-m", "repro", "monitor", str(manifest),
+                 "--once", "--json"], capture_output=True, text=True,
+                check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+            block = json.loads(out)["campaign"]
+            stats = {k: v for k, v in res.stats.items() if k != "resumed"}
+            assert {k: block[k] for k in stats} == stats
 
     def test_campaign_parser_telemetry_flags(self):
         from repro.cli import build_parser
