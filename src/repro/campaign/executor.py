@@ -654,7 +654,11 @@ def run_campaign(
         unique.setdefault(cell.cell_id, cell)
     ordered = list(unique.values())
     if manifest is not None:
-        meta = {"cells": len(ordered), "jobs": opts.jobs}
+        meta = {
+            "cells": len(ordered),
+            "jobs": opts.jobs,
+            "cell_ids": [cell.cell_id for cell in ordered],
+        }
         if opts.resume and manifest.path.exists():
             # the live view reads this run's grid and jobs off the last header
             manifest.append_header(meta)

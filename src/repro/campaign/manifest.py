@@ -7,14 +7,15 @@ the cells that never finished (or that finished with an error).
 
 File layout::
 
-    {"kind": "header", "version": 1, "cells": 8, "jobs": 4}
+    {"kind": "header", "version": 1, "cells": 8, "jobs": 4, "cell_ids": [...]}
     {"cell_id": "...", "workload": "HM1", "scheme": "base", "status": "ok",
      "attempts": 1, "elapsed": 1.93, "summary": {...}}
     {"cell_id": "...", ..., "status": "timeout", "error": "..."}
 
-The header may carry campaign metadata (cell count, worker count) so live
-monitors (``repro monitor``) can report progress against a known total;
-readers ignore keys they do not understand.
+The header may carry campaign metadata (cell count, worker count, the
+grid's cell ids) so live monitors (``repro monitor``) can report progress
+against a known total, counting only the grid's records; readers ignore
+keys they do not understand.
 
 A header with an unknown version invalidates the whole file (it is rewritten
 fresh rather than mixing incompatible records); unreadable lines are skipped,
@@ -320,7 +321,8 @@ class Manifest:
 
     def append_header(self, meta: dict) -> None:
         """Append a header line carrying ``meta`` (a resumed campaign's
-        ``cells`` and ``jobs``); readers take the last header's fields."""
+        ``cells``, ``jobs`` and ``cell_ids``); readers take the last
+        header's fields."""
         header = {"kind": KIND_HEADER, "version": MANIFEST_VERSION}
         self._append_line({**meta, **header}, durable=True)
 

@@ -31,7 +31,8 @@ one open for an unbounded stream of cells.
   no worker has taken yet included.
 
 :func:`run_attempt` is the one body that runs an attempt; the workers and
-the in-process ``jobs=1`` campaign path both call it.
+the in-process ``jobs=1`` campaign path both call it.  It is also the unit
+of memory: a finished cell's object graph is freed when its attempt ends.
 
 Chaos hooks: :meth:`CellPool.worker_pids` exposes the live worker processes
 so the chaos harness can SIGKILL one mid-cell, and
@@ -40,6 +41,7 @@ so the chaos harness can SIGKILL one mid-cell, and
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import queue
@@ -116,9 +118,18 @@ def run_attempt(
     carries an integrity-layer diagnosis (which has already written its
     crash dump in this process).  ``wt`` brackets the attempt with the
     telemetry ``cell_start``/``cell_end`` records.
+
+    A simulated system is one large graph of reference cycles (bound
+    methods in the hot-path context tuples, back-references to the engine),
+    so it dies only in a full collection, which a worker running cell after
+    cell rarely reaches.  The attempt therefore collects once the runner
+    returns, untimed.  Freezing the heap first keeps that collection to the
+    objects the attempt allocated; ``unfreeze`` returns the survivors to the
+    oldest generation.
     """
     if wt is not None:
         wt.cell_start(cell, attempt)
+    gc.freeze()
     t0 = time.perf_counter()
     try:
         status, payload = STATUS_OK, runner(cell, attempt)
@@ -127,7 +138,11 @@ def run_attempt(
         diagnosis = getattr(exc, "report", None)
         if isinstance(diagnosis, dict) and diagnosis:
             payload = {"error": payload, "diagnosis": diagnosis}
-    elapsed = time.perf_counter() - t0
+    finally:
+        # also on KeyboardInterrupt: the heap must not stay frozen
+        elapsed = time.perf_counter() - t0
+        gc.collect()
+        gc.unfreeze()
     if wt is not None:
         wt.cell_end(status, elapsed)
     return status, payload, elapsed

@@ -16,10 +16,10 @@ callback.
 **The one host.**  A one-cube fabric is the plain single-cube machine: no
 cube bits, vault-interleaved link selection, direct crossbar injection and
 one engine event per request leg.  The per-request arithmetic (fault-free
-link serialization, crossbar traversal, response scheduling, histogram
-updates) is inlined; ``LinkDirection.send``, ``Crossbar.route``,
-``Engine.call_at`` and ``Histogram.add`` hold the reference semantics the
-inlined copies are bit-identical to.
+link serialization, crossbar traversal, response scheduling) is inlined;
+``LinkDirection.send``, ``Crossbar.route`` and ``Engine.call_at`` hold the
+reference semantics the inlined copies are bit-identical to.  Latency
+samples go through the bound ``Histogram.add``, a list append.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ class FabricHost:
         )
         self._deliver_ctx = (
             engine,
-            self.latency_hist,
-            self.read_latency_hist,
+            self.latency_hist.add,
+            self.read_latency_hist.add,
             self._c_done,
         )
 
@@ -366,49 +366,14 @@ class FabricHost:
         engine._strong += 1
 
     def _deliver(self, req: MemoryRequest) -> None:
-        engine, lat_hist, read_hist, c_done = self._deliver_ctx
+        engine, lat_add, read_add, c_done = self._deliver_ctx
         now = engine.now
         req.complete_cycle = now
         c_done.value += 1
         lat = now - req.issue_cycle
-        # Histogram.add inlined for the per-delivery samples (Histogram.add
-        # holds the reference semantics; identical operation order keeps the
-        # Welford running moments bit-identical to the method path).
-        h = lat_hist
-        idx = lat // h.bin_width
-        nb = h.nbins
-        if idx >= nb:
-            idx = nb - 1
-            h._overflow += 1
-        elif idx < 0:
-            idx = 0
-        h._counts[idx] += 1
-        h._n = n = h._n + 1
-        delta = lat - h._mean
-        h._mean = mean = h._mean + delta / n
-        h._m2 += delta * (lat - mean)
-        if h._min is None or lat < h._min:
-            h._min = float(lat)
-        if h._max is None or lat > h._max:
-            h._max = float(lat)
+        lat_add(lat)
         if not req.is_write:
-            h = read_hist
-            idx = lat // h.bin_width
-            nb = h.nbins
-            if idx >= nb:
-                idx = nb - 1
-                h._overflow += 1
-            elif idx < 0:
-                idx = 0
-            h._counts[idx] += 1
-            h._n = n = h._n + 1
-            delta = lat - h._mean
-            h._mean = mean = h._mean + delta / n
-            h._m2 += delta * (lat - mean)
-            if h._min is None or lat < h._min:
-                h._min = float(lat)
-            if h._max is None or lat > h._max:
-                h._max = float(lat)
+            read_add(lat)
         if self.record_requests:
             self.completed_requests.append(req)
         cb = req.callback

@@ -648,13 +648,25 @@ class CampaignView:
         self.stale_after = stale_after
 
     # -- derived -------------------------------------------------------
+    def grid_records(self) -> Dict[str, Any]:
+        """The manifest's terminal records of this run's grid: those the
+        last header's ``cell_ids`` name, or every one when it names none.
+        A campaign resumed with a smaller grid is not credited with the
+        cells an earlier run finished outside it."""
+        ids = self.manifest_meta.get("cell_ids")
+        if not isinstance(ids, list):
+            return self.manifest_cells
+        grid = set(ids)
+        # manifest order, so failures() still lists the most recent last
+        return {cid: rec for cid, rec in self.manifest_cells.items() if cid in grid}
+
     def campaign(self) -> dict:
-        """:func:`campaign_status` over the manifest's terminal records,
-        against the header's ``cells`` and ``jobs``."""
+        """:func:`campaign_status` over :meth:`grid_records`, against the
+        header's ``cells`` and ``jobs``."""
         total = self.manifest_meta.get("cells")
         jobs = self.manifest_meta.get("jobs")
         return campaign_status(
-            self.manifest_cells.values(),
+            self.grid_records().values(),
             total if isinstance(total, int) else None,
             jobs if isinstance(jobs, int) and jobs > 0 else 1,
         )
@@ -669,7 +681,7 @@ class CampaignView:
                 "status": rec.status,
                 "diagnosis": rec.diagnosis,
             }
-            for cid, rec in self.manifest_cells.items()
+            for cid, rec in self.grid_records().items()
             if not rec.ok
         ]
         return bad[-limit:]

@@ -255,8 +255,10 @@ class Engine:
         wd_count = 0
         t0 = perf_counter()
         # Generational GC only burns cycles here: the request pool and the
-        # handle-free call_at() entries keep allocation churn low, and the
-        # graphs the simulation does build (deques, tuples) die at run end.
+        # handle-free call_at() entries keep allocation churn low.  The
+        # system's own graph of reference cycles outlives the run as
+        # garbage; repro.campaign.pool.run_attempt collects it once the
+        # cell's attempt ends.
         # State-restoring, so a run() nested via another engine stays correct.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:

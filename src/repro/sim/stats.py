@@ -1,9 +1,11 @@
 """Statistics primitives shared by all simulated components.
 
 Counters are plain attribute-backed integers (O(1) increments in the hot
-path); histograms accumulate into fixed-size NumPy arrays so that millions of
-samples cost one array index each.  A :class:`StatGroup` is a lightweight
-named namespace that can be dumped to a flat dict for reporting.
+path); a histogram's :meth:`~Histogram.add` appends the sample to a pending
+log that its readers fold, in arrival order, into fixed bins and running
+moments, so a sample costs one list append in the hot path.  A
+:class:`StatGroup` is a lightweight named namespace that can be dumped to a
+flat dict for reporting.
 """
 
 from __future__ import annotations
@@ -38,17 +40,26 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
+#: pending samples a histogram holds before :meth:`Histogram.add` folds
+#: them, so the log stays one bounded chunk however long the run
+_FOLD_AT = 4096
+
+
 class Histogram:
     """Fixed-bin histogram with overflow bin and exact running moments.
 
     ``bin_width`` buckets samples as ``min(sample // bin_width, nbins - 1)``;
     the last bin therefore collects overflow.  Mean/variance are tracked
     exactly (Welford) regardless of binning.
+
+    :meth:`add` only logs the sample; every reader first folds the log
+    through :meth:`_fold`, the one Welford loop, in arrival order, so the
+    results are bit-identical to updating per sample.
     """
 
     __slots__ = (
         "name", "bin_width", "nbins", "_counts", "_n", "_mean", "_m2",
-        "_min", "_max", "_overflow",
+        "_min", "_max", "_overflow", "_log",
     )
 
     def __init__(self, name: str, nbins: int = 64, bin_width: int = 16) -> None:
@@ -68,40 +79,63 @@ class Histogram:
         # samples clamped into the last bin from beyond the binned range;
         # percentile() uses this to stop under-reporting high quantiles
         self._overflow = 0
+        self._log: List[Number] = []  # samples not yet folded
+
+    def add(self, sample: Number) -> None:
+        log = self._log
+        log.append(sample)
+        if len(log) >= _FOLD_AT:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold the pending samples into the bins and running moments."""
+        log = self._log
+        if not log:
+            return
+        counts = self._counts
+        bin_width = self.bin_width
+        last = self.nbins - 1
+        n, mean, m2 = self._n, self._mean, self._m2
+        lo, hi, overflow = self._min, self._max, self._overflow
+        for sample in log:
+            idx = int(sample) // bin_width
+            if idx > last:
+                idx = last
+                overflow += 1
+            elif idx < 0:
+                idx = 0
+            counts[idx] += 1
+            n += 1
+            delta = sample - mean
+            mean += delta / n
+            m2 += delta * (sample - mean)
+            if lo is None or sample < lo:
+                lo = float(sample)
+            if hi is None or sample > hi:
+                hi = float(sample)
+        self._n, self._mean, self._m2 = n, mean, m2
+        self._min, self._max, self._overflow = lo, hi, overflow
+        log.clear()
 
     @property
     def counts(self) -> np.ndarray:
         """Bin counts as a NumPy array (a copy; accumulate via :meth:`add`)."""
+        self._fold()
         return np.asarray(self._counts, dtype=np.int64)
-
-    def add(self, sample: Number) -> None:
-        idx = int(sample) // self.bin_width
-        nbins = self.nbins
-        if idx >= nbins:
-            idx = nbins - 1
-            self._overflow += 1
-        elif idx < 0:
-            idx = 0
-        self._counts[idx] += 1
-        self._n += 1
-        delta = sample - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (sample - self._mean)
-        if self._min is None or sample < self._min:
-            self._min = float(sample)
-        if self._max is None or sample > self._max:
-            self._max = float(sample)
 
     @property
     def n(self) -> int:
+        self._fold()
         return self._n
 
     @property
     def mean(self) -> float:
+        self._fold()
         return self._mean if self._n else 0.0
 
     @property
     def variance(self) -> float:
+        self._fold()
         return self._m2 / self._n if self._n else 0.0
 
     @property
@@ -110,15 +144,18 @@ class Histogram:
 
     @property
     def min(self) -> float:
+        self._fold()
         return self._min if self._min is not None else 0.0
 
     @property
     def max(self) -> float:
+        self._fold()
         return self._max if self._max is not None else 0.0
 
     @property
     def overflow(self) -> int:
         """Samples clamped into the last bin from beyond the binned range."""
+        self._fold()
         return self._overflow
 
     def percentile(self, q: float) -> float:
@@ -132,6 +169,7 @@ class Histogram:
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError("q must be within [0, 100]")
+        self._fold()
         if self._n == 0:
             return 0.0
         target = self._n * q / 100.0
@@ -153,9 +191,10 @@ class Histogram:
         self._min = None
         self._max = None
         self._overflow = 0
+        self._log.clear()
 
     def __repr__(self) -> str:
-        return f"Histogram({self.name}, n={self._n}, mean={self.mean:.2f})"
+        return f"Histogram({self.name}, n={self.n}, mean={self.mean:.2f})"
 
 
 class StatGroup:
@@ -219,6 +258,8 @@ class StatGroup:
             self.counter(name).inc(c.value)
         for name, h in other._histograms.items():
             mine = self.histogram(name, nbins=h.nbins, bin_width=h.bin_width)
+            mine._fold()
+            h._fold()
             if mine.nbins == h.nbins and mine.bin_width == h.bin_width:
                 mine._counts = [a + b for a, b in zip(mine._counts, h._counts)]
                 mine._overflow += h._overflow

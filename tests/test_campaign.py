@@ -158,7 +158,8 @@ class TestManifest:
         run_campaign(cells, CampaignOptions(jobs=2), manifest=man, runner=ok_runner)
         lines = [json.loads(l) for l in man.path.read_text().splitlines()]
         assert lines[0] == {"kind": "header", "version": MANIFEST_VERSION,
-                            "cells": 4, "jobs": 2}
+                            "cells": 4, "jobs": 2,
+                            "cell_ids": [c.cell_id for c in cells]}
         ids = [l["cell_id"] for l in lines[1:]]
         assert sorted(ids) == sorted(c.cell_id for c in cells)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import Counter, Histogram, StatGroup, geomean
+from repro.sim.stats import _FOLD_AT, Counter, Histogram, StatGroup, geomean
 
 
 class TestCounter:
@@ -120,6 +120,31 @@ class TestHistogram:
             h.add(s)
         assert h.mean == pytest.approx(np.mean(samples))
         assert h.n == len(samples)
+
+    def test_logged_samples_fold_bit_identically(self):
+        # per-sample Welford, the update add() made before it logged
+        rng = np.random.default_rng(7)
+        samples = [int(x) for x in rng.integers(-5, 3000, size=2 * _FOLD_AT + 123)]
+        n, mean, m2 = 0, 0.0, 0.0
+        for x in samples:
+            n += 1
+            delta = x - mean
+            mean += delta / n
+            m2 += delta * (x - mean)
+        h = Histogram("h", nbins=64, bin_width=32)
+        for i, x in enumerate(samples):
+            h.add(x)
+            assert len(h._log) < _FOLD_AT  # one bounded chunk at most
+            if i == 1000:
+                h.percentile(50)  # a mid-run read folds early
+        assert (h.n, h.mean, h.variance) == (n, mean, m2 / n)
+        assert (h.min, h.max) == (float(min(samples)), float(max(samples)))
+        clamped = [min(max(x // 32, 0), 63) for x in samples]
+        assert h.counts.tolist() == np.bincount(clamped, minlength=64).tolist()
+        assert h.overflow == sum(x >= 64 * 32 for x in samples)
+        h.add(1)
+        h.reset()
+        assert h.n == 0 and h.max == 0.0
 
 
 class TestStatGroup:

@@ -750,6 +750,20 @@ class TestCampaignTelemetry:
             campaign = snap.snapshot()["campaign"]
             assert (campaign["total"], campaign["jobs"]) == (2, 2)
 
+    def test_resumed_smaller_grid_counts_only_its_cells(self, tmp_path):
+        cells = grid_cells(["HM1", "LM1"], ["base"], TINY)
+        manifest = tmp_path / "m.jsonl"
+        run_campaign(cells, CampaignOptions(jobs=1), runner=lm1_flaky_runner,
+                     manifest=Manifest(manifest))  # LM1 fails, no retry
+        run_campaign(cells[:1], CampaignOptions(jobs=1, resume=True),
+                     runner=ok_runner, manifest=Manifest(manifest))
+        snap = TelemetryAggregator(None, manifest_path=manifest).snapshot()
+        campaign = snap["campaign"]
+        assert (campaign["total"], campaign["done"], campaign["ok"]) == (1, 1, 1)
+        assert snap["failures"] == []  # LM1 is outside the resumed grid
+        assert monitor_done(snap)
+        assert Manifest(manifest).scan().meta["cell_ids"] == [cells[0].cell_id]
+
     def test_telemetry_port_binds_and_reports(self, tmp_path):
         cells = grid_cells(["HM1"], ["base"], TINY)
         res = run_campaign(
