@@ -385,7 +385,7 @@ def log_result(log: Optional[Manifest], rec: CellRecord) -> None:
     if log is None or not rec.ok:
         return
     try:
-        if log.header() is None:
+        if not log.has_header():
             log.reset()
         log.append(rec)
     except OSError:

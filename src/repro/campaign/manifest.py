@@ -284,22 +284,35 @@ class Manifest:
             return ManifestScan()
         return out
 
-    def header(self) -> Optional[dict]:
-        """The parsed header line, or None for a missing/invalid manifest."""
+    def has_header(self) -> bool:
+        """True when the first line is a header of this manifest version:
+        the file is a manifest this reader understands."""
         try:
             with open(self.path) as fh:
                 first = fh.readline()
         except (OSError, ValueError):  # missing, unreadable or not UTF-8
-            return None
+            return False
         try:
             raw = json.loads(first)
         except json.JSONDecodeError:
+            return False
+        return (
+            isinstance(raw, dict)
+            and raw.get("kind") == KIND_HEADER
+            and raw.get("version") == MANIFEST_VERSION
+        )
+
+    def header(self) -> Optional[dict]:
+        """The campaign header, or None for a missing/invalid manifest.
+
+        The first line decides validity (:meth:`has_header`); the values
+        come from the last header line, which is the current run's after a
+        resume appended one (the fields :meth:`scan` reports as ``meta``).
+        """
+        if not self.has_header():
             return None
-        if not isinstance(raw, dict) or raw.get("kind") != "header":
-            return None
-        if raw.get("version") != MANIFEST_VERSION:
-            return None
-        return raw
+        meta = self.scan().meta
+        return {"kind": KIND_HEADER, **meta} if meta else None
 
     # ------------------------------------------------------------------
     # Writing

@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.experiments.runner import ExperimentConfig
@@ -54,6 +55,8 @@ class Cell:
     default platform so every sweep point sees the same reference stream
     (matching :meth:`repro.experiments.sweep.Sweep.run`).  ``cell_id``
     covers all of these, so every cell can be served from the result log.
+    It is computed once per cell: the fields are frozen, and nothing mutates
+    ``scheme_kwargs`` after a cell is built.
     """
 
     workload: str
@@ -67,7 +70,7 @@ class Cell:
     #: :meth:`repro.workloads.multistream.MultiStreamSpec.per_cube`).
     topology: Optional[str] = None
 
-    @property
+    @cached_property
     def cell_id(self) -> str:
         base = self.config.cache_key(self.workload, self.scheme)
         payload: Dict[str, Any] = {

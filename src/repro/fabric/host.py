@@ -17,8 +17,8 @@ callback.
 cube bits, vault-interleaved link selection, direct crossbar injection and
 one engine event per request leg.  The per-request arithmetic (fault-free
 link serialization, crossbar traversal, response scheduling) is inlined;
-``LinkDirection.send``, ``Crossbar.route`` and ``Engine.call_at`` hold the
-reference semantics the inlined copies are bit-identical to.  Latency
+``LinkDirection.send``, ``HMCDevice.inject`` and ``Engine.call_at`` hold
+the reference semantics the inlined copies are bit-identical to.  Latency
 samples go through the bound ``Histogram.add``, a list append.
 """
 
@@ -276,8 +276,8 @@ class FabricHost:
             engine.call_at(arrival, route_request[home], req)
             return
         # The far end of the host link is the home cube: the crossbar
-        # traversal is inlined the same way (Crossbar.route / HMCDevice.inject
-        # hold the reference semantics).
+        # traversal is inlined the same way (HMCDevice.inject holds the
+        # reference semantics).
         xbar = xbars[cube]
         port_busy = xbar._port_busy
         start = port_busy[vault]
@@ -380,8 +380,7 @@ class FabricHost:
         if cb is not None:
             cb(req)
         if self.recycle_requests:
-            # MemoryRequest.release inlined (the classmethod remains the
-            # reference for non-hot callers).
+            # Back to the pool DirectPort.load/store take from.
             req.callback = None
             req.meta = None
             MemoryRequest._pool.append(req)

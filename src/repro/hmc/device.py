@@ -79,8 +79,9 @@ class HMCDevice:
         """A request packet leaves the link's cube-side receiver at ``at``:
         route it through the crossbar to its vault controller.
 
-        The crossbar traversal is inlined (``Crossbar.route`` holds the
-        reference semantics); the host decode already bounds ``req.vault``.
+        A port accepts one packet per ``port_cycle``; a packet that finds its
+        port busy waits for it (a port conflict).  The host decode already
+        bounds ``req.vault``.
         """
         xbar = self.crossbar
         vault = req.vault

@@ -6,6 +6,10 @@ one packet per ``port_cycle`` cycles, which bounds the per-vault injection
 rate without simulating a full flit-level network (the crossbar in real HMC
 silicon is heavily over-provisioned relative to the links, so contention is
 rare; the counter below lets experiments confirm that).
+
+This class holds the per-port state and counters only: the traversal itself
+is :meth:`repro.hmc.device.HMCDevice.inject`, which ``FabricHost.send``
+inlines for the one-hop path.
 """
 
 from __future__ import annotations
@@ -29,19 +33,6 @@ class Crossbar:
         self._port_busy: List[int] = [0] * vaults
         self.traversals = 0
         self.port_conflicts = 0
-
-    def route(self, at: int, vault: int) -> int:
-        """Route one packet toward ``vault`` starting at cycle ``at``.
-        Returns the delivery cycle at the vault port."""
-        if not 0 <= vault < self.vaults:
-            raise ValueError(f"vault {vault} out of range")
-        start = at
-        if self._port_busy[vault] > at:
-            start = self._port_busy[vault]
-            self.port_conflicts += 1
-        self._port_busy[vault] = start + self.port_cycle
-        self.traversals += 1
-        return start + self.latency
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Crossbar {self.vaults}p lat={self.latency} n={self.traversals}>"

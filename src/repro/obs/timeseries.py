@@ -14,7 +14,7 @@ unsampled run carries no sampler at all and pays nothing.  A sampled run pays
 only its own epoch ticks, and those are engineered to leave the simulation
 byte-identical to an unsampled one:
 
-* the tick is a **weak handle-free** engine entry
+* the tick is a **weak** engine entry
   (:meth:`~repro.sim.engine.Engine.call_at` with ``weak=True``), so it never
   keeps :meth:`~repro.sim.engine.Engine.run` alive and can never extend
   ``engine.now`` past the last real event;

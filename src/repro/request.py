@@ -23,12 +23,21 @@ class ServiceSource(enum.Enum):
 class MemoryRequest:
     """A single cache-line read or write presented to the HMC.
 
-    Requests are poolable: front-ends that create one request per trace
-    record at a high rate allocate through :meth:`acquire`, and the host
-    controller releases delivered requests back to the freelist when the
-    system declares them single-owner (``System`` enables recycling only
-    when no component retains completed requests).  A released request must
-    not be touched again through any retained reference.
+    Requests are poolable through the class-level freelist ``_pool``: the
+    direct front-end (``repro.system.DirectPort``) takes one per trace
+    record, and the host controller (``FabricHost._deliver``) returns
+    delivered requests to it when the system declares them single-owner
+    (``System`` enables recycling only when no component retains completed
+    requests).  A released request must not be touched again through any
+    retained reference.
+
+    A reused object gets a fresh ``req_id`` and the front-end's fields; the
+    coordinate and timeline slots keep their previous-life values.  That is
+    invisible to the simulation: ``FabricHost.send`` overwrites every
+    coordinate and ``host_cycle`` before any read, the vault stamps
+    ``vault_arrive_cycle``/``source``/``qseq`` on arrival, and
+    ``complete_cycle`` is written at delivery, so results stay
+    byte-identical to fresh allocation.
     """
 
     __slots__ = (
@@ -86,47 +95,6 @@ class MemoryRequest:
         self.source: Optional[ServiceSource] = None
         self.callback = callback
         self.meta: Optional[dict] = None
-
-    @classmethod
-    def acquire(
-        cls,
-        addr: int,
-        is_write: bool,
-        core_id: int = 0,
-        issue_cycle: int = 0,
-        callback: Optional[Callable[["MemoryRequest"], Any]] = None,
-    ) -> "MemoryRequest":
-        """Pooled constructor: reuse a released request when one is free.
-
-        A reused object gets a fresh ``req_id`` and the caller-supplied
-        fields; the coordinate and timeline slots keep their previous-life
-        values.  That is invisible to the simulation - recycling is only
-        enabled on the direct core->host path, where ``FabricHost.send``
-        overwrites every coordinate and ``host_cycle`` before any read, the
-        vault stamps ``vault_arrive_cycle``/``source``/``qseq`` on arrival,
-        and ``complete_cycle`` is written at delivery - so results stay
-        byte-identical to fresh allocation at a fraction of the re-init cost.
-        """
-        pool = cls._pool
-        if pool:
-            req = pool.pop()
-            MemoryRequest._next_id += 1
-            req.req_id = MemoryRequest._next_id
-            req.addr = addr
-            req.is_write = is_write
-            req.core_id = core_id
-            req.issue_cycle = issue_cycle
-            req.callback = callback
-            return req
-        return cls(addr, is_write, core_id, issue_cycle, callback)
-
-    @classmethod
-    def release(cls, req: "MemoryRequest") -> None:
-        """Return a delivered request to the freelist.  The caller asserts
-        nothing else holds a live reference."""
-        req.callback = None
-        req.meta = None
-        cls._pool.append(req)
 
     @property
     def latency(self) -> int:

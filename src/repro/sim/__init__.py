@@ -7,12 +7,11 @@ never busy-wait, which keeps the Python event count per memory request small
 (roughly: arrive-at-vault, bank-complete, response-at-core).
 """
 
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.stats import Counter, Histogram, StatGroup, geomean
 
 __all__ = [
     "Engine",
-    "Event",
     "Counter",
     "Histogram",
     "StatGroup",

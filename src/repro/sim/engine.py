@@ -11,24 +11,18 @@ callback-based heap loop to be roughly 3x faster in CPython than a
 generator-based process model for this workload mix, and the hot loop below
 avoids attribute lookups accordingly.
 
-Two hot-path choices are worth naming because they are invisible in the API:
+Every scheduled callback is one heap entry of one shape, the tuple
+``(time, priority, seq, fn, args)``; a sixth slot (``True``) marks a *weak*
+entry, background work that does not keep :meth:`Engine.run` alive (DRAM
+refresh, the telemetry epoch tick).  Tuple ordering is resolved in C and,
+because ``seq`` is unique, never reaches the slots past it.
 
-* Heap entries are ``(time, priority, seq, event)`` tuples, not Event
-  objects.  Tuple ordering is resolved in C; an object heap would route
-  every sift comparison through ``Event.__lt__`` (the single hottest
-  function before the change).
-* Fire-and-forget callbacks (the vast majority: link deliveries, bank
-  completions, core wakeups) go through :meth:`Engine.call_at`, which heaps
-  a bare ``(time, priority, seq, fn, args)`` tuple with **no Event object
-  at all**.  Such entries cannot be cancelled; ``weak=True`` appends a
-  sixth slot and makes the entry background-only (it does not keep
-  :meth:`run` alive - the telemetry epoch tick uses this).  Use
-  :meth:`Engine.schedule` / :meth:`Engine.schedule_at` when a cancellable
-  handle is needed.
-
-Event handles are plain objects: one is created per handled schedule and
-stays valid after it fires (``fired`` is set; a late ``cancel()`` is a
-no-op).
+:meth:`Engine.schedule` (relative delay) and :meth:`Engine.call_at`
+(absolute cycle) both return the entry's ``seq``.  :meth:`Engine.cancel`
+takes that ``seq``: the entry stays in the heap and is dropped, uncounted,
+when it reaches the head.  Hot components inline :meth:`call_at` (a
+``heappush`` onto ``_heap`` plus the ``_seq`` and ``_strong`` updates); the
+method is the reference those copies match.
 """
 
 from __future__ import annotations
@@ -36,81 +30,10 @@ from __future__ import annotations
 import gc
 import heapq
 from time import perf_counter
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Set, Tuple
 
-
-class Event:
-    """Handle to a scheduled callback.
-
-    The handle supports O(1) cancellation: cancelled events stay in the heap
-    but are skipped when popped.  This matters for timeout-style events that
-    are almost always cancelled before firing.
-
-    *Weak* events (periodic background work such as DRAM refresh) do not keep
-    the simulation alive: :meth:`Engine.run` stops once only weak events
-    remain pending.
-    """
-
-    __slots__ = (
-        "time",
-        "priority",
-        "seq",
-        "fn",
-        "args",
-        "cancelled",
-        "fired",
-        "weak",
-        "_engine",
-    )
-
-    def __init__(
-        self,
-        time: int,
-        priority: int,
-        seq: int,
-        fn: Callable[..., Any],
-        args: Tuple[Any, ...],
-        weak: bool = False,
-        engine: Optional["Engine"] = None,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self.weak = weak
-        self._engine = engine
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent; cancelling an event
-        that already fired is a no-op (it is no longer in the heap)."""
-        if not self.cancelled and not self.fired:
-            self.cancelled = True
-            if self._engine is not None:
-                if self.weak:
-                    self._engine._weak_live -= 1
-                else:
-                    self._engine._strong -= 1
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time} prio={self.priority} {state} fn={self.fn!r}>"
-
-
-#: type of one heap entry: ``(time, priority, seq, event)`` for handled
-#: events, ``(time, priority, seq, fn, args)`` for handle-free call_at()
-#: entries, or ``(time, priority, seq, fn, args, True)`` for weak handle-free
-#: entries (distinguished by length).  Slots past ``seq`` never participate
-#: in the tuple comparison because ``seq`` (slot 2) is unique.
+#: one heap entry: ``(time, priority, seq, fn, args)``, or
+#: ``(time, priority, seq, fn, args, True)`` for a weak entry
 _HeapEntry = Tuple[Any, ...]
 
 
@@ -130,7 +53,9 @@ class Engine:
         self.now: int = 0
         self._heap: List[_HeapEntry] = []
         self._seq: int = 0
-        # Pending non-cancelled events, split by strength so the hot paths
+        #: seqs of cancelled entries still in the heap
+        self._cancelled: Set[int] = set()
+        # Pending non-cancelled entries, split by strength so the hot paths
         # touch exactly one counter (``pending`` reports the sum).
         self._strong: int = 0
         self._weak_live: int = 0
@@ -161,43 +86,20 @@ class Engine:
         *args: Any,
         priority: int = 0,
         weak: bool = False,
-    ) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` cycles from now.
+    ) -> int:
+        """Schedule ``fn(*args)`` to run ``delay`` cycles from now; returns
+        the entry's ``seq``.
 
         ``delay`` must be non-negative.  ``priority`` breaks same-cycle ties
         (lower fires first); components use it to guarantee e.g. that bank
         completions are processed before new arrivals in the same cycle.
-        ``weak`` events do not keep :meth:`run` alive on their own.
+        ``weak`` entries do not keep :meth:`run` alive on their own.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(
-            self.now + delay, fn, *args, priority=priority, weak=weak
+        return self.call_at(
+            self.now + int(delay), fn, *args, priority=priority, weak=weak
         )
-
-    def schedule_at(
-        self,
-        time: int,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-        weak: bool = False,
-    ) -> Event:
-        """Schedule ``fn(*args)`` at an absolute cycle ``time``."""
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule into the past (time={time}, now={self.now})"
-            )
-        time = int(time)
-        seq = self._seq + 1
-        self._seq = seq
-        ev = Event(time, priority, seq, fn, args, weak=weak, engine=self)
-        heapq.heappush(self._heap, (time, priority, seq, ev))
-        if weak:
-            self._weak_live += 1
-        else:
-            self._strong += 1
-        return ev
 
     def call_at(
         self,
@@ -206,18 +108,13 @@ class Engine:
         *args: Any,
         priority: int = 0,
         weak: bool = False,
-    ) -> None:
-        """Schedule ``fn(*args)`` at absolute cycle ``time``, handle-free.
+    ) -> int:
+        """Schedule ``fn(*args)`` at absolute cycle ``time``; returns the
+        entry's ``seq`` (the handle :meth:`cancel` takes).
 
-        The fire-and-forget fast path: no :class:`Event` is created (the
-        heap holds a bare ``(time, priority, seq, fn, args)`` tuple), so the
-        call cannot be cancelled.  ``weak=True`` marks the entry background
-        work that does not keep :meth:`run` alive (the heap tuple grows a
-        sixth slot); the telemetry epoch tick uses this to sample without
-        ever extending the simulation.  Ordering is identical to
-        :meth:`schedule_at` with the same arguments - both draw ``seq`` from
-        the same counter.  ``time`` must already be an integer cycle: unlike
-        the schedule paths, no ``int()`` coercion is applied.
+        ``time`` must be an integer cycle no earlier than ``now`` (no
+        ``int()`` coercion is applied).  ``weak=True`` marks background
+        work that does not keep :meth:`run` alive.
         """
         if time < self.now:
             raise ValueError(
@@ -231,6 +128,27 @@ class Engine:
         else:
             heapq.heappush(self._heap, (time, priority, seq, fn, args))
             self._strong += 1
+        return seq
+
+    def cancel(self, seq: int) -> None:
+        """Keep the pending entry ``seq`` from firing.
+
+        A ``seq`` that already fired, or was already cancelled, is a no-op.
+        The pending check scans the heap: only the vault wake timer cancels,
+        about a hundred times per full-scale cell, over a heap of a few
+        dozen entries.
+        """
+        cancelled = self._cancelled
+        if seq in cancelled:
+            return
+        for entry in self._heap:
+            if entry[2] == seq:
+                cancelled.add(seq)
+                if len(entry) == 5:
+                    self._strong -= 1
+                else:
+                    self._weak_live -= 1
+                return
 
     # ------------------------------------------------------------------
     # Execution
@@ -245,6 +163,7 @@ class Engine:
         fired = 0
         heap = self._heap
         heappop = heapq.heappop
+        cancelled = self._cancelled
         # Hoisted per-run: when no tracer wants spans, the loop pays one
         # falsy check per event and nothing else.
         tracer = self.tracer
@@ -255,10 +174,10 @@ class Engine:
         wd_count = 0
         t0 = perf_counter()
         # Generational GC only burns cycles here: the request pool and the
-        # handle-free call_at() entries keep allocation churn low.  The
-        # system's own graph of reference cycles outlives the run as
-        # garbage; repro.campaign.pool.run_attempt collects it once the
-        # cell's attempt ends.
+        # tuple heap entries keep allocation churn low.  The system's own
+        # graph of reference cycles outlives the run as garbage;
+        # repro.campaign.pool.run_attempt collects it once the cell's
+        # attempt ends.
         # State-restoring, so a run() nested via another engine stays correct.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
@@ -273,33 +192,8 @@ class Engine:
                     self.now = until
                     break
                 heappop(heap)
-                n = len(entry)
-                if n != 4:
-                    # handle-free call_at() entry: nothing to cancel (weak
-                    # entries carry a sixth slot)
-                    if max_events is not None and fired >= max_events:
-                        heapq.heappush(heap, entry)
-                        break
-                    if time - self.now > 1:  # time-warp over the idle span
-                        self.idle_cycles_skipped += time - self.now - 1
-                    self.now = time
-                    if n == 5:
-                        self._strong -= 1
-                    else:
-                        self._weak_live -= 1
-                    fn = entry[3]
-                    if spans:
-                        tracer.engine_fire(time, fn)
-                    fired += 1
-                    fn(*entry[4])
-                    if wd_interval:
-                        wd_count += 1
-                        if wd_count >= wd_interval:
-                            wd_count = 0
-                            watchdog.poll(self.now)
-                    continue
-                ev = entry[3]
-                if ev.cancelled:
+                if cancelled and entry[2] in cancelled:
+                    cancelled.discard(entry[2])
                     continue
                 if max_events is not None and fired >= max_events:
                     heapq.heappush(heap, entry)
@@ -307,19 +201,17 @@ class Engine:
                 if time - self.now > 1:  # time-warp over the idle span
                     self.idle_cycles_skipped += time - self.now - 1
                 self.now = time
-                if ev.weak:
-                    self._weak_live -= 1
-                else:
+                if len(entry) == 5:
                     self._strong -= 1
-                ev.fired = True
-                fn = ev.fn
-                args = ev.args
+                else:
+                    self._weak_live -= 1
+                fn = entry[3]
                 if spans:
                     tracer.engine_fire(time, fn)
                 # Counted before the call so a raising callback still shows
                 # up in events_fired (crash reports rely on the count).
                 fired += 1
-                fn(*args)
+                fn(*entry[4])
                 if wd_interval:
                     wd_count += 1
                     if wd_count >= wd_interval:
@@ -369,26 +261,20 @@ class Engine:
     def peek_time(self) -> Optional[int]:
         """Cycle of the next live event, or None when drained."""
         heap = self._heap
+        cancelled = self._cancelled
         while heap:
-            head = heap[0]
-            if len(head) != 4 or not head[3].cancelled:
-                return head[0]
+            seq = heap[0][2]
+            if seq not in cancelled:
+                return heap[0][0]
             heapq.heappop(heap)
+            cancelled.discard(seq)
         return None
 
-    def live_events(self) -> Iterator[Event]:
-        """Snapshot of pending (non-cancelled) events, in no particular
-        order.  Diagnostic use only (integrity layer, crash reports):
-        handle-free call_at() entries are surfaced as transient Event views
-        that are not connected to the heap (cancelling one has no effect)."""
-        for entry in self._heap:
-            if len(entry) != 4:
-                yield Event(
-                    entry[0], entry[1], entry[2], entry[3], entry[4],
-                    weak=len(entry) == 6,
-                )
-            elif not entry[3].cancelled:
-                yield entry[3]
+    def live_events(self) -> Iterator[_HeapEntry]:
+        """The pending (non-cancelled) heap entries, in no particular order.
+        Diagnostic use only (integrity layer, crash reports)."""
+        cancelled = self._cancelled
+        return (entry for entry in self._heap if entry[2] not in cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine now={self.now} pending={len(self._heap)}>"

@@ -153,10 +153,11 @@ class Watchdog:
         engine = self.engine
         now = engine.now
         histogram: Dict[str, int] = {}
-        for ev in engine.live_events():
-            if ev.time != now:
+        for entry in engine.live_events():
+            if entry[0] != now:
                 continue
-            name = getattr(ev.fn, "__qualname__", None) or repr(ev.fn)
+            fn = entry[3]
+            name = getattr(fn, "__qualname__", None) or repr(fn)
             histogram[name] = histogram.get(name, 0) + 1
         ranked = sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))
         return {
@@ -337,13 +338,13 @@ def crash_report(
         },
     }
     next_events = []
-    for ev in sorted(engine.live_events())[:10]:
+    for time, priority, _seq, fn, *rest in sorted(engine.live_events())[:10]:
         next_events.append(
             {
-                "time": ev.time,
-                "priority": ev.priority,
-                "weak": ev.weak,
-                "fn": getattr(ev.fn, "__qualname__", None) or repr(ev.fn),
+                "time": time,
+                "priority": priority,
+                "weak": len(rest) == 2,
+                "fn": getattr(fn, "__qualname__", None) or repr(fn),
             }
         )
     report["engine"]["next_events"] = next_events

@@ -60,8 +60,9 @@ class DirectPort(MemoryPort):
         on_fill: Callable[[MemoryRequest], None],
         meta: Optional[Any] = None,
     ) -> Optional[int]:
-        # MemoryRequest.acquire inlined: this runs once per traced load and
-        # the classmethod frame was visible in the hot-loop profile.
+        # Take a request from the pool FabricHost._deliver fills; a reused
+        # object gets a fresh req_id and this load's fields (see
+        # MemoryRequest).  Inlined: this runs once per traced load.
         pool = MemoryRequest._pool
         if pool:
             req = pool.pop()

@@ -25,7 +25,7 @@ request regardless of queue depth.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.buffer import PrefetchBuffer
 from repro.core.prefetcher import PrefetchAction, Prefetcher
@@ -34,7 +34,7 @@ from repro.dram.bus import TsvBus
 from repro.hmc.config import HMCConfig
 from repro.obs.hooks import noop
 from repro.request import MemoryRequest, ServiceSource
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.stats import StatGroup
 from repro.vault.queues import VaultQueues
 from repro.vault.scheduler import FRFCFSScheduler
@@ -109,7 +109,8 @@ class VaultController:
         self._c_prefetch_rows = self.stats.counter("prefetch_row_fetches")
         self._c_prefetch_lines = self.stats.counter("prefetch_lines")
         self._c_writebacks = self.stats.counter("dirty_row_writebacks")
-        self._wake: Optional[Event] = None
+        #: ``(time, seq)`` of the pending wake entry, or None
+        self._wake: Optional[Tuple[int, int]] = None
         self._inflight = 0  # bank accesses with a pending completion event
         # _try_issue context pack: every object here is bound once (at
         # construction) and only ever mutated in place, so the tuple stays
@@ -469,11 +470,11 @@ class VaultController:
             if t is None or b < t:
                 t = b
         wake = self._wake
-        if wake is not None and not wake.cancelled:
-            if wake.time <= t:
+        if wake is not None:
+            if wake[0] <= t:
                 return
-            wake.cancel()
-        self._wake = engine.schedule_at(t, wake_fired, priority=1)
+            engine.cancel(wake[1])
+        self._wake = (t, engine.call_at(t, wake_fired, priority=1))
 
     def _wake_fired(self) -> None:
         self._wake = None

@@ -118,7 +118,6 @@ class TraceGenerator:
         lines of its row in interleaved bursts."""
         cfg = self.config
         prof = self.profile
-        encode = self.mapping.encode
         # Occasional locality break (loop boundary / new program phase):
         # the hot vault window moves.
         if self.rng.random() < 0.04:
@@ -127,7 +126,10 @@ class TraceGenerator:
             self._pos_bank = int(self.rng.integers(0, cfg.banks_per_vault))
             self._pos_row = int(self.rng.integers(0, self.region_rows))
         vault, bank = self._pos_vault, self._pos_bank
-        rows = [self._stream_row(j) for j in range(prof.streams)]
+        # Each stream row's column-0 address; a line ORs its column in.
+        encode = self.mapping.encode
+        rows = [encode(vault, bank, self._stream_row(j)) for j in range(prof.streams)]
+        cshift = self.mapping.column_shift
         if prof.lines_per_visit >= cfg.lines_per_row:
             # Full-row sweeps consume rows deterministically (a unit-stride
             # array pass touches every line of every row it crosses).
@@ -148,7 +150,7 @@ class TraceGenerator:
                     if consumed >= lpv:
                         break
                     col = (base + consumed) % cfg.lines_per_row
-                    out.append(encode(vault, bank, row, col))
+                    out.append(row | (col << cshift))
         # Column phase drifts between visits (arrays are not row-aligned).
         for j in range(prof.streams):
             self._cols[j] = (self._cols[j] + lpv) % cfg.lines_per_row
@@ -170,10 +172,9 @@ class TraceGenerator:
         )
         banks = self.rng.integers(0, cfg.banks_per_vault, size=n)
         cols = self.rng.integers(0, cfg.lines_per_row, size=n)
-        return [
-            self.mapping.encode(int(v), int(b), self.row_base + int(r), int(c))
-            for v, b, r, c in zip(vaults, banks, rows, cols)
-        ]
+        return self.mapping.encode_many(
+            vaults, banks, self.row_base + rows, cols
+        ).tolist()
 
     def _segment_hot(self) -> List[int]:
         """Revisit a few persistently hot rows, a handful of lines each.
@@ -185,13 +186,14 @@ class TraceGenerator:
         out: List[int] = []
         k = int(self.rng.integers(1, min(4, len(self._hot) + 1)))
         picks = self.rng.choice(len(self._hot), size=k, replace=False)
+        cshift = self.mapping.column_shift
         for i in picks:
-            vault, bank, row = self._hot[int(i)]
+            row_addr = self.mapping.encode(*self._hot[int(i)])
             start = int(self.rng.integers(0, cfg.lines_per_row))
             n = int(self.rng.integers(2, 5))
             for step in range(n):
                 col = (start + step) % cfg.lines_per_row
-                out.append(self.mapping.encode(vault, bank, row, col))
+                out.append(row_addr | (col << cshift))
         return out
 
     # ------------------------------------------------------------------

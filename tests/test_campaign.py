@@ -270,6 +270,18 @@ class TestExecutor:
         # the manifest now records the re-run cell as ok (last record wins)
         assert all(r.ok for r in man.records().values())
 
+    def test_resumed_header_states_the_current_grid(self, tmp_path):
+        man = Manifest(tmp_path / "m.jsonl")
+        cells = grid_cells(["HM1", "LM1"], ["base"], TINY)
+        run_campaign(cells, CampaignOptions(jobs=2), manifest=man,
+                     runner=ok_runner)
+        run_campaign(cells[:1], CampaignOptions(jobs=1, resume=True),
+                     manifest=man, runner=ok_runner)
+        header = man.header()
+        assert header["cell_ids"] == [cells[0].cell_id]
+        assert (header["cells"], header["jobs"]) == (1, 1)
+        assert header == {"kind": "header", **man.scan().meta}
+
     def test_duplicate_cells_deduplicated(self):
         cells = grid_cells(["HM1"], ["base"], TINY) * 3
         res = run_campaign(cells, runner=ok_runner)

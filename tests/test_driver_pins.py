@@ -5,7 +5,9 @@ drivers (Figs. 5-9, the seed study, the ablations).  These tests pin the
 persisted-summary digest of each on tiny inputs through a fresh result
 log, so any change to how a driver builds traces, systems or results shows up
 as a digest change rather than passing silently.  The hot-path quick pin
-(``benchmarks/bench_hotpath.py``) runs here too, tied to the model version.
+(``benchmarks/bench_hotpath.py``) runs here too, tied to the model version,
+and so does the fabric chain:2 pin (``benchmarks/bench_fabric_scaling.py``),
+the only tier-1 check of the router path's event order.
 """
 
 import hashlib
@@ -69,9 +71,17 @@ class TestDriverPins:
         assert _sweep_digest(r) == "aff1b59810457172"
 
 
-def test_quick_hotpath_pin_matches_model_version():
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_hotpath.py"
-    spec = importlib.util.spec_from_file_location("bench_hotpath", path)
+def _bench(name: str):
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    bench.test_quick_digest_parity()  # digest, events_fired, version table
+    return bench
+
+
+def test_quick_hotpath_pin_matches_model_version():
+    _bench("bench_hotpath").test_quick_digest_parity()  # digest, events, version
+
+
+def test_chain2_fabric_pin():
+    _bench("bench_fabric_scaling").test_chain2_digest_parity()  # routed path

@@ -42,7 +42,7 @@ class TestScheduling:
     def test_schedule_at_absolute(self):
         eng = Engine()
         seen = []
-        eng.schedule_at(100, lambda: seen.append(eng.now))
+        eng.call_at(100, lambda: seen.append(eng.now))
         eng.run()
         assert seen == [100]
 
@@ -56,7 +56,7 @@ class TestScheduling:
         eng.schedule(10, lambda: None)
         eng.run()
         with pytest.raises(ValueError):
-            eng.schedule_at(5, lambda: None)
+            eng.call_at(5, lambda: None)
 
     def test_zero_delay_runs_after_current(self):
         eng = Engine()
@@ -99,15 +99,15 @@ class TestCancellation:
         seen = []
         ev = eng.schedule(5, seen.append, "no")
         eng.schedule(6, seen.append, "yes")
-        ev.cancel()
+        eng.cancel(ev)
         eng.run()
         assert seen == ["yes"]
 
     def test_cancel_is_idempotent(self):
         eng = Engine()
         ev = eng.schedule(5, lambda: None)
-        ev.cancel()
-        ev.cancel()
+        eng.cancel(ev)
+        eng.cancel(ev)
         eng.run()
         assert eng.events_fired == 0
 
@@ -116,24 +116,24 @@ class TestCancellation:
         ev = eng.schedule(5, lambda: None)
         eng.schedule(6, lambda: None)
         assert eng.pending == 2
-        ev.cancel()
+        eng.cancel(ev)
         assert eng.pending == 1
 
     def test_peek_time_skips_cancelled(self):
         eng = Engine()
         ev = eng.schedule(5, lambda: None)
         eng.schedule(9, lambda: None)
-        ev.cancel()
+        eng.cancel(ev)
         assert eng.peek_time() == 9
 
     def test_cancel_after_fire_is_noop(self):
-        # Cancelling a handle whose event already ran must not corrupt the
-        # live/strong counters (it used to decrement _strong a second time).
+        # Cancelling a seq whose entry already ran must not corrupt the
+        # live/strong counters: the entry is no longer in the heap.
         eng = Engine()
         ev = eng.schedule(1, lambda: None)
         eng.schedule(2, lambda: None)
         eng.run(until=1)
-        ev.cancel()
+        eng.cancel(ev)
         assert eng.pending == 1
         assert eng.run() == 1
 
@@ -179,7 +179,7 @@ class TestPendingCounter:
         evs = [eng.schedule(i + 1, lambda: None) for i in range(3)]
         eng.schedule(10, lambda: None, weak=True)
         assert eng.pending == 4
-        evs[1].cancel()
+        eng.cancel(evs[1])
         assert eng.pending == 3
         eng.run()
         # the weak event alone does not keep the engine alive, so it is
@@ -280,7 +280,7 @@ class TestEdgePaths:
         eng = Engine()
         evs = [eng.schedule(i + 1, lambda: None) for i in range(3)]
         for ev in evs:
-            ev.cancel()
+            eng.cancel(ev)
         assert eng.peek_time() is None
         assert eng.pending == 0
 
@@ -291,7 +291,7 @@ class TestEdgePaths:
         eng = Engine()
         head = eng.schedule(1, lambda: None)
         eng.schedule(5, lambda: None)
-        head.cancel()
+        eng.cancel(head)
         assert eng.peek_time() == 5
 
     def test_step_with_only_weak_events_fires_nothing(self):
@@ -306,7 +306,7 @@ class TestEdgePaths:
         fired = []
         head = eng.schedule(1, fired.append, "a")
         eng.schedule(2, fired.append, "b")
-        head.cancel()
+        eng.cancel(head)
         assert eng.step() is True
         assert fired == ["b"]
 

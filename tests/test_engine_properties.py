@@ -1,8 +1,8 @@
 """Property tests for the engine's fire order.
 
-Two independent checks over randomized schedules - handled, handle-free
-and weak entries, cancellations, and callbacks that schedule more work
-(same-cycle reentrancy included):
+Two independent checks over randomized schedules - relative and
+absolute-time entries, weak entries, cancellations by seq, and callbacks
+that schedule more work (same-cycle reentrancy included):
 
 * **Oracle** - a deliberately naive reference model (a plain list, the
   minimum live ``(time, priority, seq)`` entry fired next, stopping once
@@ -38,7 +38,7 @@ _CALL = st.tuples(
 
 _SCHEDULE = st.lists(_CALL, min_size=1, max_size=40)
 
-#: indices (mod schedule length) of handled events to cancel before running
+#: indices (mod schedule length) of entries to cancel before running
 _CANCELS = st.lists(st.integers(min_value=0, max_value=39), max_size=10)
 
 
@@ -61,19 +61,17 @@ def _run_trace(schedule, cancels, serial: bool):
 
         return cb
 
-    handles = []
+    seqs = []
     for i, (delay, prio, weak, reentry) in enumerate(schedule):
         cb = make_cb(f"cb{i}", reentry)
         if i % 3 == 0:
-            # handled event (cancellable)
-            handles.append(eng.schedule(delay, cb, priority=prio, weak=weak))
+            seqs.append(eng.schedule(delay, cb, priority=prio, weak=weak))
         elif i % 3 == 1:
-            eng.call_at(delay, cb, priority=prio, weak=weak)
+            seqs.append(eng.call_at(delay, cb, priority=prio, weak=weak))
         else:
-            eng.schedule_at(delay, cb, priority=prio)
+            seqs.append(eng.call_at(delay, cb, priority=prio))
     for c in cancels:
-        if handles:
-            handles[c % len(handles)].cancel()
+        eng.cancel(seqs[c % len(seqs)])
     if serial:
         while eng.run(max_events=1):
             pass
@@ -95,14 +93,11 @@ def _oracle_trace(schedule, cancels):
         seq += 1
         entries.append([time, prio, seq, tag, reentry, weak, False])
 
-    handles = []
     for i, (delay, prio, weak, reentry) in enumerate(schedule):
         add(delay, prio, f"cb{i}", reentry, weak and i % 3 != 2)
-        if i % 3 == 0:
-            handles.append(entries[-1])
+    scheduled = list(entries)
     for c in cancels:
-        if handles:
-            handles[c % len(handles)][6] = True
+        scheduled[c % len(scheduled)][6] = True
     log = []
     now = 0
     skipped = 0
@@ -196,7 +191,7 @@ def test_cancelled_cohort_member_is_skipped():
         eng.schedule(5, log.append, "a")
         victim = eng.schedule(5, log.append, "victim")
         eng.schedule(5, log.append, "b")
-        eng.schedule(0, victim.cancel)
+        eng.schedule(0, eng.cancel, victim)
         if serial:
             while eng.run(max_events=1):
                 pass

@@ -50,7 +50,7 @@ class TestWeakEvents:
         eng = Engine()
         ev = eng.schedule(100, lambda: None)
         eng.schedule(5, lambda: None, weak=True)
-        ev.cancel()
+        eng.cancel(ev)
         assert eng.run() == 0  # nothing strong left
 
     def test_weak_event_scheduling_strong_keeps_alive(self):

@@ -42,7 +42,7 @@ def drive(scheme, storm):
         r = MemoryRequest(0, write)
         r.vault, r.bank, r.row, r.column = 0, bank, row, col
         reqs.append(r)
-        eng.schedule_at(t, vc.receive, r)
+        eng.call_at(t, vc.receive, r)
     eng.run()
     return vc, eng, reqs, responses
 

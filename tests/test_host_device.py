@@ -22,7 +22,7 @@ def rig():
 
 def send(host, eng, addr, write=False, at=0):
     req = MemoryRequest(addr, write, issue_cycle=at)
-    eng.schedule_at(max(at, eng.now), host.send, req)
+    eng.call_at(max(at, eng.now), host.send, req)
     return req
 
 

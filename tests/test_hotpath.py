@@ -1,36 +1,40 @@
-"""Hot-path invariants: event cancellation, weak events, handle-free
+"""Hot-path invariants: cancellation by seq, weak events, absolute-time
 ``call_at`` scheduling, and MemoryRequest recycling.
 
-* a cancelled event's callback must never fire, and a stale cancel (after
-  the event fired) must be a no-op,
+* a cancelled entry's callback must never fire, and a stale cancel (after
+  the entry fired) must be a no-op,
 * weak events must not keep :meth:`Engine.run` alive,
-* ``call_at`` entries must order identically to ``schedule_at`` handles
-  (both draw ``seq`` from the same counter),
-* recycled :class:`~repro.request.MemoryRequest` objects must be
+* ``call_at`` entries must order identically to ``schedule`` entries (both
+  draw ``seq`` from the same counter),
+* requests recycled by the direct front-end (``DirectPort.load``/``store``
+  take from the pool, ``FabricHost._deliver`` returns to it) must be
   indistinguishable, result-wise, from fresh allocation.
 """
 
 import pytest
 
+from repro.fabric import FabricConfig, FabricHost
+from repro.hmc.config import HMCConfig
+from repro.hmc.device import HMCDevice
 from repro.request import MemoryRequest
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
+from repro.system import DirectPort
 
 
 # ----------------------------------------------------------------------
-# Event handles: cancellation
+# Cancellation by seq
 # ----------------------------------------------------------------------
 class TestEventPool:
-    """Cancellation on plain Event handles (the engine no longer pools
-    them; a handle stays valid after it fires)."""
+    """``Engine.cancel(seq)`` on the seq ``schedule``/``call_at`` return."""
 
     def test_cancelled_callback_never_resurrected(self):
-        """A cancelled event's callback must not fire when its heap turn
+        """A cancelled entry's callback must not fire when its heap turn
         passes, nor after more work is scheduled."""
         eng = Engine()
         fired = []
         victim = eng.schedule(5, fired.append, "victim")
         eng.schedule(10, fired.append, "keeper")
-        victim.cancel()
+        eng.cancel(victim)
         eng.run()
         assert fired == ["keeper"]
         eng.schedule(1, fired.append, "fresh-1")
@@ -40,34 +44,33 @@ class TestEventPool:
         assert eng.events_fired == 3
 
     def test_stale_cancel_after_fire_is_noop(self):
-        """cancel() on an already-fired handle must neither corrupt the
+        """cancel() of an already-fired seq must neither corrupt the
         pending counter nor affect later events."""
         eng = Engine()
         fired = []
-        ev = eng.schedule(1, fired.append, "x")
+        seq = eng.schedule(1, fired.append, "x")
         eng.run()
-        ev.cancel()  # stale: the event already fired
+        eng.cancel(seq)  # stale: the entry already fired
         assert eng.pending == 0
         eng.schedule(1, fired.append, "y")
         assert eng.pending == 1
         eng.run()
         assert fired == ["x", "y"]
-        assert ev.fired and not ev.cancelled  # the handle stays valid
 
     def test_cancel_then_reschedule_pattern(self):
-        """VaultController's wake timer: cancel a pending handle,
-        immediately take a new one."""
+        """VaultController's wake timer: cancel the pending entry,
+        immediately schedule an earlier one."""
         eng = Engine()
         fired = []
-        wake = eng.schedule_at(20, fired.append, "late")
-        wake.cancel()
-        wake = eng.schedule_at(10, fired.append, "early")
+        wake = eng.call_at(20, fired.append, "late")
+        eng.cancel(wake)
+        wake = eng.call_at(10, fired.append, "early")
         eng.run()
         assert fired == ["early"]
         assert eng.now == 10
         assert eng.pending == 0
-        # The cancelled tombstone still sits in the heap; peek_time purges
-        # it instead of reporting it as live work.
+        # The cancelled entry still sits in the heap; peek_time purges it
+        # instead of reporting it as live work.
         assert eng.peek_time() is None
 
 
@@ -95,26 +98,26 @@ class TestWeakEvents:
 
     def test_cancelled_weak_event_releases_pending(self):
         eng = Engine()
-        ev = eng.schedule(5, lambda: None, weak=True)
+        seq = eng.schedule(5, lambda: None, weak=True)
         assert eng.pending == 1
-        ev.cancel()
+        eng.cancel(seq)
         assert eng.pending == 0
         assert eng.run() == 0  # nothing strong: the engine never starts
-        assert eng.peek_time() is None  # tombstone purged
+        assert eng.peek_time() is None  # cancelled entry purged
 
 
 # ----------------------------------------------------------------------
-# Handle-free call_at
+# Absolute-time call_at
 # ----------------------------------------------------------------------
 class TestCallAt:
     def test_ordering_parity_with_schedule_at(self):
-        """call_at and schedule_at share one seq counter: interleaved
+        """call_at and schedule share one seq counter: interleaved
         same-cycle entries fire in submission order."""
         eng = Engine()
         order = []
-        eng.schedule_at(5, order.append, "a")
+        eng.schedule(5, order.append, "a")
         eng.call_at(5, order.append, "b")
-        eng.schedule_at(5, order.append, "c")
+        eng.schedule(5, order.append, "c")
         eng.call_at(3, order.append, "d")
         eng.run()
         assert order == ["d", "a", "b", "c"]
@@ -139,7 +142,7 @@ class TestCallAt:
         eng = Engine()
         eng.call_at(1, lambda: None)
         eng.call_at(2, lambda: None)
-        # bare tuples: no Event handle was created
+        # one entry shape: (time, priority, seq, fn, args)
         assert all(len(entry) == 5 for entry in eng._heap)
         assert eng.pending == 2
         assert eng.run() == 2
@@ -172,16 +175,12 @@ class TestCallAt:
         def fn():
             pass
 
-        eng.call_at(7, fn)
+        seq = eng.call_at(7, fn)
+        cancelled = eng.call_at(3, fn)
+        eng.cancel(cancelled)
         assert eng.peek_time() == 7
-        views = list(eng.live_events())
-        assert len(views) == 1
-        view = views[0]
-        assert isinstance(view, Event)
-        assert view.time == 7 and view.fn is fn
-        # Documented: the view is not connected to the heap — cancelling it
-        # does not cancel the underlying call_at entry.
-        view.cancel()
+        # live_events yields the plain heap entries, cancelled ones left out
+        assert list(eng.live_events()) == [(7, 0, seq, fn, ())]
         assert eng.pending == 1
         assert eng.run() == 1
 
@@ -199,29 +198,50 @@ def clean_request_pool():
         MemoryRequest._pool = saved
 
 
-class TestRequestPool:
-    def test_release_then_acquire_reuses_object(self, clean_request_pool):
-        def cb(req):
-            pass
+@pytest.fixture
+def direct_port():
+    """A direct front-end over a one-cube host that recycles requests,
+    as ``System`` wires it when nothing retains completed requests."""
+    cfg = HMCConfig(vaults=4, banks_per_vault=4)
+    eng = Engine()
+    host = FabricHost(FabricConfig(hmc=cfg), eng, [HMCDevice(cfg, eng)])
+    host.recycle_requests = True
+    return eng, DirectPort(host, eng)
 
-        r1 = MemoryRequest.acquire(0x1000, False, core_id=2, issue_cycle=7)
+
+class TestRequestPool:
+    def test_release_then_acquire_reuses_object(
+        self, clean_request_pool, direct_port
+    ):
+        """FabricHost._deliver returns a delivered request to the pool and
+        the next DirectPort.store takes it back with fresh fields."""
+        eng, port = direct_port
+        fills = []
+        port.load(2, 0x1000, fills.append, meta="ctx")
+        eng.run()
+        (r1,) = fills
         rid = r1.req_id
-        MemoryRequest.release(r1)
+        assert MemoryRequest._pool == [r1]
         assert r1.callback is None and r1.meta is None
-        r2 = MemoryRequest.acquire(0x2000, True, core_id=5, issue_cycle=9, callback=cb)
-        assert r2 is r1  # pooled reuse
-        assert r2.req_id == rid + 1  # fresh identity every life
-        assert (r2.addr, r2.is_write, r2.core_id, r2.issue_cycle) == (
+        port.store(5, 0x2000)
+        assert MemoryRequest._pool == []  # pooled reuse
+        assert r1.req_id == rid + 1  # fresh identity every life
+        assert (r1.addr, r1.is_write, r1.core_id, r1.issue_cycle) == (
             0x2000,
             True,
             5,
-            9,
+            eng.now,
         )
-        assert r2.callback is cb
+        eng.run()
+        assert r1.is_complete and MemoryRequest._pool == [r1]
 
-    def test_acquire_on_empty_pool_allocates(self, clean_request_pool):
-        r1 = MemoryRequest.acquire(1, False)
-        r2 = MemoryRequest.acquire(2, False)
+    def test_acquire_on_empty_pool_allocates(self, clean_request_pool, direct_port):
+        eng, port = direct_port
+        fills = []
+        port.load(0, 0x40, fills.append)
+        port.load(1, 0x80, fills.append)
+        eng.run()
+        r1, r2 = sorted(fills, key=lambda r: r.req_id)
         assert r1 is not r2
         assert r2.req_id == r1.req_id + 1
 

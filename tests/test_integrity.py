@@ -95,7 +95,7 @@ class TestWatchdog:
         eng.schedule(0, bystander)
         eng.schedule(10, spinner)  # future event: not part of the wedge
         cancelled = eng.schedule(0, spinner)
-        cancelled.cancel()
+        eng.cancel(cancelled)
         diagnosis = Watchdog(eng).diagnose()
         assert "spinner" in diagnosis["stuck_component"]
         assert diagnosis["same_cycle_callbacks"][diagnosis["stuck_component"]] == 5

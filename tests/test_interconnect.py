@@ -1,11 +1,16 @@
-"""Unit tests for packets, serial links and the crossbar."""
+"""Unit tests for packets, serial links and the crossbar (driven through
+``HMCDevice.inject``, its only user)."""
 
 import pytest
 
+from repro.fabric import FabricConfig, FabricHost
 from repro.hmc.config import HMCConfig
+from repro.hmc.device import HMCDevice
 from repro.interconnect.crossbar import Crossbar
 from repro.interconnect.link import LinkDirection, SerialLink
 from repro.interconnect.packet import Packet, PacketKind, packet_bytes
+from repro.request import MemoryRequest
+from repro.sim.engine import Engine
 
 
 class TestPacket:
@@ -121,28 +126,54 @@ class TestSerialLink:
         assert l.fault_counters()["replays"] > 0
 
 
+def _inject(dev, eng, vault, at):
+    """Send one request through ``HMCDevice.inject`` (the crossbar's only
+    path) and return the cycle it reaches its vault controller."""
+    req = MemoryRequest(0, False)
+    req.vault = vault
+    before = set(eng.live_events())
+    dev.inject(req, at)
+    (entry,) = set(eng.live_events()) - before
+    assert entry[3] == dev.vaults[vault].receive and entry[4] == (req,)
+    return entry[0]
+
+
+@pytest.fixture
+def cube():
+    eng = Engine()
+    return HMCDevice(HMCConfig(vaults=4, crossbar_latency=4), eng), eng
+
+
 class TestCrossbar:
-    def test_fixed_latency(self):
-        xb = Crossbar(vaults=4, latency=4)
-        assert xb.route(10, 2) == 14
-        assert xb.traversals == 1
+    def test_fixed_latency(self, cube):
+        dev, eng = cube
+        assert _inject(dev, eng, 2, 10) == 14
+        assert dev.crossbar.traversals == 1
 
-    def test_port_occupancy(self):
-        xb = Crossbar(vaults=4, latency=4, port_cycle=2)
-        a = xb.route(0, 1)
-        b = xb.route(0, 1)  # same port, same cycle -> pushed back
+    def test_port_occupancy(self, cube):
+        dev, eng = cube
+        dev.crossbar.port_cycle = 2
+        a = _inject(dev, eng, 1, 0)
+        b = _inject(dev, eng, 1, 0)  # same port, same cycle -> pushed back
         assert b == a + 2
-        assert xb.port_conflicts == 1
+        assert dev.crossbar.port_conflicts == 1
 
-    def test_different_ports_no_conflict(self):
-        xb = Crossbar(vaults=4, latency=4)
-        assert xb.route(0, 0) == xb.route(0, 1)
-        assert xb.port_conflicts == 0
+    def test_different_ports_no_conflict(self, cube):
+        dev, eng = cube
+        assert _inject(dev, eng, 0, 0) == _inject(dev, eng, 1, 0)
+        assert dev.crossbar.port_conflicts == 0
 
-    def test_vault_range_checked(self):
-        xb = Crossbar(vaults=4, latency=4)
-        with pytest.raises(ValueError):
-            xb.route(0, 4)
+    def test_vault_range_checked(self, cube):
+        """inject trusts the host decode to bound the vault: the decode
+        masks any address into the cube's vault range."""
+        dev, eng = cube
+        with pytest.raises(IndexError):
+            _inject(dev, eng, 4, 0)
+        host = FabricHost(FabricConfig(hmc=dev.config), eng, [dev])
+        req = MemoryRequest((1 << 40) - 64, False)
+        host.send(req)
+        assert 0 <= req.vault < 4
+        assert dev.crossbar.traversals == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -128,8 +128,10 @@ class TestWakeup:
         vc.queues.admit(req(bank=0, row=1))
         vc.queues.admit(req(bank=1, row=1))
         assert issue(vc, 0) == []
-        assert vc._wake.time == banks[0].busy_until
-        assert vc._wake.priority == 1
+        time, seq = vc._wake
+        assert time == banks[0].busy_until
+        (entry,) = [e for e in vc.engine.live_events() if e[2] == seq]
+        assert entry[:2] == (time, 1)  # priority 1
 
     def test_earlier_horizon_replaces_pending_wake(self, vc):
         banks = vc.banks
@@ -139,14 +141,14 @@ class TestWakeup:
         late = req(bank=1, row=1)
         vc.queues.admit(late)
         issue(vc, 0)
-        first = vc._wake
-        assert first.time == banks[1].busy_until
+        first_time, first_seq = vc._wake
+        assert first_time == banks[1].busy_until
         early = req(bank=0, row=1)
         vc.queues.admit(early)
         issue(vc, 0)
         # cancel-then-reschedule: one live wake, at the earlier horizon
-        assert first.cancelled
-        assert vc._wake.time == banks[0].busy_until
+        assert first_seq not in {e[2] for e in vc.engine.live_events()}
+        assert vc._wake[0] == banks[0].busy_until
         assert vc.engine.pending == 1
         vc.engine.run()
         assert not vc.queues.reads

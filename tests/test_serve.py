@@ -229,6 +229,24 @@ class TestSpecs:
         with pytest.raises(SpecError):
             _expand_cells({})
 
+    def test_submit_digests_each_cell_once(self, tmp_path, monkeypatch):
+        """A cell's id (a sha256 over its full state) is computed once per
+        Cell, however often submit, dispatch and the merge read it."""
+        from repro.campaign import spec as spec_mod
+
+        calls = []
+        real = spec_mod._digest
+        monkeypatch.setattr(
+            spec_mod, "_digest", lambda payload: calls.append(1) or real(payload)
+        )
+
+        async def body(node):
+            out = node.submit([_spec(), _spec(scheme="none")])
+            await _wait_job(node, out["job"])
+
+        _with_node(_cfg(tmp_path), ok_runner, body)
+        assert len(calls) == 2
+
 
 # ----------------------------------------------------------------------
 # Service lifecycle over HTTP

@@ -98,8 +98,8 @@ class TestSampler:
             state["den"] += 4.0
 
         for t in (5, 15, 25):
-            eng.schedule_at(t, bump)
-        eng.schedule_at(31, lambda: None)  # keep the run alive past 3 ticks
+            eng.call_at(t, bump)
+        eng.call_at(31, lambda: None)  # keep the run alive past 3 ticks
         eng.run()
         assert ts.samples_taken == 3
         assert ts.get("raw").values.tolist() == [20.0, 40.0, 60.0]
@@ -111,7 +111,7 @@ class TestSampler:
         ts = TimeseriesSampler(eng, epoch=5)
         ts.track_ratio("r", lambda: 3.0, lambda: 7.0)  # deltas are both 0
         ts.start()
-        eng.schedule_at(12, lambda: None)
+        eng.call_at(12, lambda: None)
         eng.run()
         assert ts.get("r").values.tolist() == [0.0, 0.0]
 
@@ -132,7 +132,7 @@ class TestSampler:
         ts = TimeseriesSampler(eng, epoch=10)
         ts.track("n", lambda: 1.0)
         ts.start()
-        eng.schedule_at(12, lambda: None)
+        eng.call_at(12, lambda: None)
         eng.run()
         assert eng.now == 12
         assert ts.samples_taken == 1  # only the t=10 tick fired
@@ -143,7 +143,7 @@ class TestSampler:
         ts.track("n", lambda: 1.0)
         ts.start()
         for t in (3, 9, 14):
-            eng.schedule_at(t, lambda: None)
+            eng.call_at(t, lambda: None)
         eng.run()
         assert ts.samples_taken == 2  # ticks at 5 and 10
         assert eng.events_fired == 3  # the 3 real events only
