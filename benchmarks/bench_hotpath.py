@@ -10,9 +10,13 @@ byte-identical.  This bench pins both halves of that contract:
   overhaul, at both the full and quick scales.  Any drift fails loudly.
 * **Throughput** - cycles/sec and events/sec are measured (min over rounds,
   each round timing a fresh ``System.run()``) and written to
-  ``BENCH_hotpath.json`` at the repo root, together with a per-subsystem
-  cProfile breakdown (``repro.sim.profiling``) and a pure-Python
+  ``BENCH_hotpath.json`` at the repo root, together with a pure-Python
   calibration score that makes the numbers comparable across machines.
+* **Attribution** - the ``profile`` block splits one quick run's engine
+  time by subsystem with ``Tracer(engine_spans=True)`` (the split
+  ``python -m repro profile --json`` prints); its buckets sum to that
+  run's ``Engine.wall_seconds``.  The split adds cost to every event, so
+  it is taken in its own run, apart from the timing rounds.
 
 Baseline methodology: the pre-change wall time was measured with
 interleaved ``git stash`` pairing on one machine - alternating old/new
@@ -198,22 +202,11 @@ def measure(refs: int, rounds: int) -> Dict[str, object]:
 
 
 def profile_slices(refs: int) -> Dict[str, object]:
-    """Per-subsystem cProfile breakdown of one run (repro.sim.profiling)."""
-    import cProfile
+    """Host-time split of one run by subsystem (``repro.obs.tracer``)."""
+    from repro.obs.tracer import profile_run
 
-    from repro.sim.profiling import profile_payload, subsystem_breakdown
-
-    system = _build(refs)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = system.run()
-    profiler.disable()
-    return profile_payload(
-        subsystem_breakdown(profiler),
-        cycles=result.cycles,
-        events_fired=system.engine.events_fired,
-        wall_seconds=system.engine.wall_seconds,
-    )
+    _result, payload = profile_run(_build(refs))
+    return payload
 
 
 def normalized(sample: Dict[str, object], calib: float) -> float:

@@ -6,7 +6,7 @@ work three ways -
 
 * ``off``    - no tracer attached (the default for every experiment),
 * ``on``     - tracer attached, engine spans off (the ``--trace`` CLI path),
-* ``spans``  - tracer attached with per-callback engine spans,
+* ``spans``  - tracer attached with the per-callback host-time split,
 
 first on a pure engine event chain (the tightest loop in the simulator,
 worst case for per-event overhead) and then on a small end-to-end system
@@ -125,11 +125,14 @@ def test_enabled_tracer_records_without_blowup():
 
 
 def test_spans_mode_records_engine_callbacks():
+    """Spans mode charges every chain callback to one host-time bucket (the
+    chain function's module) and records no trace events."""
     t = Tracer(engine_spans=True)
     _engine_chain(t)
-    kinds = {e.kind for e in t.events}
-    assert kinds == {"engine.fire"}
-    assert len(t.events) == CHAIN_EVENTS + 1
+    (bucket,) = t.host_time().values()
+    assert bucket["events"] == CHAIN_EVENTS + 1
+    assert bucket["seconds"] > 0
+    assert t.events == []
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Commands
 --------
 
 ``run``      simulate one Table II mix under one scheme and print the summary
-``profile``  run one cell under cProfile; report events/sec and hot callbacks
+``profile``  run one cell; split its engine time by subsystem, report events/sec
 ``figure``   regenerate one of the paper's figures (5-9) as a table/CSV
 ``campaign`` run a (mixes x schemes) grid sharded across worker processes
 ``serve``    long-running campaign service: HTTP/JSONL submissions, admission
@@ -291,59 +291,36 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one simulation cell: engine throughput, per-subsystem
-    breakdown, and hot callbacks."""
-    import cProfile
-    import pstats
-
-    from repro.sim.profiling import (
-        breakdown_table,
-        profile_payload,
-        subsystem_breakdown,
-    )
-
+    """Split one simulation cell's engine run by subsystem (the
+    ``Tracer(engine_spans=True)`` host-time split) and report throughput."""
     from repro.campaign import Cell, build_cell_system
+    from repro.obs.tracer import profile_run
 
     cfg = _experiment_config(args)
     system = build_cell_system(Cell(args.mix, args.scheme, cfg))
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = system.run()
-    profiler.disable()
-
-    eng = system.engine
-    breakdown = subsystem_breakdown(profiler)
+    result, payload = profile_run(system)
     if args.json:
-        payload = profile_payload(
-            breakdown,
-            cycles=result.cycles,
-            events_fired=eng.events_fired,
-            wall_seconds=eng.wall_seconds,
-        )
         payload.update(
             mix=args.mix, scheme=args.scheme,
             refs_per_core=cfg.refs_per_core, seed=cfg.seed,
         )
         print(json.dumps(payload))
-        if args.out:
-            pstats.Stats(profiler).dump_stats(args.out)
         return 0
+    eng = system.engine
     print(f"{args.mix} / {args.scheme} ({cfg.refs_per_core} refs/core, seed {cfg.seed})")
     print(f"  simulated cycles    {result.cycles}")
     print(f"  events fired        {eng.events_fired}")
-    print(f"  wall time           {eng.wall_seconds:.3f} s (engine loop)")
+    print(f"  wall time           {eng.wall_seconds:.3f} s (engine loop, split on)")
     print(f"  events/sec          {eng.events_per_sec:,.0f}")
     print()
-    print("per-subsystem breakdown (profiled wall time):")
-    print(breakdown_table(breakdown))
-    print()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats(args.sort)
-    print(f"top {args.top} callbacks by {args.sort} time:")
-    stats.print_stats(r"repro", args.top)
-    if args.out:
-        stats.dump_stats(args.out)
-        print(f"wrote profile data to {args.out} (inspect with snakeviz/pstats)")
+    print("host time by subsystem:")
+    print(f"  {'subsystem':<12} {'events':>9} {'seconds':>9} {'share':>7}")
+    wall = eng.wall_seconds or 1.0
+    for name, row in payload["subsystems"].items():
+        print(
+            f"  {name:<12} {row['events']:>9} {row['seconds']:>8.3f}s "
+            f"{row['seconds'] / wall:>6.1%}"
+        )
     return 0
 
 
@@ -974,22 +951,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=cmd_run)
 
     p_prof = sub.add_parser(
-        "profile", help="run one cell under cProfile; report hot callbacks"
+        "profile", help="split one cell's engine run time by subsystem"
     )
     p_prof.add_argument("mix", choices=mix_names())
     p_prof.add_argument("--scheme", default="camps-mod", choices=scheme_names())
     p_prof.add_argument("--refs", type=int, default=4000)
     p_prof.add_argument("--seed", type=int, default=1)
-    p_prof.add_argument("--top", type=int, default=15,
-                        help="number of hot functions to print")
-    p_prof.add_argument("--sort", default="tottime",
-                        choices=["tottime", "cumtime", "ncalls"],
-                        help="pstats sort key")
-    p_prof.add_argument("--out", help="also dump raw pstats data to this file")
     p_prof.add_argument(
         "--json", action="store_true",
-        help="print a machine-readable summary (throughput + per-subsystem "
-        "slices; the format bench_hotpath.py embeds in BENCH_hotpath.json)",
+        help="print a machine-readable summary (cycles, events, engine wall "
+        "time and its split; the format bench_hotpath.py embeds in "
+        "BENCH_hotpath.json)",
     )
     p_prof.set_defaults(fn=cmd_profile)
 

@@ -48,9 +48,8 @@ LINK_RETRY = "link.retry"  # CRC/drop episode: NAK'd packet replayed from the re
 LINK_RETRAIN = "link.retrain"  # bounded retries exhausted: link retraining penalty
 TSV_XFER = "tsv.xfer"  # row/line transfer over a vault's internal TSVs
 
-# --- scheduler / engine ------------------------------------------------------
+# --- scheduler ---------------------------------------------------------------
 SCHED_DRAIN = "sched.drain"  # write-drain mode toggled
-ENGINE_FIRE = "engine.fire"  # one engine callback fired (spans mode only)
 
 # --- provenance tags ---------------------------------------------------------
 PROV_UTILIZATION = "utilization"
@@ -78,7 +77,6 @@ ALL_KINDS = (
     LINK_RETRAIN,
     TSV_XFER,
     SCHED_DRAIN,
-    ENGINE_FIRE,
 )
 
 

@@ -22,11 +22,19 @@ host, links, vault controllers, schedulers, prefetchers and banks.  Counter
 registration lives apart, in :func:`~repro.obs.counters.system_counters`:
 :attr:`Tracer.counters` is that function's registry for the wired system,
 and a RunReport builds the same registry itself, traced or not.
+
+``Tracer(engine_spans=True)`` is the simulator's one host-time attribution:
+:meth:`Tracer.host_time` splits an engine run's wall time by subsystem, the
+callbacks' owner modules, with the prefetch engine's hooks timed apart
+(``python -m repro profile`` prints it).  It costs time on every event, so
+it is opt-in; results and ``events_fired`` are the same with it on or off.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from collections import defaultdict
+from time import perf_counter_ns
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import events as ev
 from repro.obs.counters import CounterRegistry, system_counters
@@ -43,6 +51,26 @@ _COMMAND_KINDS: Dict[str, str] = {
     "REF": ev.BANK_REFRESH,
 }
 
+#: ``repro`` subpackage owning a callback -> its host-time subsystem; a
+#: callback from any other module is charged to its module name
+_SUBSYSTEMS: Dict[str, str] = {
+    "vault": "vault",
+    "core": "prefetcher",
+    "cpu": "core",
+    "hmc": "host",
+    "interconnect": "host",
+    "fabric": "host",
+}
+
+
+def _subsystem(fn: Callable[..., Any]) -> str:
+    """Host-time subsystem of one callback function, from its owner module."""
+    module = getattr(fn, "__module__", None) or repr(fn)
+    package, _, rest = module.partition(".")
+    if package == "repro" and rest:
+        return _SUBSYSTEMS.get(rest.partition(".")[0], module)
+    return module
+
 
 class Tracer:
     """Collects :class:`TraceEvent` records; carries the wired system's
@@ -50,9 +78,9 @@ class Tracer:
 
     ``capacity`` bounds memory: once the event list is full further events
     are counted in ``dropped`` instead of stored (the counters keep
-    aggregating regardless).  ``engine_spans`` additionally records one
-    event per engine callback fired - complete visibility, high volume -
-    and is off by default.
+    aggregating regardless).  ``engine_spans`` additionally splits the
+    engine run's host time by subsystem (see the module docstring and
+    :meth:`host_time`); it is off by default.
     """
 
     def __init__(self, capacity: int = 2_000_000, engine_spans: bool = False) -> None:
@@ -64,7 +92,15 @@ class Tracer:
         self.dropped = 0
         self.counters = CounterRegistry()
         self.meta: Dict[str, Any] = {}
-        self._engine = None  # set by wire_system; used for summary()
+        self._engine = None  # set by wire_host_time; used for summary()
+        # engine_spans split: host ns and events per subsystem, the
+        # subsystem of each callback function seen, and the subsystem
+        # charged since the perf_counter_ns mark
+        self._span_ns: Dict[str, int] = defaultdict(int)
+        self._span_events: Dict[str, int] = defaultdict(int)
+        self._owners: Dict[Any, str] = {}
+        self._span_sub: Optional[str] = None
+        self._span_mark = 0
 
     # ------------------------------------------------------------------
     # Core emit path
@@ -241,22 +277,71 @@ class Tracer:
         )
 
     def engine_fire(self, time: int, fn: Callable[..., Any]) -> None:
-        """One engine callback fired (only recorded in ``engine_spans`` mode)."""
-        name = getattr(fn, "__qualname__", None) or repr(fn)
-        self._push(ev.ENGINE_FIRE, time, args={"fn": name})
+        """The engine is about to call ``fn`` (``engine_spans`` mode only).
+
+        Charges the host time since the previous callback started to that
+        callback's subsystem.  The mark is taken again on the way out, so
+        this bookkeeping itself stays in the ``engine`` bucket.
+        """
+        start = perf_counter_ns()
+        sub = self._span_sub
+        if sub is not None:
+            self._span_ns[sub] += start - self._span_mark
+        key = getattr(fn, "__func__", fn)
+        sub = self._owners.get(key)
+        if sub is None:
+            sub = self._owners[key] = _subsystem(key)
+        self._span_events[sub] += 1
+        self._span_sub = sub
+        self._span_mark = perf_counter_ns()
+
+    def timed(self, subsystem: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        """``fn`` wrapped so the host time inside it is charged to
+        ``subsystem`` rather than to the callback that calls it; each call
+        counts as one of ``subsystem``'s events.  Wrappers nest."""
+        ns = self._span_ns
+        events = self._span_events
+
+        def timed_call(*args: Any) -> Any:
+            start = perf_counter_ns()
+            outer = self._span_sub
+            if outer is not None:
+                ns[outer] += start - self._span_mark
+            self._span_sub = subsystem
+            self._span_mark = start
+            events[subsystem] += 1
+            out = fn(*args)
+            end = perf_counter_ns()
+            ns[subsystem] += end - self._span_mark
+            self._span_sub = outer
+            self._span_mark = end
+            return out
+
+        return timed_call
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
+    def wire_host_time(self, system: Any) -> None:
+        """Install this tracer on the engine and every vault controller of a
+        built (not yet run) :class:`~repro.system.System` only: all the
+        ``engine_spans`` split needs, with no bank, link or host events
+        recorded to distort it.  :meth:`host_time` assumes one
+        ``Engine.run`` (what ``System.run`` makes): the host time between
+        two runs would be charged to the last callback of the first."""
+        system.engine.tracer = self
+        self._engine = system.engine
+        for device in system.devices:
+            for vc in device.vaults:
+                vc.tracer = self
+
     def wire_system(self, system: Any) -> None:
         """Install this tracer on every instrumented component of a built
         (not yet run) :class:`~repro.system.System` - engine, host, host and
         inter-cube link directions, and in every cube the vault controllers,
         schedulers, prefetchers and banks - and fill :attr:`counters` from
         :func:`~repro.obs.counters.system_counters`."""
-        engine = system.engine
-        engine.tracer = self
-        self._engine = engine
+        self.wire_host_time(system)
         self.meta.setdefault("scheme", system.config.scheme)
         self.meta.setdefault("workload", system.workload)
         if system.fabric is not None:
@@ -269,7 +354,6 @@ class Tracer:
             link.response.tracer = self
         for device in system.devices:
             for vc in device.vaults:
-                vc.tracer = self
                 vc.scheduler.tracer = self
                 vc.prefetcher.tracer = self
                 for bank in vc.banks:
@@ -295,6 +379,25 @@ class Tracer:
                 counts[tag] = counts.get(tag, 0) + 1
         return counts
 
+    def host_time(self) -> Dict[str, Dict[str, float]]:
+        """The ``engine_spans`` split: ``{subsystem: {"seconds", "events"}}``
+        by descending seconds (``prefetcher`` events are its timed hook
+        calls, which run inside ``vault`` events).  Once wired to a system,
+        an ``engine`` bucket holds what is left of ``Engine.wall_seconds``
+        (the loop around the first and last callbacks plus this split's own
+        bookkeeping), so the buckets sum to the engine's wall time."""
+        split: Dict[str, Dict[str, float]] = {
+            sub: {"seconds": self._span_ns.get(sub, 0) / 1e9, "events": n}
+            for sub, n in self._span_events.items()
+        }
+        if self._engine is not None:
+            charged = sum(row["seconds"] for row in split.values())
+            split["engine"] = {
+                "seconds": self._engine.wall_seconds - charged,
+                "events": 0,
+            }
+        return dict(sorted(split.items(), key=lambda kv: -kv[1]["seconds"]))
+
     def summary(self) -> Dict[str, Any]:
         """Compact end-of-run digest (lands in SimulationResult.extra)."""
         out: Dict[str, Any] = {
@@ -306,6 +409,8 @@ class Tracer:
         out.update(self.meta)
         if self._engine is not None and self._engine.wall_seconds:
             out["engine_events_per_sec"] = round(self._engine.events_per_sec)
+        if self.engine_spans:
+            out["host_time"] = self.host_time()
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -313,3 +418,18 @@ class Tracer:
             f"<Tracer events={len(self.events)} dropped={self.dropped} "
             f"counters={len(self.counters)}>"
         )
+
+
+def profile_run(system: Any) -> Tuple[Any, Dict[str, Any]]:
+    """Run a built system with the host-time split on (wired by
+    :meth:`Tracer.wire_host_time`); returns the result and the payload
+    ``repro profile --json`` prints and ``BENCH_hotpath.json`` records."""
+    tracer = Tracer(engine_spans=True)
+    tracer.wire_host_time(system)
+    result = system.run()
+    return result, {
+        "cycles": result.cycles,
+        "events_fired": system.engine.events_fired,
+        "wall_seconds": system.engine.wall_seconds,
+        "subsystems": tracer.host_time(),
+    }

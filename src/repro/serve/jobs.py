@@ -214,6 +214,8 @@ class JobRegistry:
     def __init__(self) -> None:
         self.jobs: Dict[str, Job] = {}
         self.cells: Dict[str, CellState] = {}
+        #: jobs with a deadline that were queued or running when last seen
+        self._deadlined: Dict[str, Job] = {}
         self._ids = itertools.count(1)
 
     def new_job_id(self) -> str:
@@ -221,6 +223,8 @@ class JobRegistry:
 
     def add(self, job: Job) -> None:
         self.jobs[job.job_id] = job
+        if job.deadline is not None:
+            self._deadlined[job.job_id] = job
 
     def cell_done(self, cell_id: str) -> List[Job]:
         """Mark one cell terminal in every job referencing it; returns the
@@ -241,16 +245,19 @@ class JobRegistry:
         return finished
 
     def expire_due(self, now: Optional[float] = None) -> List[Job]:
-        """Expire jobs past their deadline; returns the newly expired."""
+        """Expire jobs past their deadline; returns the newly expired.
+
+        Walks only the live jobs that have a deadline, not every job ever
+        submitted: a job leaves that set once it is found finished.
+        """
         now = time.monotonic() if now is None else now
         expired: List[Job] = []
-        for job in self.jobs.values():
-            if (
-                job.status in (JOB_QUEUED, JOB_RUNNING)
-                and job.deadline is not None
-                and now >= job.deadline
-            ):
+        for job_id, job in list(self._deadlined.items()):
+            if job.status not in (JOB_QUEUED, JOB_RUNNING):
+                del self._deadlined[job_id]
+            elif now >= job.deadline:
                 job.status = JOB_EXPIRED
+                del self._deadlined[job_id]
                 expired.append(job)
         return expired
 

@@ -335,7 +335,7 @@ class ServeScheduler:
                 job.done.add(cid)
         if len(job.done) >= len(job.cell_ids):
             job.status = "done"
-            self._job_events[job.job_id].set()
+            self._job_finished(job)
         elapsed = time.perf_counter() - t0
         self.latency.observe(elapsed)
         self.spans.record(
@@ -563,9 +563,14 @@ class ServeScheduler:
                 self.admission.observe_cell_seconds(rec.elapsed, lane=state.lane)
             log_result(self.cache, rec)
         for job in self.registry.cell_done(state.cell_id):
-            event = self._job_events.get(job.job_id)
-            if event is not None:
-                event.set()
+            self._job_finished(job)
+
+    def _job_finished(self, job: Job) -> None:
+        """Wake the job's waiters and drop its event: a ``wait`` on a
+        finished job answers at once without one."""
+        event = self._job_events.pop(job.job_id, None)
+        if event is not None:
+            event.set()
 
     def _flush_unrecorded(self) -> None:
         still: List[CellRecord] = []
@@ -658,9 +663,7 @@ class ServeScheduler:
                 self._launch(state, state.attempts + 1)
         # job deadlines: queued cells of expired jobs stop occupying lanes
         for job in self.registry.expire_due():
-            event = self._job_events.get(job.job_id)
-            if event is not None:
-                event.set()
+            self._job_finished(job)
         self._dispatch()
 
     def _absorb_peer_records(self, scan: Any) -> None:

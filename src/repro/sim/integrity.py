@@ -22,9 +22,9 @@ diagnosis.  This module makes such failures loud and cheap instead:
   events, written on any violation or unhandled engine exception.
 * :func:`command_timing_violations` - an independent DRAM timing check
   over the per-bank command logs of a ``record_commands=True`` run
-  (tRCD, tRP, tRAS, tWR; tRRD and tFAW, which the model does not
-  enforce, are reported too).  It reads the logs only and never calls
-  the bank model it checks.
+  (tRCD, tRP, tRAS, tWR; tRRD, tFAW, one command per DRAM clock, tCCD and
+  tWTR, which the model does not enforce, are reported too).  It reads
+  the logs only and never calls the bank model it checks.
 * :class:`IntegrityMonitor` - wires the above onto a built
   :class:`~repro.system.System` and converts any failure into a single
   :class:`IntegrityError` carrying a compact ``report`` (what the campaign
@@ -171,9 +171,12 @@ class Watchdog:
 
 
 #: DDR3-1600 (1 KB page) limits the bank model does not declare, in
-#: memory-bus cycles: ACT to ACT of another bank, and the four-activate window
+#: memory-bus cycles (nCK): ACT to ACT of another bank, the four-activate
+#: window, column command to column command, and write data end to READ
 DDR3_TRRD = 5
 DDR3_TFAW = 24
+DDR3_TCCD = 4
+DDR3_TWTR = 6
 
 
 def command_timing_violations(system: Any) -> Dict[str, int]:
@@ -185,8 +188,12 @@ def command_timing_violations(system: Any) -> Dict[str, int]:
     the write data of every WRITE since the row opened, taking the data to
     end no earlier than the WRITE cycle + tCL + tBurst (the TSV bus can
     only push it later, so this is a lower bound on the violations).  Per
-    vault, :data:`DDR3_TRRD` and :data:`DDR3_TFAW` are checked across banks
-    and reported only: the model leaves both rules out.
+    vault, across its banks, these are reported only, as the model leaves
+    them out: :data:`DDR3_TRRD`, :data:`DDR3_TFAW`; ``cmd_bus``, each
+    command beyond the first in one DRAM clock (one command bus per vault);
+    :data:`DDR3_TCCD` between consecutive READ/WRITE commands; and
+    :data:`DDR3_TWTR` from the latest WRITE data end (taken as for tWR, so
+    again a lower bound) to a READ.
     """
     import math
 
@@ -195,16 +202,41 @@ def command_timing_violations(system: Any) -> Dict[str, int]:
     t = system.config.hmc.timings
     trrd_cpu = math.ceil(DDR3_TRRD * t.ratio)
     tfaw_cpu = math.ceil(DDR3_TFAW * t.ratio)
-    column = {
-        CommandKind.READ,
-        CommandKind.WRITE,
-        CommandKind.ROW_FETCH,
-        CommandKind.ROW_RESTORE,
-    }
-    counts = {"tRCD": 0, "tRP": 0, "tRAS": 0, "tWR": 0, "tRRD": 0, "tFAW": 0}
+    tccd_cpu = math.ceil(DDR3_TCCD * t.ratio)
+    twtr_cpu = math.ceil(DDR3_TWTR * t.ratio)
+    read, write = CommandKind.READ, CommandKind.WRITE
+    column = {read, write, CommandKind.ROW_FETCH, CommandKind.ROW_RESTORE}
+    counts = dict.fromkeys(
+        ("tRCD", "tRP", "tRAS", "tWR", "tRRD", "tFAW", "cmd_bus", "tCCD", "tWTR"), 0
+    )
     for device in system.devices:
         for vc in device.vaults:
-            acts = []  # (cycle, bank) of every ACTIVATE in the vault
+            acts = []  # (cycle, bank) of every ACTIVATE in the vault, in order
+            vault_log = sorted(
+                (cmd for bank in vc.banks for cmd in bank.command_log),
+                key=lambda c: c.cycle,
+            )
+            last_clock = last_column = write_end = None
+            for cmd in vault_log:
+                if cmd.kind is CommandKind.ACTIVATE:
+                    acts.append((cmd.cycle, cmd.bank))
+                clock = int(cmd.cycle // t.ratio)
+                if clock == last_clock:
+                    counts["cmd_bus"] += 1
+                last_clock = clock
+                if cmd.kind is read or cmd.kind is write:
+                    if last_column is not None and cmd.cycle - last_column < tccd_cpu:
+                        counts["tCCD"] += 1
+                    last_column = cmd.cycle
+                if cmd.kind is write:
+                    end = cmd.cycle + t.tcl_cpu + t.tburst_cpu
+                    write_end = max(write_end or end, end)
+                elif (
+                    cmd.kind is read
+                    and write_end is not None
+                    and cmd.cycle - write_end < twtr_cpu
+                ):
+                    counts["tWTR"] += 1
             for bank in vc.banks:
                 act = pre = write_end = None
                 for cmd in sorted(bank.command_log, key=lambda c: c.cycle):
@@ -213,7 +245,6 @@ def command_timing_violations(system: Any) -> Dict[str, int]:
                         if pre is not None and cycle - pre < t.trp_cpu:
                             counts["tRP"] += 1
                         act = cycle
-                        acts.append((cycle, cmd.bank))
                     elif cmd.kind is CommandKind.PRECHARGE:
                         if act is not None and cycle - act < t.tras_cpu:
                             counts["tRAS"] += 1
@@ -226,7 +257,6 @@ def command_timing_violations(system: Any) -> Dict[str, int]:
                         if cmd.kind is CommandKind.WRITE:
                             end = cycle + t.tcl_cpu + t.tburst_cpu
                             write_end = max(write_end or end, end)
-            acts.sort()
             for i in range(1, len(acts)):
                 (prev, prev_bank), (cycle, bank) = acts[i - 1], acts[i]
                 if cycle - prev < trrd_cpu and bank != prev_bank:

@@ -168,6 +168,18 @@ class VaultController:
             self._emit_buf_replace = tracer.buffer_replace
         else:
             self._rebind_hooks()
+        # A host-time split charges the prefetch engine's decide and execute
+        # steps to "prefetcher"; the untraced path keeps the plain methods.
+        vars(self).pop("_execute_prefetch", None)
+        if self._times_prefetcher():
+            self._execute_prefetch = tracer.timed("prefetcher", self._execute_prefetch)
+        self._rebuild_hot_ctx()
+
+    def _times_prefetcher(self) -> bool:
+        """True when a spans tracer is set and the scheme can prefetch (a
+        scheme without a buffer leaves its no-op hook inside ``vault``)."""
+        tracer = self._tracer
+        return tracer is not None and tracer.engine_spans and self.buffer is not None
 
     def _rebind_hooks(self) -> None:
         self._emit_pf_hit = noop
@@ -209,9 +221,12 @@ class VaultController:
             self._c_buf_inflight,
             self._on_buffer_hit,
         )
+        decide = self.prefetcher.on_demand_access
+        if self._times_prefetcher():
+            decide = self._tracer.timed("prefetcher", decide)
         self._done_ctx = (
             self.engine,
-            self.prefetcher.on_demand_access,
+            decide,
             self._respond_fn,
             self._c_reads,
             self._c_writes,

@@ -4,6 +4,7 @@ failures (terminal, resumable, narrated)."""
 
 import functools
 import json
+import math
 import os
 
 import pytest
@@ -20,6 +21,8 @@ from repro.hmc.config import HMCConfig
 from repro.sim.engine import Engine
 from repro.sim.integrity import (
     CRASH_DIR_ENV,
+    DDR3_TCCD,
+    DDR3_TWTR,
     ForwardProgressError,
     IntegrityConfig,
     IntegrityError,
@@ -167,7 +170,40 @@ class TestCommandTiming:
             Command(pre, 0, 1, t.tras_cpu - 1), Command(act, 0, 2, t.tras_cpu)]
         bank1.command_log[:] = [Command(act, 1, 3, t.tras_cpu + 1)]
         assert command_timing_violations(system) == {
-            "tRCD": 1, "tRP": 1, "tRAS": 1, "tWR": 1, "tRRD": 1, "tFAW": 0}
+            "tRCD": 1, "tRP": 1, "tRAS": 1, "tWR": 1, "tRRD": 1, "tFAW": 0,
+            "cmd_bus": 1, "tCCD": 0, "tWTR": 0}
+
+    @staticmethod
+    def _vault_rule(rule, *commands):
+        """Count ``rule`` over one vault whose banks logged ``commands``
+        (``(kind, bank, cycle)``; row 1)."""
+        system = _system(integrity=False)  # built, not run: empty logs
+        banks = system.device.vaults[0].banks
+        for kind, bank, cycle in commands:
+            banks[bank].command_log.append(Command(kind, bank, 1, cycle))
+        return command_timing_violations(system)[rule]
+
+    def test_one_command_per_dram_clock(self):
+        act = CommandKind.ACTIVATE
+        next_clock = math.ceil(HMCConfig().timings.ratio)  # in CPU cycles
+        assert self._vault_rule("cmd_bus", (act, 0, 0), (act, 1, 1)) == 1
+        assert self._vault_rule("cmd_bus", (act, 0, 0), (act, 1, next_clock)) == 0
+
+    def test_tccd_between_column_commands(self):
+        rd, wr = CommandKind.READ, CommandKind.WRITE
+        tccd = math.ceil(DDR3_TCCD * HMCConfig().timings.ratio)
+        assert self._vault_rule("tCCD", (rd, 0, 100), (wr, 1, 100 + tccd - 1)) == 1
+        assert self._vault_rule("tCCD", (rd, 0, 100), (rd, 1, 100 + tccd)) == 0
+
+    def test_twtr_from_write_data_end_to_read(self):
+        rd, wr = CommandKind.READ, CommandKind.WRITE
+        t = HMCConfig().timings
+        twtr = math.ceil(DDR3_TWTR * t.ratio)
+        data_end = 100 + t.tcl_cpu + t.tburst_cpu
+        assert self._vault_rule("tWTR", (wr, 0, 100), (rd, 1, data_end + twtr - 1)) == 1
+        assert self._vault_rule("tWTR", (wr, 0, 100), (rd, 1, data_end + twtr)) == 0
+        # a READ before the WRITE is not after its data end
+        assert self._vault_rule("tWTR", (rd, 1, 99), (wr, 0, 100)) == 0
 
     @pytest.mark.parametrize("scheme", ["none", "camps"])
     @pytest.mark.parametrize("rule", ["tRCD", "tRP", "tRAS", pytest.param(

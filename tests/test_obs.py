@@ -295,8 +295,17 @@ class TestObsCLI:
         assert payload["trace_summary"]["events_recorded"] > 0
 
     def test_profile_command(self, capsys):
-        assert main(["profile", "HM1", "--refs", "300", "--top", "5"]) == 0
+        assert main(["profile", "HM1", "--refs", "300"]) == 0
         out = capsys.readouterr().out
         assert "events/sec" in out
         assert "events fired" in out
-        assert "repro" in out  # hot-callback listing shows repro frames
+        # the host-time split names the paper's blocks plus the remainder
+        for bucket in ("vault", "prefetcher", "core", "host", "engine"):
+            assert f"\n  {bucket} " in out
+
+    def test_profile_json_buckets_sum_to_engine_wall(self, capsys):
+        assert main(["profile", "LM1", "--refs", "300", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        total = sum(row["seconds"] for row in payload["subsystems"].values())
+        assert total == pytest.approx(payload["wall_seconds"], abs=1e-9)
+        assert payload["events_fired"] > 0 and payload["mix"] == "LM1"

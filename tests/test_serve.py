@@ -39,6 +39,7 @@ from repro.serve import (
 from repro.serve.chaos import drop_connection, enospc_manifest
 from repro.serve.client import ServeError
 from repro.campaign.pool import CellPool
+from repro.serve.jobs import Job
 from repro.serve.server import _expand_cells
 
 
@@ -138,7 +139,9 @@ def _with_node(cfg, runner, body):
 
 
 async def _wait_job(node, job_id, timeout=30.0):
-    await asyncio.wait_for(node._job_events[job_id].wait(), timeout)
+    event = node._job_events.get(job_id)  # a finished job has none
+    if event is not None:
+        await asyncio.wait_for(event.wait(), timeout)
     return node.registry.jobs[job_id]
 
 
@@ -588,6 +591,26 @@ class TestFailureHandling:
             assert job.status == "expired"
 
         _with_node(cfg, slow_runner, body)
+
+    def test_finished_jobs_keep_no_event_and_leave_the_deadline_walk(
+        self, tmp_path
+    ):
+        cfg = _cfg(tmp_path)
+
+        async def body(node):
+            for seed in range(1, 21):
+                out = node.submit([_spec(seed=seed)], deadline_s=600.0)
+                assert (await _wait_job(node, out["job"])).status == "done"
+            assert node._job_events == {}
+            now = time.monotonic()
+            late = Job(job_id="late", cell_ids=["never-run"], lane=LANE_BULK,
+                       submitted=now, deadline=now - 1.0)
+            node.registry.add(late)
+            assert node.registry.expire_due() == [late]
+            assert late.status == "expired"
+            assert node.registry._deadlined == {}  # the done jobs left it too
+
+        _with_node(cfg, ok_runner, body)
 
     def test_enospc_terminal_record_retried_until_landed(self, tmp_path):
         cfg = _cfg(tmp_path)
