@@ -11,9 +11,9 @@ from conftest import check_claims, emit
 from repro.experiments.figures import paper_figures
 
 
-def test_fig6_row_buffer_conflicts(benchmark, paper_matrix, results_dir, claims_scale):
+def test_fig6_row_buffer_conflicts(benchmark, paper_grid, results_dir, claims_scale):
     data = benchmark.pedantic(
-        lambda: paper_figures(paper_matrix)["fig6_conflicts"], rounds=1, iterations=1
+        lambda: paper_figures(paper_grid())["fig6_conflicts"], rounds=1, iterations=1
     )
     emit(data, results_dir, "fig6_conflicts")
     check_claims({"fig6_conflicts": data}, claims_scale)

@@ -14,9 +14,9 @@ from conftest import check_claims, emit
 from repro.experiments.figures import paper_figures
 
 
-def test_fig7_prefetch_accuracy(benchmark, paper_matrix, results_dir, claims_scale):
+def test_fig7_prefetch_accuracy(benchmark, paper_grid, results_dir, claims_scale):
     figures = benchmark.pedantic(
-        lambda: paper_figures(paper_matrix), rounds=1, iterations=1
+        lambda: paper_figures(paper_grid()), rounds=1, iterations=1
     )
     emit(figures["fig7_accuracy"], results_dir, "fig7_accuracy")
     # the line-level variant (fairer to the line-granular MMD scheme)

@@ -50,7 +50,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 MANIFEST_VERSION = 1
 
@@ -168,14 +168,22 @@ def _decode(data: bytes) -> str:
     return data.decode("utf-8", "surrogateescape")
 
 
-def fold_line(scan: ManifestScan, index: int, line: str) -> Optional[CellRecord]:
-    """Fold one manifest line into ``scan``; the manifest's only line parser.
+def read_lines(path: Union[str, Path]) -> Iterator[str]:
+    """Stream a file's lines, each decoded by :func:`_decode`: the line
+    source of every JSONL file reader (manifests, spans, serve checkpoints,
+    bench history).  Holds one line at a time; a missing file yields none."""
+    try:
+        with open(path, "rb") as fh:
+            for line in fh:
+                yield _decode(line)
+    except OSError:
+        return
 
-    ``index`` is the line's position in the file (0 for the first line,
-    blank lines included).  Returns the terminal record when the line is
-    one, else None.  Torn or unparseable lines are skipped; raises
-    :class:`IncompatibleManifest` when the file must be treated as empty.
-    """
+
+def parse_line(line: Union[str, bytes]) -> Optional[dict]:
+    """The JSON object on one JSONL line, or None for a blank, torn,
+    garbled or non-object line: the one line parser of every JSONL file
+    reader, so each skips exactly the lines the manifest reader skips."""
     line = line.strip()
     if not line:
         return None
@@ -183,7 +191,19 @@ def fold_line(scan: ManifestScan, index: int, line: str) -> Optional[CellRecord]
         raw = json.loads(line)
     except ValueError:
         return None  # torn write (crash mid-append): costs one record
-    if not isinstance(raw, dict):
+    return raw if isinstance(raw, dict) else None
+
+
+def fold_line(scan: ManifestScan, index: int, line: str) -> Optional[CellRecord]:
+    """Fold one manifest line, parsed by :func:`parse_line`, into ``scan``.
+
+    ``index`` is the line's position in the file (0 for the first line,
+    blank lines included).  Returns the terminal record when the line is
+    one, else None.  Torn or unparseable lines are skipped; raises
+    :class:`IncompatibleManifest` when the file must be treated as empty.
+    """
+    raw = parse_line(line)
+    if raw is None:
         return None
     kind = raw.get("kind")
     if kind == KIND_HEADER:
@@ -266,19 +286,16 @@ class Manifest:
         """Parse the manifest as a work queue: terminal records, winning
         claims, and the logical-clock high-water mark.
 
-        Torn lines (a crash mid-append — including a torn *claim* as the
-        very last record) are skipped; a duplicate claim for one cell
-        resolves by :meth:`ClaimRecord.beats` (higher generation wins).
+        Streams the file (:func:`read_lines`).  Torn lines (a crash
+        mid-append — including a torn *claim* as the very last record) are
+        skipped; a duplicate claim for one cell resolves by
+        :meth:`ClaimRecord.beats` (higher generation wins).
         Returns an empty scan for a missing or version-incompatible file.
         :class:`ManifestFollower` runs the same fold incrementally.
         """
         out = ManifestScan()
         try:
-            data = self.path.read_bytes()
-        except OSError:
-            return out
-        try:
-            for i, line in enumerate(_decode(data).split("\n")):
+            for i, line in enumerate(read_lines(self.path)):
                 fold_line(out, i, line)
         except IncompatibleManifest:
             return ManifestScan()
@@ -287,17 +304,9 @@ class Manifest:
     def has_header(self) -> bool:
         """True when the first line is a header of this manifest version:
         the file is a manifest this reader understands."""
-        try:
-            with open(self.path) as fh:
-                first = fh.readline()
-        except (OSError, ValueError):  # missing, unreadable or not UTF-8
-            return False
-        try:
-            raw = json.loads(first)
-        except json.JSONDecodeError:
-            return False
+        raw = parse_line(next(read_lines(self.path), ""))
         return (
-            isinstance(raw, dict)
+            raw is not None
             and raw.get("kind") == KIND_HEADER
             and raw.get("version") == MANIFEST_VERSION
         )
@@ -441,8 +450,8 @@ class JsonlTailer:
 
     Every reset bumps :attr:`resets`, so a reader folding state over the
     lines knows to restart its fold.  Unparseable *complete* lines (torn by
-    a crash mid-file) are skipped by :meth:`poll`, as the manifest reader
-    does.
+    a crash mid-file) are skipped by :meth:`poll`, which parses through
+    :func:`parse_line` like every other JSONL file reader.
     """
 
     #: bytes of the file head (and of the consumed tail) remembered to
@@ -506,18 +515,8 @@ class JsonlTailer:
 
     def poll(self) -> List[dict]:
         """JSON objects appended since the last poll."""
-        out: List[dict] = []
-        for line in self.poll_lines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(rec, dict):
-                out.append(rec)
-        return out
+        parsed = (parse_line(line) for line in self.poll_lines())
+        return [rec for rec in parsed if rec is not None]
 
 
 class ManifestFollower:

@@ -682,21 +682,20 @@ def _report_html(args: argparse.Namespace) -> int:
     """HTML dashboard mode of ``repro report``."""
     from pathlib import Path
 
+    from repro.campaign.manifest import Manifest
     from repro.obs import RunReport, render_html
-    from repro.obs.html import load_manifest_rows
 
     reports = [RunReport.load(p) for p in args.inputs]
     rows = None
     if args.manifest:
-        rows = load_manifest_rows(args.manifest)
+        rows = [r for r in Manifest(args.manifest).records().values() if r.ok]
         # cells executed with --report-dir point at their artifacts; fold
         # them in (bounded: each adds sparkline sections to the page)
         for row in rows:
             if len(reports) >= 8:
                 break
-            rpath = row.get("report")
-            if rpath and Path(rpath).exists():
-                reports.append(RunReport.load(rpath))
+            if row.report and Path(row.report).exists():
+                reports.append(RunReport.load(row.report))
     if not reports and not rows:
         # nothing to render was supplied: simulate one sampled cell so
         # `repro report --out r.html` works out of the box
@@ -1216,8 +1215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", help="write the report to this file "
                        "(*.html selects the dashboard mode)")
     p_rep.add_argument("--manifest", metavar="PATH",
-                       help="campaign manifest: adds the scheme-comparison "
-                       "table and folds in per-cell reports")
+                       help="campaign, serve or fleet manifest: adds the "
+                       "scheme-comparison table of its ok cells and folds in "
+                       "per-cell reports")
     p_rep.add_argument("--quiet", action="store_true")
     p_rep.set_defaults(fn=cmd_report)
 

@@ -10,8 +10,9 @@ a CI run.  Charts:
   residency);
 * a per-vault grid of row-conflict-rate sparklines;
 * a vaults x banks conflict heatmap from the final counter tree;
-* a summary table across all reports, and - when a campaign manifest is
-  supplied - a workload x scheme comparison table.
+* a summary table across all reports, and - given a campaign, serve or
+  fleet manifest - a workload x scheme table of its ok cells, read by
+  :meth:`repro.campaign.manifest.Manifest.records`.
 
 Series are downsampled to at most :data:`MAX_POINTS` polyline points per
 sparkline, which keeps even many-report dashboards well under 2 MB.
@@ -20,11 +21,13 @@ sparkline, which keeps even many-report dashboards well under 2 MB.
 from __future__ import annotations
 
 import html as _html
-import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.report import RunReport
+
+if TYPE_CHECKING:  # importing the dashboard loads no repro.campaign
+    from repro.campaign.manifest import CellRecord
 
 #: maximum polyline points per sparkline (stride-downsampled above this)
 MAX_POINTS = 240
@@ -192,33 +195,14 @@ def _summary_table(reports: Sequence[RunReport]) -> str:
     return "<table>" + "".join(rows) + "</table>"
 
 
-def load_manifest_rows(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Read finished cells from a campaign manifest (JSONL, last-record-wins).
-
-    Parsed structurally (header lines carry ``manifest_version``; cell
-    records carry ``cell_id``) so the renderer does not depend on
-    :mod:`repro.campaign` - the import runs the other way around.
-    """
-    latest: Dict[str, Dict[str, Any]] = {}
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            if "cell_id" in raw:
-                latest[raw["cell_id"]] = raw
-    return [r for r in latest.values() if r.get("status") == "ok"]
-
-
-def _campaign_table(rows: List[Dict[str, Any]], metric: str = "geomean_ipc") -> str:
-    workloads = sorted({r.get("workload", "?") for r in rows})
-    schemes = sorted({r.get("scheme", "?") for r in rows})
+def _campaign_table(records: Sequence[CellRecord], metric: str = "geomean_ipc") -> str:
+    workloads = sorted({r.workload for r in records})
+    schemes = sorted({r.scheme for r in records})
     cell: Dict[Tuple[str, str], float] = {}
-    for r in rows:
-        summary = r.get("summary") or {}
+    for r in records:
+        summary = r.summary or {}
         if metric in summary:
-            cell[(r.get("workload", "?"), r.get("scheme", "?"))] = summary[metric]
+            cell[(r.workload, r.scheme)] = summary[metric]
     head = (
         f"<tr><th class='l'>workload \\ scheme ({_esc(metric)})</th>"
         + "".join(f"<th>{_esc(s)}</th>" for s in schemes)
@@ -270,10 +254,11 @@ def _report_section(report: RunReport) -> str:
 
 def render_html(
     reports: Iterable[RunReport],
-    manifest_rows: Optional[List[Dict[str, Any]]] = None,
+    manifest_rows: Optional[Sequence[CellRecord]] = None,
     title: str = "repro run report",
 ) -> str:
-    """Render the dashboard; returns the complete HTML document."""
+    """Render the dashboard from reports and ``manifest_rows`` (a
+    manifest's ok cell records); returns the complete HTML document."""
     reports = list(reports)
     parts = [
         "<!doctype html><html><head><meta charset='utf-8'>",
@@ -298,8 +283,13 @@ def write_html(
     manifest: Optional[Union[str, Path]] = None,
     title: str = "repro run report",
 ) -> Path:
-    """Render and write the dashboard; returns the path written."""
-    rows = load_manifest_rows(manifest) if manifest else None
+    """Render and write the dashboard; returns the path written.  The
+    ``manifest``'s ok records fill the campaign comparison table."""
+    rows = None
+    if manifest:
+        from repro.campaign.manifest import Manifest
+
+        rows = [r for r in Manifest(manifest).records().values() if r.ok]
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     p.write_text(render_html(reports, manifest_rows=rows, title=title))

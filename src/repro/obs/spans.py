@@ -40,7 +40,6 @@ single attribute check: no manifest lines, no in-memory stage totals, no
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import time
@@ -243,23 +242,20 @@ def read_spans(
 ) -> List[Span]:
     """Parse every span record out of a manifest file, oldest first.
 
-    Tolerates everything the manifest readers tolerate (torn lines, foreign
-    record kinds); with ``trace_id`` only that trace's spans return.
+    Streams the file through the manifest's line source and parser
+    (:func:`repro.campaign.manifest.read_lines`, ``parse_line``), so it
+    skips exactly the lines the manifest reader skips (blank, torn or
+    garbled lines) plus every non-span record; with ``trace_id`` only that
+    trace's spans return.
     """
+    from repro.campaign.manifest import parse_line, read_lines
+
     spans: List[Span] = []
-    try:
-        lines = open(path).read().splitlines()
-    except OSError:
-        return spans
-    for line in lines:
-        line = line.strip()
-        if not line or '"span"' not in line:
+    for line in read_lines(path):
+        if '"span"' not in line:
             continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(raw, dict) or raw.get("kind") != KIND_SPAN:
+        raw = parse_line(line)
+        if raw is None or raw.get("kind") != KIND_SPAN:
             continue
         span = Span.from_payload(raw)
         if span is None:

@@ -90,24 +90,15 @@ def append_entry(
 
 
 def load_history(path: Union[str, Path]) -> List[dict]:
-    """Read the history tolerantly: bad/torn lines are skipped, order kept."""
-    path = Path(path)
-    if not path.exists():
-        return []
+    """Read the history tolerantly, order kept: lines the manifest reader
+    skips (blank, torn, garbled) and records of another version or with a
+    bad value are skipped.  A missing file is an empty history."""
+    from repro.campaign.manifest import parse_line, read_lines
+
     out: List[dict] = []
-    try:
-        lines = path.read_text().splitlines()
-    except OSError:
-        return []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(rec, dict) or rec.get("v") != HISTORY_VERSION:
+    for line in read_lines(path):
+        rec = parse_line(line)
+        if rec is None or rec.get("v") != HISTORY_VERSION:
             continue
         if not isinstance(rec.get("bench"), str):
             continue

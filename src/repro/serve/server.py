@@ -56,7 +56,13 @@ from repro.campaign.executor import (
     retry_delay,
     settle,
 )
-from repro.campaign.manifest import CellRecord, Manifest, ManifestFollower
+from repro.campaign.manifest import (
+    CellRecord,
+    Manifest,
+    ManifestFollower,
+    parse_line,
+    read_lines,
+)
 from repro.campaign.pool import STATUS_CRASH, CellPool, CellRunner, PoolResult
 from repro.campaign.spec import Cell
 from repro.experiments.runner import default_cache
@@ -741,17 +747,10 @@ class ServeScheduler:
         path = checkpoint_path(self.cfg.manifest)
         if not self.cfg.resume or not os.path.exists(path):
             return
-        try:
-            lines = open(path).read().splitlines()
-        except OSError:
-            return
         cached = self._cached_records()
-        for line in lines:
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(raw, dict) or raw.get("kind") != "pending":
+        for line in read_lines(path):
+            raw = parse_line(line)
+            if raw is None or raw.get("kind") != "pending":
                 continue
             spec = raw.get("spec")
             cid = raw.get("cell_id")

@@ -175,14 +175,6 @@ class TestManifest:
         ]
         assert len(ids) == 1  # rewritten, not appended twice
 
-    def test_torn_line_skipped(self, tmp_path):
-        man = Manifest(tmp_path / "m.jsonl")
-        run_campaign(grid_cells(["HM1", "LM1"], ["base"], TINY),
-                     manifest=man, runner=ok_runner)
-        with open(man.path, "a") as fh:
-            fh.write('{"cell_id": "truncated...')  # crash mid-append
-        assert len(man.records()) == 2
-
     def test_version_mismatch_invalidates(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"kind": "header", "version": 99}\n'

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.campaign.manifest import Manifest
 from repro.cli import main
 from repro.fabric import FabricConfig
 from repro.hmc.config import HMCConfig
@@ -24,7 +25,6 @@ from repro.obs import (
     write_html,
 )
 from repro.obs.report import RUN_REPORT_VERSION, config_digest, subsystem_of
-from repro.obs.html import load_manifest_rows
 from repro.sim.engine import Engine
 from repro.system import System, SystemConfig
 from repro.workloads.mixes import mix as make_mix
@@ -467,14 +467,17 @@ class TestHtml:
              "status": "ok", "summary": {"geomean_ipc": 1.1}},
         ]
         man.write_text("".join(json.dumps(l) + "\n" for l in lines))
-        rows = load_manifest_rows(man)
-        assert {r["cell_id"] for r in rows} == {"a", "b"}  # errors excluded
-        assert [r for r in rows if r["cell_id"] == "a"][0]["summary"] == {
+        rows = [r for r in Manifest(man).records().values() if r.ok]
+        assert {r.cell_id for r in rows} == {"a", "b"}  # errors excluded
+        assert [r for r in rows if r.cell_id == "a"][0].summary == {
             "geomean_ipc": 1.1
         }
         html = render_html([], manifest_rows=rows)
         assert "campaign comparison" in html
-        assert "camps" in html
+        assert "camps" in html and "<td>1.1</td>" in html
+        # write_html(manifest=...) reads the same records
+        page = write_html(tmp_path / "d.html", [], manifest=man).read_text()
+        assert "campaign comparison" in page and "<td>1.1</td>" in page
 
 
 class TestCampaignReports:
