@@ -25,31 +25,24 @@ Package layout:
 * :mod:`repro.experiments` - one runner per paper table/figure
 """
 
-from repro.hmc.config import HMCConfig
-from repro.obs import Tracer
-from repro.system import (
-    SimulationResult,
-    System,
-    SystemConfig,
-    run_system,
-)
-from repro.workloads.mixes import mix, mix_names
-from repro.workloads.synthetic import generate_trace
-from repro.core.schemes import PAPER_SCHEMES, scheme_names
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "HMCConfig",
-    "SimulationResult",
-    "System",
-    "SystemConfig",
-    "Tracer",
-    "run_system",
-    "mix",
-    "mix_names",
-    "generate_trace",
-    "PAPER_SCHEMES",
-    "scheme_names",
-    "__version__",
-]
+__all__, __getattr__ = lazy_exports(
+    globals(),
+    {
+        "HMCConfig": "hmc.config",
+        "SimulationResult": "system",
+        "System": "system",
+        "SystemConfig": "system",
+        "Tracer": "obs.tracer",
+        "run_system": "system",
+        "mix": "workloads.mixes",
+        "mix_names": "workloads.mixes",
+        "generate_trace": "workloads.synthetic",
+        "PAPER_SCHEMES": "core.schemes",
+        "scheme_names": "core.schemes",
+    },
+)
+__all__.append("__version__")

@@ -35,7 +35,18 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.campaign.manifest import (
     STATUS_ERROR,
@@ -54,10 +65,12 @@ from repro.campaign.pool import (
 )
 from repro.campaign.spec import Cell
 from repro.experiments.runner import _CACHED_FIELDS
-from repro.metrics.collectors import ResultMatrix
 from repro.obs import telemetry as _telemetry
 from repro.obs.telemetry import publish_system
-from repro.system import SimulationResult, System, SystemConfig
+
+if TYPE_CHECKING:
+    from repro.metrics.collectors import ResultMatrix
+    from repro.system import SimulationResult, System
 
 
 class CampaignError(RuntimeError):
@@ -150,6 +163,8 @@ def build_cell_system(
     :class:`ResultMatrix` keys by (workload, scheme), so a topology sweep
     of one mix must not collapse to a single entry).
     """
+    from repro.system import System, SystemConfig
+
     cfg = cell.config
     fabric = None
     workload = cell.workload
@@ -295,6 +310,8 @@ class CampaignResult:
             raise CampaignError(f"{len(bad)} cell(s) failed: {detail}")
 
     def result_for(self, cell_id: str) -> SimulationResult:
+        from repro.system import SimulationResult
+
         rec = self.records[cell_id]
         if not rec.ok:
             raise CampaignError(
@@ -308,6 +325,8 @@ class CampaignResult:
     def matrix(self) -> ResultMatrix:
         """Successful cells as a :class:`ResultMatrix`, ordered by cell id
         (deterministic merge: independent of completion order)."""
+        from repro.metrics.collectors import ResultMatrix
+
         out = ResultMatrix()
         for cid in sorted(r.cell_id for r in self.records.values() if r.ok):
             out.add(self.result_for(cid))

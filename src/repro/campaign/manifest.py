@@ -457,6 +457,9 @@ class JsonlTailer:
     #: bytes of the file head (and of the consumed tail) remembered to
     #: detect truncate-and-rewrite
     ANCHOR_BYTES = 64
+    #: bytes per read: a first poll of a large file holds its lines, never
+    #: the whole file as one buffer beside them
+    CHUNK_BYTES = 1 << 16
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
@@ -493,6 +496,7 @@ class JsonlTailer:
         if sig != self._sig or st.st_size < self._pos:
             self._reset()
             self._sig = sig
+        lines: List[bytes] = []
         try:
             with open(self.path, "rb") as fh:
                 if self._pos and not self._same_file(fh):
@@ -500,17 +504,19 @@ class JsonlTailer:
                     # file was truncated and rewritten between polls
                     self._reset()
                 fh.seek(self._pos)
-                chunk = fh.read()
+                while True:
+                    chunk = fh.read(self.CHUNK_BYTES)
+                    if not chunk:
+                        break
+                    if self._pos < self.ANCHOR_BYTES:
+                        self._head = (self._head + chunk)[: self.ANCHOR_BYTES]
+                    self._pos += len(chunk)
+                    self._tail = (self._tail + chunk)[-self.ANCHOR_BYTES :]
+                    lines += (self._buf + chunk).split(b"\n")
+                    # torn trailing line (b"" when newline-final)
+                    self._buf = lines.pop()
         except OSError:
-            return []
-        if not chunk:
-            return []
-        if self._pos == 0:
-            self._head = chunk[: self.ANCHOR_BYTES]
-        self._pos += len(chunk)
-        self._tail = (self._tail + chunk)[-self.ANCHOR_BYTES :]
-        lines = (self._buf + chunk).split(b"\n")
-        self._buf = lines.pop()  # torn trailing line (b"" when newline-final)
+            pass  # the lines of the chunks read so far stay consumed
         return lines
 
     def poll(self) -> List[dict]:

@@ -42,6 +42,7 @@ so the chaos harness can SIGKILL one mid-cell, and
 from __future__ import annotations
 
 import gc
+import importlib
 import multiprocessing
 import os
 import queue
@@ -79,6 +80,11 @@ _RESET_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 #: seconds between a worker's checks that its owner is still alive
 OWNER_POLL_INTERVAL = 0.2
+
+#: what a worker's first cell imports (the simulator, numpy, the trace
+#: generators); :meth:`CellPool.start` loads them once before the first
+#: fork, so forked workers inherit them instead of each importing them
+PRELOAD = ("repro.system", "repro.workloads.synthetic", "repro.workloads.multistream")
 
 
 @dataclass
@@ -318,6 +324,9 @@ class CellPool:
 
     # ------------------------------------------------------------------
     def start(self, on_result: Callable[[PoolResult], None]) -> "CellPool":
+        if self._ctx.get_start_method() == "fork":
+            for name in PRELOAD:
+                importlib.import_module(name)
         self._on_result = on_result
         self._thread = threading.Thread(
             target=self._loop, name="repro-cell-pool", daemon=True

@@ -49,17 +49,14 @@ import os
 import sys
 from typing import Any, List, Optional
 
+# Commands that simulate import the simulator themselves, so ``--help``,
+# ``submit`` and ``monitor`` load neither it nor numpy.
 from repro.core.schemes import PAPER_SCHEMES, scheme_names
-from repro.experiments.figures import FIG5_SCHEMES, paper_figures, run_scale
-from repro.experiments.runner import ExperimentConfig, run_matrix
-from repro.experiments.tables import table1_text, table2_text
+from repro.experiments.runner import ExperimentConfig
 from repro.faults import LinkFaultConfig
 from repro.hmc.config import HMCConfig
-from repro.metrics.report import write_csv
 from repro.workloads.mixes import mix_names
 from repro.workloads.spec import PROFILES
-from repro.workloads.synthetic import generate_trace
-from repro.workloads.trace import trace_stats
 
 #: figure number -> its key in paper_figures() (the bench CSV name)
 _FIGURES = {
@@ -325,6 +322,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import FIG5_SCHEMES, paper_figures
+    from repro.experiments.runner import run_matrix
+    from repro.metrics.report import write_csv
+
     mixes = _parse_mixes(args.mixes)
     cfg = _experiment_config(args)
     # Every figure's schemes are a subset of the fig-5 set; running the full
@@ -351,7 +352,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def _parse_schemes(raw: Optional[str]) -> List[str]:
     if not raw:
-        return list(FIG5_SCHEMES)
+        return list(PAPER_SCHEMES)  # Figure 5's schemes, in its order
     names = [s.strip() for s in raw.split(",") if s.strip()]
     unknown = [s for s in names if s not in scheme_names()]
     if unknown:
@@ -628,6 +629,8 @@ def cmd_bench_trend(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from repro.experiments.tables import table1_text, table2_text
+
     if args.number == "1":
         print(table1_text())
     else:
@@ -726,7 +729,9 @@ def _report_html(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     if args.inputs or args.manifest or (args.out or "").endswith((".html", ".htm")):
         return _report_html(args)
+    from repro.experiments.figures import FIG5_SCHEMES, run_scale
     from repro.experiments.report import generate_report
+    from repro.experiments.runner import run_matrix
 
     mixes = _parse_mixes(args.mixes)
     cfg = _experiment_config(args)
@@ -870,6 +875,9 @@ def _trace_manifest(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.workloads.synthetic import generate_trace
+    from repro.workloads.trace import trace_stats
+
     if args.benchmark not in PROFILES and os.path.exists(args.benchmark):
         return _trace_manifest(args)
     if args.benchmark not in PROFILES:

@@ -8,18 +8,18 @@ that preserves how memory stalls translate into lost IPC - the quantity
 Figure 5 compares across prefetching schemes.
 """
 
-from repro.cpu.cache import Cache, CacheParams
-from repro.cpu.mshr import MSHRFile
-from repro.cpu.hierarchy import CacheHierarchy, HierarchyParams, HierarchyResult
-from repro.cpu.core import Core, CoreParams
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cache",
-    "CacheParams",
-    "MSHRFile",
-    "CacheHierarchy",
-    "HierarchyParams",
-    "HierarchyResult",
-    "Core",
-    "CoreParams",
-]
+__all__, __getattr__ = lazy_exports(
+    globals(),
+    {
+        "Cache": "cache",
+        "CacheParams": "cache",
+        "MSHRFile": "mshr",
+        "CacheHierarchy": "hierarchy",
+        "HierarchyParams": "hierarchy",
+        "HierarchyResult": "hierarchy",
+        "Core": "core",
+        "CoreParams": "core",
+    },
+)

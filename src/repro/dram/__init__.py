@@ -7,18 +7,18 @@ tCL = 11 memory cycles) inside each HMC vault, an open-page policy, and
 (3 GHz); :class:`~repro.dram.timing.DRAMTimings` performs the conversion.
 """
 
-from repro.dram.timing import DRAMTimings
-from repro.dram.commands import Command, CommandKind
-from repro.dram.bank import Bank, AccessKind, AccessResult
-from repro.dram.energy import EnergyModel, EnergyParams
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DRAMTimings",
-    "Command",
-    "CommandKind",
-    "Bank",
-    "AccessKind",
-    "AccessResult",
-    "EnergyModel",
-    "EnergyParams",
-]
+__all__, __getattr__ = lazy_exports(
+    globals(),
+    {
+        "DRAMTimings": "timing",
+        "Command": "commands",
+        "CommandKind": "commands",
+        "Bank": "bank",
+        "AccessKind": "bank",
+        "AccessResult": "bank",
+        "EnergyModel": "energy",
+        "EnergyParams": "energy",
+    },
+)

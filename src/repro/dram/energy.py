@@ -15,9 +15,10 @@ ACT/PRE >> row TSV transfer > line read/write > buffer access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import TYPE_CHECKING, Dict, Iterable
 
-from repro.dram.bank import Bank
+if TYPE_CHECKING:
+    from repro.dram.bank import Bank
 
 
 @dataclass(frozen=True)

@@ -9,28 +9,21 @@ figure.  ``python -m repro.experiments`` regenerates the claims tables of
 EXPERIMENTS.md from the committed benchmark CSVs.
 """
 
-from repro.experiments.runner import ExperimentConfig, run_matrix
-from repro.experiments.figures import (
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    FigureData,
-)
-from repro.experiments.tables import table1_text, table2_rows
-from repro.experiments.report import generate_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "run_matrix",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "FigureData",
-    "table1_text",
-    "table2_rows",
-    "generate_report",
-]
+__all__, __getattr__ = lazy_exports(
+    globals(),
+    {
+        "ExperimentConfig": "runner",
+        "run_matrix": "runner",
+        "figure5": "figures",
+        "figure6": "figures",
+        "figure7": "figures",
+        "figure8": "figures",
+        "figure9": "figures",
+        "FigureData": "figures",
+        "table1_text": "tables",
+        "table2_rows": "tables",
+        "generate_report": "report",
+    },
+)

@@ -28,10 +28,10 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 import repro
 from repro.hmc.config import HMCConfig
-from repro.metrics.collectors import ResultMatrix
 
 if TYPE_CHECKING:
     from repro.campaign.manifest import Manifest
+    from repro.metrics.collectors import ResultMatrix
 
 
 def _env_int(name: str, default: int) -> int:
@@ -147,8 +147,10 @@ def run_matrix(
     :class:`~repro.campaign.CampaignError`.  ``cache`` is the result log
     (default :func:`default_cache`).
     """
-    # Deferred import: repro.campaign imports this module.
+    # Deferred imports: repro.campaign imports this module, and
+    # ResultMatrix loads the simulator.
     from repro.campaign import CampaignOptions, grid_cells, run_campaign
+    from repro.metrics.collectors import ResultMatrix
 
     cells = grid_cells(workloads, schemes, config)
     res = run_campaign(

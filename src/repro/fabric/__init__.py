@@ -15,42 +15,24 @@ multi-stream workloads.  See ``docs/API.md`` (Fabric) and
 ``examples/fabric_study.py``.
 """
 
-from repro.fabric.address import FabricAddressMapping, FabricDecodedAddress
-from repro.fabric.host import FabricHost
-from repro.fabric.router import FABRIC_LINK_ID_BASE, FabricLink, Router
-from repro.fabric.topology import (
-    MAX_CUBES,
-    TOPOLOGIES,
-    FabricConfig,
-    Topology,
-    parse_topology,
+from repro._lazy import lazy_exports
+
+__all__, __getattr__ = lazy_exports(
+    globals(),
+    {
+        "FABRIC_LINK_ID_BASE": "router",
+        "MAX_CUBES": "topology",
+        "TOPOLOGIES": "topology",
+        "FabricAddressMapping": "address",
+        "FabricConfig": "topology",
+        "FabricDecodedAddress": "address",
+        "FabricHost": "host",
+        "FabricLink": "router",
+        # fabric names for repro.system's one system class and config
+        "FabricSystem": ".system:System",
+        "FabricSystemConfig": ".system:SystemConfig",
+        "Router": "router",
+        "Topology": "topology",
+        "parse_topology": "topology",
+    },
 )
-
-__all__ = [
-    "FABRIC_LINK_ID_BASE",
-    "MAX_CUBES",
-    "TOPOLOGIES",
-    "FabricAddressMapping",
-    "FabricConfig",
-    "FabricDecodedAddress",
-    "FabricHost",
-    "FabricLink",
-    "FabricSystem",
-    "FabricSystemConfig",
-    "Router",
-    "Topology",
-    "parse_topology",
-]
-
-#: fabric names for repro.system's one system class and config
-_SYSTEM_ALIASES = {"FabricSystem": "System", "FabricSystemConfig": "SystemConfig"}
-
-
-def __getattr__(name: str):
-    # Resolved lazily: repro.system imports this package's host, so an
-    # eager import here would be circular.
-    if name in _SYSTEM_ALIASES:
-        from repro import system
-
-        return getattr(system, _SYSTEM_ALIASES[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,13 +7,14 @@ host-side controller that packetizes cache-line requests is
 :class:`repro.fabric.host.FabricHost`.
 """
 
-from repro.hmc.config import HMCConfig
-from repro.hmc.address import AddressMapping, DecodedAddress
-from repro.hmc.device import HMCDevice
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HMCConfig",
-    "AddressMapping",
-    "DecodedAddress",
-    "HMCDevice",
-]
+__all__, __getattr__ = lazy_exports(
+    globals(),
+    {
+        "HMCConfig": "config",
+        "AddressMapping": "address",
+        "DecodedAddress": "address",
+        "HMCDevice": "device",
+    },
+)

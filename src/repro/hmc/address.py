@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.hmc.config import HMCConfig
+from repro.hmc.config import MAPPING_ORDERS, HMCConfig
 
 
 @dataclass(frozen=True)
@@ -32,19 +32,6 @@ class DecodedAddress:
 
     def __str__(self) -> str:
         return f"v{self.vault}.b{self.bank}.r{self.row}.c{self.column}"
-
-
-#: Field order strings accepted by :class:`AddressMapping`, written MSB
-#: first the way the paper writes "RoRaBaVaCo".  The 64 B line offset always
-#: occupies the lowest bits.
-MAPPING_ORDERS = {
-    "RoBaVaCo": ("row", "bank", "vault", "column"),  # Table I (rank_bits=0)
-    "RoVaBaCo": ("row", "vault", "bank", "column"),
-    "RoCoBaVa": ("row", "column", "bank", "vault"),
-    "RoCoVaBa": ("row", "column", "vault", "bank"),
-    "RoBaCoVa": ("row", "bank", "column", "vault"),
-    "RoVaCoBa": ("row", "vault", "column", "bank"),
-}
 
 
 class AddressMapping:

@@ -15,6 +15,19 @@ from repro.dram.timing import DRAMTimings
 from repro.faults import LinkFaultConfig
 
 
+#: Field order strings accepted by :class:`~repro.hmc.address.AddressMapping`,
+#: written MSB first the way the paper writes "RoRaBaVaCo".  The 64 B line
+#: offset always occupies the lowest bits.
+MAPPING_ORDERS = {
+    "RoBaVaCo": ("row", "bank", "vault", "column"),  # Table I (rank_bits=0)
+    "RoVaBaCo": ("row", "vault", "bank", "column"),
+    "RoCoBaVa": ("row", "column", "bank", "vault"),
+    "RoCoVaBa": ("row", "column", "vault", "bank"),
+    "RoBaCoVa": ("row", "bank", "column", "vault"),
+    "RoVaCoBa": ("row", "vault", "column", "bank"),
+}
+
+
 def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
@@ -102,8 +115,6 @@ class HMCConfig:
             raise ValueError("link_gbps_per_lane must be positive")
         if self.page_policy not in ("open", "closed"):
             raise ValueError(f"unknown page_policy {self.page_policy!r}")
-        from repro.hmc.address import MAPPING_ORDERS  # local: avoid cycle
-
         if self.address_mapping not in MAPPING_ORDERS:
             raise ValueError(
                 f"unknown address_mapping {self.address_mapping!r}; "

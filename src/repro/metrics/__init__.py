@@ -7,35 +7,24 @@ normalized energy); :mod:`repro.metrics.report` renders them as aligned
 ASCII tables and CSV for the benchmark harness.
 """
 
-from repro.metrics.collectors import (
-    ResultMatrix,
-    amat_reduction,
-    energy_normalized,
-    group_geomean,
-    normalized_speedups,
-)
-from repro.metrics.report import format_table, write_csv
-from repro.metrics.plot import bar_chart, sparkline, summary_bars
-from repro.metrics.latency import (
-    LatencySlice,
-    format_latency_table,
-    latency_by_source,
-    latency_segments,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ResultMatrix",
-    "normalized_speedups",
-    "amat_reduction",
-    "energy_normalized",
-    "group_geomean",
-    "format_table",
-    "write_csv",
-    "bar_chart",
-    "summary_bars",
-    "sparkline",
-    "LatencySlice",
-    "format_latency_table",
-    "latency_by_source",
-    "latency_segments",
-]
+__all__, __getattr__ = lazy_exports(
+    globals(),
+    {
+        "ResultMatrix": "collectors",
+        "normalized_speedups": "collectors",
+        "amat_reduction": "collectors",
+        "energy_normalized": "collectors",
+        "group_geomean": "collectors",
+        "format_table": "report",
+        "write_csv": "report",
+        "bar_chart": "plot",
+        "summary_bars": "plot",
+        "sparkline": "plot",
+        "LatencySlice": "latency",
+        "format_latency_table": "latency",
+        "latency_by_source": "latency",
+        "latency_segments": "latency",
+    },
+)

@@ -29,68 +29,56 @@ bound to :func:`repro.obs.hooks.noop` - no branch on the hot path (see
 The package is lazy (PEP 562): the simulator's components import
 :mod:`repro.obs.hooks`, and that must not load the exporters, the HTML
 dashboard, telemetry or spans.  Each name below is imported from its
-submodule on first access.
+submodule on first access (:func:`repro._lazy.lazy_exports`).
 """
 
-from importlib import import_module
-from typing import Any, Dict
+from repro._lazy import lazy_exports
 
-#: public name -> defining submodule, in ``__all__`` order
-_EXPORTS: Dict[str, str] = {
-    "Tracer": "tracer",
-    "TraceEvent": "events",
-    "CounterRegistry": "counters",
-    "CounterScope": "counters",
-    "system_counters": "counters",
-    "ALL_KINDS": "events",
-    "PROV_UTILIZATION": "events",
-    "PROV_CONFLICT": "events",
-    "chrome_trace": "export",
-    "write_chrome_trace": "export",
-    "write_jsonl": "export",
-    "text_summary": "export",
-    "Series": "timeseries",
-    "TimeseriesSampler": "timeseries",
-    "DEFAULT_EPOCH": "timeseries",
-    "RunReport": "report",
-    "ReportDiff": "report",
-    "build_run_report": "report",
-    "diff_reports": "report",
-    "has_series": "report",
-    "render_html": "html",
-    "write_html": "html",
-    "TelemetrySpool": "telemetry",
-    "TelemetryAggregator": "telemetry",
-    "WorkerTelemetry": "telemetry",
-    "CampaignView": "telemetry",
-    "publish_system": "telemetry",
-    "spool_dir_for": "telemetry",
-    "render_metrics": "promtext",
-    "parse_exposition": "promtext",
-    "Span": "spans",
-    "SpanLog": "spans",
-    "attribution": "spans",
-    "critical_path_text": "spans",
-    "format_traceparent": "spans",
-    "merge_chrome": "spans",
-    "mint_trace_id": "spans",
-    "parse_traceparent": "spans",
-    "read_spans": "spans",
-    "spans_to_chrome": "spans",
-    "append_entry": "trend",
-    "load_history": "trend",
-    "trend_report": "trend",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        # AttributeError (not ImportError) lets ``from repro.obs import
-        # <submodule>`` fall through to the regular submodule import
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value  # cache: later lookups skip __getattr__
-    return value
+__all__, __getattr__ = lazy_exports(
+    globals(),
+    {
+        "Tracer": "tracer",
+        "TraceEvent": "events",
+        "CounterRegistry": "counters",
+        "CounterScope": "counters",
+        "system_counters": "counters",
+        "ALL_KINDS": "events",
+        "PROV_UTILIZATION": "events",
+        "PROV_CONFLICT": "events",
+        "chrome_trace": "export",
+        "write_chrome_trace": "export",
+        "write_jsonl": "export",
+        "text_summary": "export",
+        "Series": "timeseries",
+        "TimeseriesSampler": "timeseries",
+        "DEFAULT_EPOCH": "timeseries",
+        "RunReport": "report",
+        "ReportDiff": "report",
+        "build_run_report": "report",
+        "diff_reports": "report",
+        "has_series": "report",
+        "render_html": "html",
+        "write_html": "html",
+        "TelemetrySpool": "telemetry",
+        "TelemetryAggregator": "telemetry",
+        "WorkerTelemetry": "telemetry",
+        "CampaignView": "telemetry",
+        "publish_system": "telemetry",
+        "spool_dir_for": "telemetry",
+        "render_metrics": "promtext",
+        "parse_exposition": "promtext",
+        "Span": "spans",
+        "SpanLog": "spans",
+        "attribution": "spans",
+        "critical_path_text": "spans",
+        "format_traceparent": "spans",
+        "merge_chrome": "spans",
+        "mint_trace_id": "spans",
+        "parse_traceparent": "spans",
+        "read_spans": "spans",
+        "spans_to_chrome": "spans",
+        "append_entry": "trend",
+        "load_history": "trend",
+        "trend_report": "trend",
+    },
+)

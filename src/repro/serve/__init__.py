@@ -17,67 +17,37 @@ See ``docs/API.md`` ("Service mode") for the wire protocol, lease
 semantics, and the degradation ladder.
 """
 
-from repro.serve.admission import (
-    LANE_BULK,
-    LANE_QUICK,
-    AdmissionController,
-    LatencyTracker,
-    LogHistogram,
-    infer_lane,
-    nearest_rank,
-)
-from repro.serve.client import (
-    DrainingError,
-    LoadGenerator,
-    ServeClient,
-    ServeError,
-    Shed,
-)
-from repro.serve.jobs import (
-    CellState,
-    Job,
-    JobRegistry,
-    SpecError,
-    cell_from_spec,
-    cell_to_spec,
-)
-from repro.serve.server import (
-    Draining,
-    Saturated,
-    ServeConfig,
-    ServeScheduler,
-    ServeService,
-    checkpoint_path,
-    run_serve,
-)
-from repro.serve.steal import DEFAULT_LEASE_TICKS, WorkQueue
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "CellState",
-    "DEFAULT_LEASE_TICKS",
-    "Draining",
-    "DrainingError",
-    "Job",
-    "JobRegistry",
-    "LANE_BULK",
-    "LANE_QUICK",
-    "LatencyTracker",
-    "LoadGenerator",
-    "LogHistogram",
-    "Saturated",
-    "ServeClient",
-    "ServeConfig",
-    "ServeError",
-    "ServeScheduler",
-    "ServeService",
-    "Shed",
-    "SpecError",
-    "WorkQueue",
-    "cell_from_spec",
-    "cell_to_spec",
-    "checkpoint_path",
-    "infer_lane",
-    "nearest_rank",
-    "run_serve",
-]
+__all__, __getattr__ = lazy_exports(
+    globals(),
+    {
+        "AdmissionController": "admission",
+        "CellState": "jobs",
+        "DEFAULT_LEASE_TICKS": "steal",
+        "Draining": "server",
+        "DrainingError": "client",
+        "Job": "jobs",
+        "JobRegistry": "jobs",
+        "LANE_BULK": "admission",
+        "LANE_QUICK": "admission",
+        "LatencyTracker": "admission",
+        "LoadGenerator": "client",
+        "LogHistogram": "admission",
+        "Saturated": "server",
+        "ServeClient": "client",
+        "ServeConfig": "server",
+        "ServeError": "client",
+        "ServeScheduler": "server",
+        "ServeService": "server",
+        "Shed": "client",
+        "SpecError": "jobs",
+        "WorkQueue": "steal",
+        "cell_from_spec": "jobs",
+        "cell_to_spec": "jobs",
+        "checkpoint_path": "server",
+        "infer_lane": "admission",
+        "nearest_rank": "admission",
+        "run_serve": "server",
+    },
+)

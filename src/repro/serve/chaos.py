@@ -98,11 +98,12 @@ def duplicate_manifest_lines(
 ) -> int:
     """Re-append up to ``count`` random existing complete lines verbatim."""
     try:
-        lines = [
-            ln
-            for ln in open(path).read().splitlines()
-            if ln.strip() and not ln.startswith('{"kind": "header"')
-        ]
+        with open(path) as fh:
+            lines = [
+                ln
+                for ln in fh.read().splitlines()
+                if ln.strip() and not ln.startswith('{"kind": "header"')
+            ]
     except OSError:
         return 0
     if not lines:

@@ -7,13 +7,15 @@ never busy-wait, which keeps the Python event count per memory request small
 (roughly: arrive-at-vault, bank-complete, response-at-core).
 """
 
-from repro.sim.engine import Engine
-from repro.sim.stats import Counter, Histogram, StatGroup, geomean
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Engine",
-    "Counter",
-    "Histogram",
-    "StatGroup",
-    "geomean",
-]
+__all__, __getattr__ = lazy_exports(
+    globals(),
+    {
+        "Engine": "engine",
+        "Counter": "stats",
+        "Histogram": "stats",
+        "StatGroup": "stats",
+        "geomean": "stats",
+    },
+)

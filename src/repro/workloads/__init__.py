@@ -10,35 +10,29 @@ CAMPS's mechanisms (RUT utilization threshold, CT conflict detection) key
 off, so the substitution preserves the comparison the paper makes.
 """
 
-from repro.workloads.trace import Trace, trace_stats
-from repro.workloads.spec import BenchmarkProfile, PROFILES, profile
-from repro.workloads.synthetic import TraceGenerator, generate_trace
-from repro.workloads.mixes import MIXES, HM_MIXES, LM_MIXES, MX_MIXES, mix, mix_names
-from repro.workloads.multistream import (
-    MultiStreamSpec,
-    StreamSpec,
-    build_stream_traces,
-)
-from repro.workloads.analysis import RowBufferProfile, analyze_mix, analyze_row_buffer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Trace",
-    "trace_stats",
-    "BenchmarkProfile",
-    "PROFILES",
-    "profile",
-    "TraceGenerator",
-    "generate_trace",
-    "MIXES",
-    "HM_MIXES",
-    "LM_MIXES",
-    "MX_MIXES",
-    "mix",
-    "mix_names",
-    "MultiStreamSpec",
-    "StreamSpec",
-    "build_stream_traces",
-    "RowBufferProfile",
-    "analyze_mix",
-    "analyze_row_buffer",
-]
+__all__, __getattr__ = lazy_exports(
+    globals(),
+    {
+        "Trace": "trace",
+        "trace_stats": "trace",
+        "BenchmarkProfile": "spec",
+        "PROFILES": "spec",
+        "profile": "spec",
+        "TraceGenerator": "synthetic",
+        "generate_trace": "synthetic",
+        "MIXES": "mixes",
+        "HM_MIXES": "mixes",
+        "LM_MIXES": "mixes",
+        "MX_MIXES": "mixes",
+        "mix": "mixes",
+        "mix_names": "mixes",
+        "MultiStreamSpec": "multistream",
+        "StreamSpec": "multistream",
+        "build_stream_traces": "multistream",
+        "RowBufferProfile": "analysis",
+        "analyze_mix": "analysis",
+        "analyze_row_buffer": "analysis",
+    },
+)

@@ -8,12 +8,13 @@ core); the paper repeats each benchmark twice per mix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.hmc.config import HMCConfig
 from repro.workloads.spec import PROFILES
-from repro.workloads.synthetic import TraceGenerator
-from repro.workloads.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.workloads.trace import Trace
 
 #: Table II, verbatim.
 MIXES: Dict[str, List[str]] = {
@@ -65,6 +66,8 @@ def mix(
     Core ``i`` runs the mix's ``i``-th benchmark with a per-core RNG stream
     derived from ``seed`` - same seed, same traces, every time.
     """
+    from repro.workloads.synthetic import TraceGenerator  # loads numpy
+
     if name not in MIXES:
         raise ValueError(f"unknown mix {name!r}; available: {', '.join(MIXES)}")
     # A deterministic (non-salted) mix fingerprint: str.__hash__ is salted

@@ -10,6 +10,7 @@ import json
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -289,7 +290,7 @@ class TestExecutor:
         assert (hit.attempts, hit.elapsed, hit.cached) == (0, 0.0, True)
         # the executed result was appended to the log; the hit was not
         assert list(log.records()) == [cells[0].cell_id, cells[1].cell_id]
-        assert sum(1 for _ in open(log.path)) == 3  # header + two records
+        assert len(Path(log.path).read_text().splitlines()) == 3  # header + two records
 
     def test_matrix_ordered_by_cell_id(self):
         cells = grid_cells(["MX1", "HM1"], ["mmd", "base"], TINY)

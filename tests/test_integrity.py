@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -263,7 +264,7 @@ class TestSystemIntegration:
         assert err.report["reason"] == "forward_progress_stall"
         assert "spin" in err.report["stuck_component"]
         assert err.dump_path is not None
-        dump = json.loads(open(err.dump_path).read())
+        dump = json.loads(Path(err.dump_path).read_text())
         assert dump["diagnosis"]["stuck_component"] == err.report["stuck_component"]
         assert dump["engine"]["now"] == 0
 
@@ -279,7 +280,7 @@ class TestSystemIntegration:
         err = exc_info.value
         assert err.report["reason"] == "engine_exception"
         assert err.report["error_type"] == "ValueError"
-        assert err.dump_path and json.loads(open(err.dump_path).read())
+        assert err.dump_path and json.loads(Path(err.dump_path).read_text())
 
     def test_runtime_invariant_violation_dumped(self, tmp_path):
         sys_ = _system(crash_dump_dir=str(tmp_path))
@@ -330,7 +331,7 @@ class TestFabricIntegration:
             v.startswith("cube1.vault0.bank0: illegal state")
             for v in err.report["violations"]
         )
-        dump = json.loads(open(err.dump_path).read())
+        dump = json.loads(Path(err.dump_path).read_text())
         assert {v["cube"] for v in dump["vaults"]} == {0, 1}
 
 
@@ -357,7 +358,7 @@ class TestReportModeCrashDump:
         )
         with pytest.raises(InvariantViolation) as exc_info:
             executor.execute_cell(cell, report_dir=str(tmp_path / "reports"))
-        dump = json.loads(open(exc_info.value.dump_path).read())
+        dump = json.loads(Path(exc_info.value.dump_path).read_text())
         assert set(dump) == {
             "kind", "version", "workload", "scheme", "engine", "error",
             "diagnosis", "violations", "host", "vaults",

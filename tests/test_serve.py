@@ -14,6 +14,7 @@ import os
 import queue
 import statistics
 import time
+from pathlib import Path
 
 import pytest
 
@@ -654,7 +655,7 @@ class TestCheckpointResume:
         _with_node(cfg, slow_runner, first)
         ckpt = checkpoint_path(cfg.manifest)
         assert os.path.exists(ckpt)
-        rows = [json.loads(ln) for ln in open(ckpt).read().splitlines()]
+        rows = [json.loads(ln) for ln in Path(ckpt).read_text().splitlines()]
         assert rows[0]["kind"] == "checkpoint"
         pending = [r for r in rows if r["kind"] == "pending"]
         from repro.campaign.manifest import Manifest
@@ -743,7 +744,7 @@ class TestCheckpointResume:
 
         _with_node(cfg, full_runner, first)
         _with_node(cfg, full_runner, second)  # fresh manifest, no resume
-        lines = [json.loads(line) for line in open(log)]
+        lines = [json.loads(line) for line in Path(log).read_text().splitlines()]
         assert [r.get("kind") for r in lines] == ["header", None]
         assert set(Manifest(log).records()) == {
             cell_from_spec(_spec(seed=1)).cell_id
@@ -861,7 +862,7 @@ class TestTracing:
 
         _with_node(cfg, slow_runner, first)
         ckpt = checkpoint_path(cfg.manifest)
-        rows = [json.loads(ln) for ln in open(ckpt).read().splitlines()]
+        rows = [json.loads(ln) for ln in Path(ckpt).read_text().splitlines()]
         pending = [r for r in rows if r["kind"] == "pending"]
         assert pending and all(r.get("trace") == trace for r in pending)
 

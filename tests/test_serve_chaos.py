@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -61,7 +62,7 @@ def _merged_digest(manifest_path) -> str:
 def _terminal_lines(manifest_path):
     """Parsed terminal records, one entry per *line* (duplicates visible)."""
     out = []
-    for ln in open(manifest_path).read().splitlines():
+    for ln in Path(manifest_path).read_text().splitlines():
         try:
             raw = json.loads(ln)
         except json.JSONDecodeError:

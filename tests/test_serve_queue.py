@@ -140,7 +140,7 @@ class TestClaimRecords:
         m.append(_record("c1"))
         scan = m.scan()
         assert set(scan.records) == {"c1"}  # the healed append parsed fine
-        raw = open(m.path).read()
+        raw = Path(m.path).read_text()
         assert not any("stat{" in ln for ln in raw.splitlines())
 
     def test_lease_expiry_driven_by_logical_clock(self, tmp_path):
@@ -242,7 +242,7 @@ class TestWorkQueue:
         assert b.record(_record(cid)) is False
         terminals = [
             ln
-            for ln in open(m.path).read().splitlines()
+            for ln in Path(m.path).read_text().splitlines()
             if '"kind"' not in ln and ln.strip()
         ]
         assert len(terminals) == 1  # exactly once in the file too
@@ -310,7 +310,7 @@ class TestWorkQueue:
         m.append(_record("c2"))
         before = m.scan()
         lines = [
-            ln for ln in open(m.path).read().splitlines() if "header" not in ln
+            ln for ln in Path(m.path).read_text().splitlines() if "header" not in ln
         ]
         with open(m.path, "a") as fh:
             for ln in lines + lines:

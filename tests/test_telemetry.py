@@ -221,6 +221,29 @@ class TestJsonlTailer:
         tailer = JsonlTailer(tmp_path / "absent.jsonl")
         assert tailer.poll() == []
 
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 64])
+    def test_lines_spanning_chunk_boundaries_come_back_whole(
+        self, tmp_path, monkeypatch, chunk
+    ):
+        monkeypatch.setattr(JsonlTailer, "CHUNK_BYTES", chunk)
+        path = tmp_path / "t.jsonl"
+        recs = [{"i": i, "pad": "x" * (i * 9)} for i in range(12)]
+        body = "".join(json.dumps(r) + "\n" for r in recs)
+        path.write_text(body + '{"torn":')
+        tailer = JsonlTailer(path)
+        assert tailer.poll() == recs
+        with open(path, "a") as fh:
+            fh.write(' 1}\n')
+        assert tailer.poll() == [{"torn": 1}]
+        assert tailer.poll() == []
+        resets = tailer.resets
+        # the head anchor spans chunks too: a same-size rewrite resets
+        path.write_text(body.replace('"i"', '"j"') + '{"torn": 1}\n')
+        assert tailer.poll() == [
+            {"j": r["i"], "pad": r["pad"]} for r in recs
+        ] + [{"torn": 1}]
+        assert tailer.resets == resets + 1
+
 
 class TestSpoolTailer:
     def test_rotation_no_duplicate_no_lost_records(self, tmp_path):
@@ -631,6 +654,7 @@ class TestHttpFront:
             assert "repro_campaign_cells_done" in families
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(f"{server.url}/nope")
+            err.value.close()  # the error carries the open response
             assert err.value.code == 404
         finally:
             server.stop_thread()
