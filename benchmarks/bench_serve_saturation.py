@@ -12,32 +12,24 @@ asserts the degradation contract:
   the event loop responsive).
 * **Digest parity under load** — every cell the service executed merges to
   the same bytes a serial ``run_campaign`` of the same specs produces, and
-  a fixed post-saturation probe grid pins a stable digest into
-  ``BENCH_history.jsonl`` for ``repro bench-trend --check``.
+  a fixed post-saturation probe grid merges to its pin in ``tests/pins.py``
+  (the serial digest, checked in tier-1).
 
-Results land in ``BENCH_serve.json`` (machine-calibrated throughput) plus
-``BENCH_history.jsonl``.  CI runs ``--quick --check``: a smaller burst,
-same assertions, and a >30% normalized cells/sec regression fails.
-
-Run standalone (``python benchmarks/bench_serve_saturation.py [--quick]
-[--check]``) or under pytest with an explicit path.
+Run under pytest with an explicit path
+(``pytest benchmarks/bench_serve_saturation.py``).  Throughput is not
+gated here: ``perfbench``'s ``serve_closed`` workload measures it, and
+``benchmarks/ab.py`` compares it against a parent commit.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
 import sys
 import threading
 from pathlib import Path
-from time import perf_counter
 from typing import Dict, List, Optional
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_hotpath import calibration_score  # noqa: E402
-from conftest import record_bench_history  # noqa: E402
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.campaign.executor import (  # noqa: E402
     CampaignOptions,
@@ -55,24 +47,13 @@ from repro.serve import (  # noqa: E402
     nearest_rank,
 )
 from repro.system import SimulationResult  # noqa: E402
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_serve.json"
+from tests.pins import PROBE_DIGEST, PROBE_SPECS  # noqa: E402
 
 REFS = 600
 SEED_BASE = 1000
 JOBS = 2  # pool width: small on purpose, so load >> capacity
 QUICK_CAP = 8  # queued-cell budget: the thing the burst overflows
 P99_LIMIT_S = 2.0  # admission latency bound while saturated
-REGRESSION_LIMIT = 0.30
-
-#: fixed post-saturation probe: its digest is machine-independent and goes
-#: into the history so bench-trend sees drift in the serve execution path
-PROBE_SPECS = [
-    {"workload": w, "scheme": s, "refs": REFS, "seed": 1}
-    for w in ("HM1", "LM1")
-    for s in ("base", "camps")
-]
 
 
 # ----------------------------------------------------------------------
@@ -198,15 +179,12 @@ def measure(threads: int, jobs_per_thread: int, workdir: Path) -> Dict[str, obje
             threads=threads,
             jobs_per_thread=jobs_per_thread,
         )
-        t0 = perf_counter()
         stats = gen.run()
-        submit_wall = perf_counter() - t0
         client = ServeClient("127.0.0.1", svc.port)
         infos = [
             client.wait(job_id, timeout=600.0)
             for job_id in gen.accepted_ids
         ]
-        drain_wall = perf_counter() - t0
         # every accepted job must have finished clean
         bad = [i for i in infos if i["status"] != "done"]
         executed_ids = sorted({cid for i in infos for cid in i["cells"]})
@@ -230,12 +208,11 @@ def measure(threads: int, jobs_per_thread: int, workdir: Path) -> Dict[str, obje
         [spec_by_id[cid] for cid in executed_ids], workdir / "serial.jsonl"
     )
     probe_digest = _merged_digest(manifest, probe_ids)
-    probe_serial = _serial_digest(PROBE_SPECS, workdir / "probe.jsonl")
-    accepted_cells = len(executed_ids)
     return {
         "threads": threads,
         "jobs_per_thread": jobs_per_thread,
         "offered_jobs": stats.submitted_jobs,
+        "executed_cells": len(executed_ids),
         "accepted_jobs": stats.accepted_jobs,
         "shed": stats.shed,
         "errors": stats.errors,
@@ -256,42 +233,9 @@ def measure(threads: int, jobs_per_thread: int, workdir: Path) -> Dict[str, obje
         "client_queue_p99_s": (
             round(client_queue_p99, 4) if client_queue_p99 is not None else None
         ),
-        "submit_wall_s": round(submit_wall, 4),
-        "drain_wall_s": round(drain_wall, 4),
-        "cells_per_sec": round(accepted_cells / drain_wall, 4),
         "digest_parity": serve_digest == serial,
-        "probe_parity": probe_digest == probe_serial,
-        "probe_digest": probe_digest,
+        "probe_parity": probe_digest == PROBE_DIGEST,
     }
-
-
-def _record_history(quick: bool, calib: float, sample: Dict[str, object],
-                    mode: Optional[str] = None) -> None:
-    """Append to BENCH_history.jsonl — full bursts only.
-
-    Quick bursts drain in ~1.5 s, where scheduler-tick granularity alone
-    moves the wall past the trend gate's 25% tolerance; only the full burst
-    is a stable enough series to gate on.
-    """
-    if quick:
-        return
-    meta = {
-        "accepted_jobs": sample["accepted_jobs"],
-        "shed": sample["shed"],
-        "p99_submit_s": sample["p99_submit_s"],
-        "queue_age_p99_s": sample["queue_age_p99_s"],
-        "cells_per_sec": sample["cells_per_sec"],
-    }
-    if mode:
-        meta["mode"] = mode
-    record_bench_history(
-        "serve_saturation",
-        wall_seconds=float(sample["drain_wall_s"]),
-        calib_ops_per_s=calib,
-        digest=str(sample["probe_digest"]),
-        meta=meta,
-        check=mode == "check",
-    )
 
 
 def _assert_contract(sample: Dict[str, object]) -> List[str]:
@@ -308,7 +252,7 @@ def _assert_contract(sample: Dict[str, object]) -> List[str]:
     if not sample["digest_parity"]:
         problems.append("merged manifest != serial digest for executed cells")
     if not sample["probe_parity"]:
-        problems.append("probe grid digest != serial digest")
+        problems.append("probe grid digest != its pin (the serial digest)")
     server_p99 = sample.get("queue_age_p99_s")
     client_p99 = sample.get("client_queue_p99_s")
     if server_p99 is None:
@@ -347,82 +291,10 @@ def _print_sample(sample: Dict[str, object]) -> None:
         f"vs {_fmt(sample['client_queue_p99_s'], '.4f')}s client-observed"
     )
     print(
-        f"drained in {sample['drain_wall_s']:.2f}s "
-        f"({sample['cells_per_sec']:.2f} cells/s, {JOBS} workers); "
+        f"executed {sample['executed_cells']} cells on {JOBS} workers; "
         f"digest parity {'ok' if sample['digest_parity'] else 'MISMATCH'}, "
         f"probe {'ok' if sample['probe_parity'] else 'MISMATCH'}"
     )
-
-
-# ----------------------------------------------------------------------
-# Modes
-# ----------------------------------------------------------------------
-def generate(quick: bool, workdir: Path) -> int:
-    calib = calibration_score()
-    threads, per_thread = (2, 6) if quick else (4, 12)
-    sample = measure(threads, per_thread, workdir)
-    _print_sample(sample)
-    problems = _assert_contract(sample)
-    for p in problems:
-        print(f"CONTRACT VIOLATION: {p}", file=sys.stderr)
-    if problems:
-        return 1
-    payload = {
-        "bench": "serve_saturation",
-        "config": {
-            "refs": REFS,
-            "jobs": JOBS,
-            "quick_cap": QUICK_CAP,
-            "p99_limit_s": P99_LIMIT_S,
-            "probe_specs": PROBE_SPECS,
-        },
-        "machine": {"calib_ops_per_s": calib},
-        "sample": sample,
-    }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
-    _record_history(quick, calib, sample)
-    return 0
-
-
-def check(quick: bool, workdir: Path) -> int:
-    if not RESULT_PATH.exists():
-        print(
-            f"missing {RESULT_PATH}; run bench_serve_saturation.py first",
-            file=sys.stderr,
-        )
-        return 1
-    committed = json.loads(RESULT_PATH.read_text())
-    calib = calibration_score()
-    threads, per_thread = (2, 6) if quick else (4, 12)
-    sample = measure(threads, per_thread, workdir)
-    _print_sample(sample)
-    problems = _assert_contract(sample)
-    if str(sample["probe_digest"]) != str(
-        committed["sample"]["probe_digest"]
-    ):
-        problems.append(
-            "probe digest drifted from committed BENCH_serve.json: "
-            f"{sample['probe_digest']} != {committed['sample']['probe_digest']}"
-        )
-    _record_history(quick, calib, sample, mode="check")
-    ref_norm = float(committed["sample"]["cells_per_sec"]) / float(
-        committed["machine"]["calib_ops_per_s"]
-    )
-    cur_norm = float(sample["cells_per_sec"]) / calib
-    ratio = cur_norm / ref_norm if ref_norm else 1.0
-    print(
-        f"normalized cells/sec {cur_norm:.3e} vs committed {ref_norm:.3e} "
-        f"({ratio:.2f}x)"
-    )
-    if ratio < 1.0 - REGRESSION_LIMIT:
-        problems.append(
-            f"PERF REGRESSION: serve throughput at {ratio:.2f}x of the "
-            f"committed sample (limit {1.0 - REGRESSION_LIMIT:.2f}x)"
-        )
-    for p in problems:
-        print(f"FAIL: {p}", file=sys.stderr)
-    return 1 if problems else 0
 
 
 # ----------------------------------------------------------------------
@@ -434,30 +306,3 @@ def test_serve_saturation_contract(tmp_path):
     _print_sample(sample)
     assert _assert_contract(sample) == []
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="smaller burst (2 threads x 6 jobs; CI uses this)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="compare against the committed BENCH_serve.json instead of "
-        "rewriting it; fail on contract violation, probe-digest drift, or "
-        ">30%% normalized throughput regression",
-    )
-    parser.add_argument("--workdir", default=None, help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    import tempfile
-
-    workdir = Path(args.workdir) if args.workdir else Path(
-        tempfile.mkdtemp(prefix="bench_serve_")
-    )
-    if args.check:
-        return check(quick=args.quick, workdir=workdir)
-    return generate(quick=args.quick, workdir=workdir)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -31,21 +31,10 @@ from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_hotpath import (  # noqa: E402
-    MIX,
-    PINS,
-    SCHEME,
-    SEED,
-    calibration_score,
-    result_digest,
-)
-from conftest import record_bench_history  # noqa: E402
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.obs import telemetry  # noqa: E402
-from repro.system import System, SystemConfig  # noqa: E402
-from repro.workloads.mixes import mix as make_mix  # noqa: E402
+from tests.pins import MIX, PINS, SCHEME, build_system, result_digest  # noqa: E402
 
 #: allowed instrumented/uninstrumented wall-time ratio — the issue's
 #: acceptance threshold.  Measured at 10x the production heartbeat rate.
@@ -59,14 +48,9 @@ REFS = PINS["quick"]["refs"]
 ROUNDS = 6
 
 
-def _build() -> System:
-    traces = make_mix(MIX, REFS, seed=SEED)
-    return System(traces, SystemConfig(scheme=SCHEME), workload=MIX)
-
-
 def _run_plain():
     """Telemetry disabled: publish_system hits the is-None fast path."""
-    system = _build()
+    system = build_system(REFS)
     telemetry.publish_system(system)  # no-op: nothing armed
     try:
         return system.run()
@@ -79,7 +63,7 @@ def _run_instrumented(spool_dir: str):
     telemetry.activate_worker(spool_dir, "bench", interval=BENCH_INTERVAL)
     try:
         wt = telemetry.current_worker()
-        system = _build()
+        system = build_system(REFS)
         wt.cell_start(_FakeCell(), 1)
         telemetry.publish_system(system)
         try:
@@ -114,7 +98,7 @@ def measure() -> Dict[str, object]:
         if instrumented:
             telemetry.activate_worker(tmp, "bench", interval=BENCH_INTERVAL)
             wt = telemetry.current_worker()
-            system = _build()
+            system = build_system(REFS)
             wt.cell_start(_FakeCell(), 1)
             telemetry.publish_system(system)
             t0 = perf_counter()
@@ -124,7 +108,7 @@ def measure() -> Dict[str, object]:
             wt.cell_end("ok", dt)
             telemetry.deactivate_worker()
             return dt
-        system = _build()
+        system = build_system(REFS)
         telemetry.publish_system(system)
         t0 = perf_counter()
         system.run()
@@ -167,22 +151,6 @@ def report(sample: Dict[str, object]) -> str:
     )
 
 
-def _record(sample: Dict[str, object], check: bool = False) -> None:
-    """Append the paired overhead ratio to BENCH_history.jsonl.
-
-    The "normalized" value for this bench is the ratio itself (already
-    machine-independent), so bench-trend flags overhead creep directly.
-    """
-    record_bench_history(
-        "telemetry_overhead",
-        wall_seconds=float(sample["on_s"]),
-        normalized=float(sample["ratio"]),
-        digest=PINS["quick"]["digest"],
-        meta={"interval_s": sample["interval_s"], "refs": sample["refs"]},
-        check=check,
-    )
-
-
 # ----------------------------------------------------------------------
 # Pytest entry points (explicit path only, like the other benches)
 # ----------------------------------------------------------------------
@@ -220,7 +188,6 @@ def test_heartbeat_overhead_within_bound():
     sample = measure()
     print()
     print(report(sample))
-    _record(sample, check=True)
     assert float(sample["ratio"]) <= OVERHEAD_LIMIT, (
         f"telemetry overhead {float(sample['ratio']):.3f}x exceeds "
         f"{OVERHEAD_LIMIT:.2f}x bound"
@@ -239,9 +206,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     print("digest parity ok (disabled == instrumented == pinned quick digest)")
     sample = measure()
     print(report(sample))
-    _record(sample)
-    calib = calibration_score()
-    print(f"calibration {calib:,.0f} ops/s")
     if float(sample["ratio"]) > OVERHEAD_LIMIT:
         print(
             f"OVERHEAD {float(sample['ratio']):.3f}x exceeds "

@@ -9,7 +9,7 @@ The sampler (repro.obs.timeseries) has a two-part contract:
   event: it never extends the run (the loop exits when the last strong
   event fires) and compensates the ``events_fired`` count, so a sampled run
   must reproduce the unsampled result digest bit-for-bit - including
-  ``events_fired`` and the hot-path pins in ``bench_hotpath.PINS``.
+  ``events_fired`` and the hot-path pins in ``tests/pins.py``.
 
 This bench asserts both halves on the pinned quick configuration (CAMPS,
 MX1, seed 1, 800 refs/core): digest parity sampled vs unsampled vs the
@@ -28,13 +28,12 @@ from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_hotpath import MIX, PINS, SCHEME, SEED, result_digest  # noqa: E402
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.obs.timeseries import DEFAULT_EPOCH  # noqa: E402
 from repro.system import System, SystemConfig  # noqa: E402
 from repro.workloads.mixes import mix as make_mix  # noqa: E402
+from tests.pins import MIX, PINS, SCHEME, SEED, result_digest  # noqa: E402
 
 #: allowed sampled/unsampled wall-time ratio at the default epoch.  The true
 #: cost is one weak event plus ~40 counter reads per 1024 cycles; the bound

@@ -29,52 +29,6 @@ from repro.experiments.runner import ExperimentConfig, run_matrix
 from repro.workloads.mixes import mix_names
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def history_path() -> Path:
-    """Where benchmark results accumulate (``REPRO_BENCH_HISTORY`` overrides,
-    e.g. to keep CI runs out of the committed history)."""
-    raw = os.environ.get("REPRO_BENCH_HISTORY")
-    return Path(raw) if raw else REPO_ROOT / "BENCH_history.jsonl"
-
-
-def record_bench_history(
-    bench: str,
-    wall_seconds: float,
-    calib_ops_per_s: float | None = None,
-    normalized: float | None = None,
-    digest: str | None = None,
-    meta: dict | None = None,
-    check: bool = False,
-) -> dict | None:
-    """Shared perf-trend writer: append one result to BENCH_history.jsonl.
-
-    Every bench records (digest, normalized wall time, git SHA, timestamp);
-    ``repro bench-trend`` flags regressions against the rolling median.
-    With ``calib_ops_per_s`` the wall time is scaled by the machine's
-    calibration score (``wall * calib / 1e6``) so histories from different
-    machines share one scale; an explicitly ``normalized`` value (e.g. a
-    paired overhead ratio) wins outright.
-
-    A ``check`` run (a CI gate) appends only when ``REPRO_BENCH_HISTORY``
-    names a file, so checking never modifies the committed history.
-    """
-    from repro.obs.trend import append_entry
-
-    if check and not os.environ.get("REPRO_BENCH_HISTORY"):
-        return None
-
-    if normalized is None and calib_ops_per_s:
-        normalized = wall_seconds * calib_ops_per_s / 1e6
-    return append_entry(
-        history_path(),
-        bench,
-        wall_seconds,
-        normalized=normalized,
-        digest=digest,
-        meta=meta,
-    )
 
 
 def selected_mixes():

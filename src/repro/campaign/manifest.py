@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Set, Tuple, Union
 
@@ -484,19 +485,20 @@ class JsonlTailer:
         fh.seek(self._pos - len(self._tail))
         return fh.read(len(self._tail)) == self._tail
 
-    def poll_lines(self) -> List[bytes]:
-        """Complete lines appended since the last poll (newline stripped)."""
+    def poll_lines(self) -> Iterator[bytes]:
+        """Complete lines appended since the last poll (newline stripped),
+        yielded a chunk at a time as they are read.  Any reset is taken
+        before the first line comes back."""
         try:
             st = os.stat(self.path)
         except OSError:
             self._reset()
             self._sig = None
-            return []
+            return
         sig = (st.st_dev, st.st_ino)
         if sig != self._sig or st.st_size < self._pos:
             self._reset()
             self._sig = sig
-        lines: List[bytes] = []
         try:
             with open(self.path, "rb") as fh:
                 if self._pos and not self._same_file(fh):
@@ -512,12 +514,12 @@ class JsonlTailer:
                         self._head = (self._head + chunk)[: self.ANCHOR_BYTES]
                     self._pos += len(chunk)
                     self._tail = (self._tail + chunk)[-self.ANCHOR_BYTES :]
-                    lines += (self._buf + chunk).split(b"\n")
+                    lines = (self._buf + chunk).split(b"\n")
                     # torn trailing line (b"" when newline-final)
                     self._buf = lines.pop()
+                    yield from lines
         except OSError:
             pass  # the lines of the chunks read so far stay consumed
-        return lines
 
     def poll(self) -> List[dict]:
         """JSON objects appended since the last poll."""
@@ -553,20 +555,25 @@ class ManifestFollower:
         self.done: Set[str] = set()
 
     def poll(self) -> None:
-        """Fold the lines appended since the previous poll."""
+        """Fold the lines appended since the previous poll, each as the
+        tailer reads it (a first poll of a large file never holds all of
+        its lines at once)."""
         lines = self._tailer.poll_lines()
+        first = next(lines, None)  # any tailer reset is taken by now
         if self._tailer.resets != self._resets:
             self._resets = self._tailer.resets
             self._restart()
-        if not self._valid:
-            return  # incompatible file: nothing in it counts until a reset
-        for line in lines:
+        if first is None:
+            return
+        for line in chain((first,), lines):
+            if not self._valid:
+                continue  # incompatible file: nothing in it counts until a reset
             try:
                 rec = fold_line(self.scan, self._index, _decode(line))
             except IncompatibleManifest:
                 self._restart()
                 self._valid = False
-                return
+                continue
             self._index += 1
             if rec is not None:
                 self.done.add(rec.cell_id)

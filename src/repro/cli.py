@@ -13,7 +13,6 @@ Commands
 ``monitor``  tail a running campaign's telemetry spools from another terminal
 ``report``   markdown figure report, or an HTML dashboard from RunReports
 ``diff``     compare two RunReport artifacts (deltas + subsystem attribution)
-``bench-trend`` flag benchmark regressions against BENCH_history.jsonl
 ``table``    print Table I (configuration) or Table II (workload mixes)
 ``schemes``  list the registered prefetching schemes
 ``trace``    generate a synthetic benchmark trace and print its statistics
@@ -35,7 +34,6 @@ Examples::
     python -m repro monitor .repro_campaign.jsonl      # from a 2nd terminal
     python -m repro serve --manifest svc.jsonl --port 9200 --jobs 4
     python -m repro submit --url http://127.0.0.1:9200 --mixes HM1 --wait
-    python -m repro bench-trend --check
     python -m repro table 1
     python -m repro trace lbm --refs 10000
 """
@@ -590,44 +588,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return 1 if bad or info["status"] != "done" else 0
 
 
-def cmd_bench_trend(args: argparse.Namespace) -> int:
-    """Report benchmark trends from BENCH_history.jsonl; flag regressions
-    of the newest run against the rolling median of its predecessors."""
-    from repro.obs.trend import load_history, trend_report
-
-    entries = load_history(args.history)
-    if not entries:
-        print(f"bench-trend: no history at {args.history}", file=sys.stderr)
-        return 1 if args.check else 0
-    trends = trend_report(entries, window=args.window, tolerance=args.tolerance)
-    if args.json:
-        print(json.dumps([
-            {
-                "bench": t.bench,
-                "runs": t.runs,
-                "latest": t.latest,
-                "median": t.median,
-                "ratio": t.ratio,
-                "regressed": t.regressed,
-                "git_sha": t.latest_sha,
-            }
-            for t in trends
-        ]))
-    else:
-        print(f"bench history: {args.history} ({len(entries)} entries)")
-        for t in trends:
-            print(f"  {t.describe()}")
-    regressed = [t for t in trends if t.regressed]
-    if regressed and args.check:
-        print(
-            f"bench-trend: {len(regressed)} benchmark(s) regressed beyond "
-            f"{args.tolerance:.0%} of the rolling median",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     from repro.experiments.tables import table1_text, table2_text
 
@@ -967,8 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--json", action="store_true",
         help="print a machine-readable summary (cycles, events, engine wall "
-        "time and its split; the format bench_hotpath.py embeds in "
-        "BENCH_hotpath.json)",
+        "time and its split)",
     )
     p_prof.set_defaults(fn=cmd_profile)
 
@@ -1168,25 +1127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--json", action="store_true",
                        help="print the final job state as JSON")
     p_sub.set_defaults(fn=cmd_submit)
-
-    p_bt = sub.add_parser(
-        "bench-trend",
-        help="flag benchmark regressions against the rolling median of "
-        "BENCH_history.jsonl",
-    )
-    p_bt.add_argument("--history", default="BENCH_history.jsonl",
-                      help="history file benchmarks append to")
-    p_bt.add_argument("--window", type=int, default=8,
-                      help="prior runs feeding the rolling median (default 8)")
-    p_bt.add_argument("--tolerance", type=float, default=0.25,
-                      help="regression threshold as a fraction over the "
-                      "median (default 0.25)")
-    p_bt.add_argument("--check", action="store_true",
-                      help="exit nonzero when any benchmark regressed "
-                      "(or the history is missing)")
-    p_bt.add_argument("--json", action="store_true",
-                      help="machine-readable per-benchmark verdicts")
-    p_bt.set_defaults(fn=cmd_bench_trend)
 
     p_tab = sub.add_parser("table", help="print Table I or II")
     p_tab.add_argument("number", choices=["1", "2"])

@@ -77,8 +77,5 @@ __all__, __getattr__ = lazy_exports(
         "parse_traceparent": "spans",
         "read_spans": "spans",
         "spans_to_chrome": "spans",
-        "append_entry": "trend",
-        "load_history": "trend",
-        "trend_report": "trend",
     },
 )

@@ -423,7 +423,7 @@ class Tracer:
 def profile_run(system: Any) -> Tuple[Any, Dict[str, Any]]:
     """Run a built system with the host-time split on (wired by
     :meth:`Tracer.wire_host_time`); returns the result and the payload
-    ``repro profile --json`` prints and ``BENCH_hotpath.json`` records."""
+    ``repro profile --json`` prints."""
     tracer = Tracer(engine_spans=True)
     tracer.wire_host_time(system)
     result = system.run()

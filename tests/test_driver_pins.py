@@ -4,23 +4,24 @@
 drivers (Figs. 5-9, the seed study, the ablations).  These tests pin the
 persisted-summary digest of each on tiny inputs through a fresh result
 log, so any change to how a driver builds traces, systems or results shows up
-as a digest change rather than passing silently.  The hot-path quick pin
-(``benchmarks/bench_hotpath.py``) runs here too, tied to the model version,
-and so does the fabric chain:2 pin (``benchmarks/bench_fabric_scaling.py``),
-the only tier-1 check of the router path's event order.
+as a digest change rather than passing silently.  Every result pin in
+``tests/pins.py`` runs here too: the hot-path full and quick pins (the quick
+one tied to the model version), the fabric pins (chain:2 and chain:4 are the
+only checks of the router path's event order) and the serve probe grid.
 """
 
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.campaign import Manifest, matrix_digest
+import repro
+from repro.campaign import CampaignOptions, Manifest, matrix_digest, run_campaign
 from repro.experiments.runner import _CACHED_FIELDS, ExperimentConfig, run_matrix
 from repro.experiments.seeds import run_seeded
 from repro.experiments.sweep import Sweep
+from repro.serve import cell_from_spec
+from tests import pins
 
 TINY = ExperimentConfig(refs_per_core=150, seed=1)
 
@@ -71,17 +72,59 @@ class TestDriverPins:
         assert _sweep_digest(r) == "aff1b59810457172"
 
 
-def _bench(name: str):
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
+def _hotpath(scale: str):
+    pin = pins.PINS[scale]
+    result = pins.build_system(pin["refs"]).run()
+    assert pins.result_digest(result) == pin["digest"], (
+        f"hot-path {scale} result drifted: {pins.result_digest(result)}"
+    )
+    assert result.cycles == pin["cycles"]
+    assert result.extra["events_fired"] == pin["events_fired"]
+
+
+def test_full_hotpath_pin():
+    _hotpath("full")
 
 
 def test_quick_hotpath_pin_matches_model_version():
-    _bench("bench_hotpath").test_quick_digest_parity()  # digest, events, version
+    """A re-pin appends a MODEL_VERSIONS row and bumps the version."""
+    _hotpath("quick")
+    versions = [version for _, version in pins.MODEL_VERSIONS]
+    assert len(versions) == len(set(versions)), "a re-pin must bump the version"
+    assert dict(pins.MODEL_VERSIONS).get(pins.PINS["quick"]["digest"]) == (
+        repro.__version__
+    )
+
+
+def _fabric(topology: str, cubes: int):
+    refs, digest = pins.FABRIC_PINS[topology]
+    result = pins.build_fabric(topology, refs).run()
+    assert pins.result_digest(result, cubes) == digest, (
+        f"{topology} fabric result drifted: {pins.result_digest(result, cubes)}"
+    )
+
+
+def test_one_cube_fabric_matches_hotpath_pin():
+    """Same fields, same event count, same energy to the last bit."""
+    _fabric("chain:1", 1)
 
 
 def test_chain2_fabric_pin():
-    _bench("bench_fabric_scaling").test_chain2_digest_parity()  # routed path
+    _fabric("chain:2", 2)
+
+
+def test_chain4_fabric_pin():
+    _fabric("chain:4", 4)
+
+
+def test_serve_probe_pin(tmp_path):
+    """The grid ``benchmarks/bench_serve_saturation.py`` submits after its
+    burst; that bench requires the service to merge it to these bytes."""
+    result = run_campaign(
+        [cell_from_spec(s) for s in pins.PROBE_SPECS],
+        CampaignOptions(jobs=1),
+        cache=None,
+        manifest=Manifest(tmp_path / "probe.jsonl"),
+    )
+    result.raise_on_failure()
+    assert matrix_digest(result.matrix()) == pins.PROBE_DIGEST

@@ -7,9 +7,6 @@ chain:2 pin reproduce with it on), and its buckets account for the engine's
 whole wall time.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from repro.campaign import Cell, build_cell_system
@@ -19,33 +16,24 @@ from repro.obs.tracer import _subsystem, profile_run
 from repro.sim.engine import Engine
 from repro.system import System, SystemConfig
 from repro.workloads.mixes import mix as make_mix
-
-
-def _bench(name: str):
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
+from tests import pins
 
 
 class TestResultsUnchanged:
     def test_hotpath_quick_pin_with_split_on(self):
-        hot = _bench("bench_hotpath")
-        pin = hot.PINS["quick"]
-        result, payload = profile_run(hot._build(pin["refs"]))
-        assert hot.result_digest(result) == pin["digest"]
+        pin = pins.PINS["quick"]
+        result, payload = profile_run(pins.build_system(pin["refs"]))
+        assert pins.result_digest(result) == pin["digest"]
         assert payload["events_fired"] == pin["events_fired"] == 33495
         assert sum(row["events"] for name, row in payload["subsystems"].items()
                    if name != "prefetcher") == pin["events_fired"]
 
     def test_chain2_summary_with_split_on_equals_untraced(self):
-        fab = _bench("bench_fabric_scaling")
-        pin = fab.PINS["chain:2"]
-        plain = fab._build("chain:2", pin["refs"]).run()
-        traced, payload = profile_run(fab._build("chain:2", pin["refs"]))
+        refs, digest = pins.FABRIC_PINS["chain:2"]
+        plain = pins.build_fabric("chain:2", refs).run()
+        traced, payload = profile_run(pins.build_fabric("chain:2", refs))
         assert traced.summary() == plain.summary()
-        assert fab.result_digest(traced, 2) == pin["digest"]
+        assert pins.result_digest(traced, 2) == digest
         assert {"vault", "core", "host"} <= set(payload["subsystems"])
 
 
@@ -115,7 +103,7 @@ class TestAttribution:
         assert tracer.host_time() == {__name__: {"seconds": 0.0, "events": 1}}
 
     def test_split_off_leaves_the_vault_untimed(self):
-        system = _bench("bench_hotpath")._build(50)
+        system = pins.build_system(50)
         vc = system.device.vaults[0]
         decide = vc._done_ctx[1]
         vc.tracer = Tracer()

@@ -1,6 +1,6 @@
 """Every JSONL file reader skips the same damaged lines.
 
-Manifests, span logs, serve checkpoints and the bench history are all read
+Manifests, span logs and serve checkpoints are all read
 through one line source and one line parser
 (:func:`repro.campaign.manifest.read_lines` / ``parse_line``).  These tests
 feed each reader the lines a crashed or garbling writer leaves behind (a
@@ -19,7 +19,6 @@ import pytest
 from repro.campaign.manifest import Manifest, ManifestFollower
 from repro.cli import main
 from repro.obs.spans import STAGE_MERGE, STAGE_QUEUE, Span, read_spans
-from repro.obs.trend import HISTORY_VERSION, load_history
 from repro.serve import LANE_BULK, ServeConfig, ServeScheduler, cell_from_spec
 from repro.serve.server import CHECKPOINT_VERSION, checkpoint_path
 
@@ -54,10 +53,6 @@ def _pending(i):
     return {"kind": "pending", "cell_id": cid, "spec": _spec(i), "lane": LANE_BULK}
 
 
-def _history(i):
-    return {"v": HISTORY_VERSION, "bench": f"b{i}", "normalized": 1.0 + i}
-
-
 # ----------------------------------------------------------------------
 # The readers, each returning the keys of what it read
 # ----------------------------------------------------------------------
@@ -75,10 +70,6 @@ def _follow(path):
 
 def _spans(path):
     return [s.cell_id for s in read_spans(path)]
-
-
-def _bench_history(path):
-    return [e["bench"] for e in load_history(path)]
 
 
 def _checkpoint(path):
@@ -105,12 +96,11 @@ def _report_rows(path):
     return re.findall(r"<td class='l'>([^<]*)</td>", table)
 
 
-#: reader -> (first line or None, valid payload i, key of payload i)
+#: reader -> (first line, valid payload i, key of payload i)
 READERS = {
     "Manifest.records": (_records, HEADER, _record, "cell_id"),
     "ManifestFollower": (_follow, HEADER, _record, "cell_id"),
     "read_spans": (_spans, HEADER, _span, "cell_id"),
-    "load_history": (_bench_history, None, _history, "bench"),
     "checkpoint": (
         _checkpoint,
         {"kind": "checkpoint", "version": CHECKPOINT_VERSION, "worker": "n0", "ts": 0},
@@ -131,8 +121,7 @@ def test_reader_returns_exactly_the_valid_lines(reader, tmp_path):
     valid = [payload(i) for i in range(4)]
     path = tmp_path / "m.jsonl"
     with open(path, "wb") as fh:
-        if first is not None:
-            fh.write(_jsonl(first))
+        fh.write(_jsonl(first))
         for line, damage in zip(valid, (BLANK, TORN, GARBLED, TAIL)):
             fh.write(_jsonl(line) + damage)
     assert sorted(read(path)) == sorted(p[key] for p in valid)
@@ -153,9 +142,16 @@ def test_merge_span_after_each_record_keeps_every_cell(reader, tmp_path):
     assert sorted(read(path)) == sorted(_record(i)[key] for i in range(3))
 
 
+def _follower_poll(path):
+    follower = ManifestFollower(path)
+    follower.poll()
+    return follower.scan
+
+
 def test_scan_streams_instead_of_holding_the_file(tmp_path):
-    """What ``Manifest.scan`` allocates on top of its result stays a few
-    lines' worth however big the file is (not copies of the file)."""
+    """What a manifest scan, or a follower's first poll, allocates on top
+    of its result stays a few lines' worth however big the file is (not
+    copies of the file)."""
     path = tmp_path / "big.jsonl"
     summary = {f"metric_{k}": 1.0 / (k + 1) for k in range(24)}
     with open(path, "wb") as fh:
@@ -165,13 +161,13 @@ def test_scan_streams_instead_of_holding_the_file(tmp_path):
             fh.write(_jsonl(_span(i, STAGE_MERGE)))
     size = path.stat().st_size
     assert size >= 1 << 20
-    manifest = Manifest(path)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        scan = manifest.scan()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(scan.records) == 1200
-    assert peak - held < 256 * 1024, (peak - held, size)
+    for scan in (lambda path: Manifest(path).scan(), _follower_poll):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            result = scan(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == 1200
+        assert peak - held < 256 * 1024, (scan, peak - held, size)

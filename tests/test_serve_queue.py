@@ -474,6 +474,30 @@ class TestManifestFollower:
         _assert_follows(follower, m)
         assert follower.scan.clock == 7
 
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 64])
+    def test_chunked_follower_matches_full_scan(self, tmp_path, monkeypatch, chunk):
+        """The follower folds each chunk's lines as the tailer reads them;
+        across resets, torn tails and incompatible rewrites its state
+        still equals an unchunked scan of the file."""
+        monkeypatch.setattr(manifest_mod.JsonlTailer, "CHUNK_BYTES", chunk)
+        m = Manifest(tmp_path / "m.jsonl")
+        m.reset()
+        follower = ManifestFollower(m.path)
+        rewrites = []
+        body = [("claim", "c0", "a", 1, 2, 9), ("tick", "b", 4, 1),
+                ("record", "c0", STATUS_OK), ("span", "c1"),
+                ("claim", "c1", "b", 2, 5, 9), ("record", "c1", "error")]
+        steps = [
+            *body, ("torn", ("tick", "a", 8, None), 0.5), ("record", "c2", STATUS_OK),
+            ("rewrite", "v2", body), ("rewrite", "v1", body[:3]),
+            ("reset",), *body[3:],
+        ]
+        for op in steps:
+            _apply(m, op, rewrites)
+            follower.poll()
+            _assert_follows(follower, m)
+        assert follower.done == {"c1"}
+
     @pytest.mark.parametrize("history", [10, 3000])
     def test_scan_parses_only_appended_lines(self, tmp_path, monkeypatch, history):
         """A tick's scan after k appended lines parses exactly k lines,
