@@ -4,7 +4,7 @@
 Launches a small campaign in a background thread with telemetry armed,
 then monitors it the way a second process would:
 
-1. poll the spool directory and the manifest with
+1. poll the worker state files and the manifest with
    :class:`TelemetryAggregator` and print a status line per refresh (what
    ``repro monitor`` does under the hood);
 2. serve the merged view with :class:`repro.serve.server.HttpFront` on a
@@ -92,7 +92,7 @@ def main() -> int:
     print(f"launching campaign (manifest {manifest}) ...")
     handle = launch_campaign(manifest, args.refs, args.jobs)
 
-    # -- 1. poll the spools like `repro monitor` does -------------------
+    # -- 1. poll the state files like `repro monitor` does --------------
     aggregator = TelemetryAggregator(
         spool_dir_for(manifest), manifest_path=manifest
     )

@@ -249,9 +249,9 @@ class CampaignOptions:
     resume: bool = False
     progress: bool = False
     start_method: Optional[str] = None  # default: fork if available, else spawn
-    #: write per-worker heartbeat spools (implied by watch/telemetry_port)
+    #: write per-worker heartbeat state files (implied by watch/telemetry_port)
     telemetry: bool = False
-    #: spool directory; default ``<manifest>.telemetry`` next to the manifest
+    #: state-file directory; default ``<manifest>.telemetry`` next to the manifest
     telemetry_dir: Optional[str] = None
     #: seconds between heartbeats
     telemetry_interval: float = _telemetry.DEFAULT_INTERVAL
@@ -694,7 +694,7 @@ def run_campaign(
             tdir = _telemetry.spool_dir_for(manifest.path)
         else:
             raise ValueError(
-                "telemetry needs a manifest (spools live next to it) or an "
+                "telemetry needs a manifest (state files live next to it) or an "
                 "explicit telemetry_dir"
             )
         tdir.mkdir(parents=True, exist_ok=True)
@@ -710,7 +710,7 @@ def run_campaign(
     )
 
     # Live views of the campaign: the HTTP front and the monitor board read
-    # one aggregator over the spools and the manifest.  Both run on daemon
+    # one aggregator over the state files and the manifest.  Both run on daemon
     # threads stopped in the finally block; neither touches the simulation.
     stoppers: List[Any] = []
     stats_extra: Dict[str, Any] = {}

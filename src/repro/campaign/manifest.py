@@ -51,7 +51,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, BinaryIO, Dict, Iterator, Optional, Set, Tuple, Union
 
 MANIFEST_VERSION = 1
 
@@ -171,8 +171,8 @@ def _decode(data: bytes) -> str:
 
 def read_lines(path: Union[str, Path]) -> Iterator[str]:
     """Stream a file's lines, each decoded by :func:`_decode`: the line
-    source of every JSONL file reader (manifests, spans, serve checkpoints,
-    bench history).  Holds one line at a time; a missing file yields none."""
+    source of every JSONL file reader (manifests and their span and claim
+    lines).  Holds one line at a time; a missing file yields none."""
     try:
         with open(path, "rb") as fh:
             for line in fh:
@@ -431,9 +431,8 @@ class Manifest:
 class JsonlTailer:
     """Incremental reader of a growing JSONL file.
 
-    Each :meth:`poll` returns the records appended since the last poll
-    (:meth:`poll_lines` the raw lines).  Handles the failure shapes the
-    manifest and spool writers can produce:
+    Each :meth:`poll_lines` yields the lines appended since the last poll.
+    Handles the failure shapes the manifest writers can produce:
 
     * **torn trailing line** — an incomplete final line (no newline yet) is
       buffered, not returned; it is emitted once the writer completes it;
@@ -450,9 +449,10 @@ class JsonlTailer:
       without re-reading the whole file.)
 
     Every reset bumps :attr:`resets`, so a reader folding state over the
-    lines knows to restart its fold.  Unparseable *complete* lines (torn by
-    a crash mid-file) are skipped by :meth:`poll`, which parses through
-    :func:`parse_line` like every other JSONL file reader.
+    lines knows to restart its fold.  The lines come back raw: a reader
+    parses them through :func:`parse_line`, which skips the unparseable
+    *complete* lines a crash mid-file leaves, like every other JSONL file
+    reader.
     """
 
     #: bytes of the file head (and of the consumed tail) remembered to
@@ -520,11 +520,6 @@ class JsonlTailer:
                     yield from lines
         except OSError:
             pass  # the lines of the chunks read so far stay consumed
-
-    def poll(self) -> List[dict]:
-        """JSON objects appended since the last poll."""
-        parsed = (parse_line(line) for line in self.poll_lines())
-        return [rec for rec in parsed if rec is not None]
 
 
 class ManifestFollower:

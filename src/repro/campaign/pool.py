@@ -102,13 +102,13 @@ class PoolResult:
 def activate_telemetry(
     spec: Optional[TelemetrySpec],
 ) -> Optional[_telemetry.WorkerTelemetry]:
-    """Arm this process's heartbeat spool; None when off or unwritable."""
+    """Arm this process's heartbeat state file; None when off or unwritable."""
     if spec is None:
         return None
     try:
         return _telemetry.activate_worker(*spec)
     except OSError:
-        return None  # unwritable spool dir: run blind, never refuse work
+        return None  # unwritable state dir: run blind, never refuse work
 
 
 def run_attempt(
@@ -400,8 +400,8 @@ class CellPool:
     def _spawn(self, slot: int) -> Optional[_Worker]:
         telemetry: Optional[TelemetrySpec] = None
         if self.telemetry_dir is not None:
-            # same slot name on respawn: the new worker appends a fresh
-            # header (new generation) to the same spool file
+            # same slot name on respawn: the new worker (new pid) replaces
+            # the same state file
             telemetry = (self.telemetry_dir, f"w{slot}", self.telemetry_interval)
         siblings = [w.conn for w in self._workers if w is not None]
         try:

@@ -10,7 +10,7 @@ Commands
 ``serve``    long-running campaign service: HTTP/JSONL submissions, admission
              control, lease-based work stealing, graceful drain
 ``submit``   send a grid to a running ``serve`` node (and optionally wait)
-``monitor``  tail a running campaign's telemetry spools from another terminal
+``monitor``  watch a running campaign's worker telemetry from another terminal
 ``report``   markdown figure report, or an HTML dashboard from RunReports
 ``diff``     compare two RunReport artifacts (deltas + subsystem attribution)
 ``table``    print Table I (configuration) or Table II (workload mixes)
@@ -428,7 +428,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         from repro.obs.telemetry import spool_dir_for
 
         print(
-            f"telemetry spools: {spool_dir_for(args.manifest)}/ "
+            f"telemetry state files: {spool_dir_for(args.manifest)}/ "
             f"(live-tail with `repro monitor {args.manifest}`)"
         )
     if args.report_dir:
@@ -467,8 +467,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 def cmd_monitor(args: argparse.Namespace) -> int:
     """Watch a running (or finished) campaign from outside its process.
 
-    Tails the per-worker telemetry spools and the manifest; exits once the
-    manifest reports every cell terminal (or immediately with ``--once``).
+    Reads the per-worker telemetry state files and tails the manifest;
+    exits once the manifest reports every cell terminal (or immediately
+    with ``--once``).
     """
     from repro.obs.watch import run_monitor
 
@@ -496,9 +497,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     port, multiplexes them onto a persistent worker pool, and records
     terminal cells in the manifest exactly like ``repro campaign`` —
     ``repro monitor <manifest>`` works unchanged against a serving node.
-    SIGTERM drains: in-flight cells finish, the pending queue checkpoints
-    to ``<manifest>.checkpoint.jsonl``, and a restart with ``--resume``
-    (or a peer sharing the manifest) picks the work back up.
+    SIGTERM drains: in-flight cells finish, every unfinished cell goes
+    back into the manifest as an expired claim, and a restart with
+    ``--resume`` (or a peer sharing the manifest) steals it.
     """
     from repro.serve import ServeConfig, run_serve
 
@@ -985,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--telemetry", action="store_true",
-        help="write per-worker heartbeat spools next to the manifest "
+        help="write per-worker heartbeat state files next to the manifest "
         "(implied by --watch / --telemetry-port; tail with `repro monitor`)",
     )
     p_camp.add_argument(
@@ -1010,11 +1011,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mon = sub.add_parser(
         "monitor",
-        help="tail a campaign's telemetry spools from another terminal/host",
+        help="watch a campaign's worker telemetry from another terminal/host",
     )
     p_mon.add_argument(
         "target",
-        help="campaign manifest path, its .telemetry spool directory, or a "
+        help="campaign manifest path, its .telemetry state directory, or a "
         "directory containing exactly one of either",
     )
     p_mon.add_argument("--interval", type=float, default=1.0,
@@ -1054,8 +1055,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--resume", action="store_true",
-        help="attach to an existing manifest (and its drain checkpoint) "
-        "instead of starting fresh",
+        help="attach to an existing manifest instead of starting fresh; "
+        "cells a drain released into it are stolen and finished",
     )
     p_srv.add_argument("--retries", type=int, default=1,
                        help="retries for raising cells (crashes always requeue)")

@@ -164,9 +164,6 @@ class Bank:
     def is_row_hit(self, row: int) -> bool:
         return self.open_row == row
 
-    def is_idle(self, now: int) -> bool:
-        return now >= self.busy_until
-
     def classify(self, row: int) -> RowOutcome:
         """How would an access to ``row`` find the row buffer right now?"""
         if self.open_row is None:

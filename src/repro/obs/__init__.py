@@ -59,7 +59,6 @@ __all__, __getattr__ = lazy_exports(
         "has_series": "report",
         "render_html": "html",
         "write_html": "html",
-        "TelemetrySpool": "telemetry",
         "TelemetryAggregator": "telemetry",
         "WorkerTelemetry": "telemetry",
         "CampaignView": "telemetry",

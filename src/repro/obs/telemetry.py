@@ -1,13 +1,14 @@
-"""Live campaign telemetry: heartbeat spools, tailing, and aggregation.
+"""Live campaign telemetry: per-worker heartbeat state files and aggregation.
 
-A running campaign is observable through its manifest plus per-worker
-*spool files* written next to it.  Each worker process appends one compact
-JSON record (a *heartbeat*) every ``interval`` seconds plus one record at
-every cell boundary; the campaign process — or a second terminal, or
-another host over a shared filesystem — tails the spools and the manifest
-with :class:`TelemetryAggregator` into one live :class:`CampaignView`.  The
-manifest is the only source of campaign totals (:func:`campaign_status`);
-spools only describe workers.  Every consumer reads the same view:
+A running campaign is observable through its manifest plus one *state
+file* per worker in a spool directory next to it.  Each worker process
+rewrites its file with one compact JSON record (a *heartbeat*) every
+``interval`` seconds and at every cell boundary; the campaign process — or
+a second terminal, or another host over a shared filesystem — reads the
+state files and tails the manifest with :class:`TelemetryAggregator` into
+one live :class:`CampaignView`.  The manifest is the only source of
+campaign totals (:func:`campaign_status`); state files only describe
+workers.  Every consumer reads the same view:
 ``repro monitor`` and ``repro campaign --watch`` (:mod:`repro.obs.watch`),
 and ``/snapshot`` JSON plus ``/metrics`` Prometheus text (see
 :mod:`repro.obs.promtext`), served by the one HTTP front end in
@@ -31,25 +32,26 @@ Telemetry follows the same rules as the rest of :mod:`repro.obs`:
   ``benchmarks/bench_telemetry_overhead.py`` enforces digest parity and the
   < 2 % paired overhead bound in CI.
 
-Spool format
-------------
-One JSONL file per worker, ``telemetry-<worker>.jsonl``::
+State-file format
+-----------------
+One JSON file per worker, ``telemetry-<worker>.json``, holding only the
+worker's latest record::
 
-    {"kind": "header", "version": 1, "worker": "w0", "pid": 4242, "gen": "3f9c0a"}
-    {"seq": 1, "ts": 1754556000.1, "phase": "start", "cell": {...}, ...}
-    {"seq": 2, "ts": 1754556000.6, "phase": "running", "cycle": 51200, ...}
-    {"seq": 3, "ts": 1754556001.9, "phase": "end", "status": "ok", ...}
+    {"version": 1, "worker": "w0", "pid": 4242, "seq": 7, "ts": 1754556000.6,
+     "phase": "running", "cells": {"done": 2, "ok": 2, "failed": 0},
+     "cell": {...}, "cycle": 51200, "frozen": 0, ...}
 
-Heartbeats carry *cumulative* worker state (``cells`` done/ok/failed
-counters), never deltas, so a reader that misses records — torn trailing
-line, crash, rotation — converges to the correct totals from any later
-record.  ``gen`` identifies one writer session; a respawned worker (or a
-rotation) appends a fresh header with a new ``gen``, and readers de-duplicate
-by ``(gen, seq)``.  Rotation keeps the file bounded: when it exceeds
-``max_bytes`` the writer atomically replaces it (``os.replace``) with a new
-header — safe because state is cumulative.  The manifest stays the
-authoritative exactly-once record of terminal cells; spools are a live,
-lossy-but-convergent overlay.
+The writer replaces the file atomically (a tmp file, then ``os.replace``)
+on every heartbeat and cell boundary, so a reader never sees a torn record.
+Records carry *cumulative* worker state (``cells`` done/ok/failed
+counters), never deltas, so a reader that misses records converges to the
+correct totals from any later one.  ``(pid, seq)`` names one record: a
+respawned worker has a new ``pid`` and restarts ``seq``.  The worker
+counts ``frozen`` itself (consecutive ``running`` heartbeats of one cell
+whose sim-cycle did not move), so stall detection does not depend on how
+often a reader polls.  The manifest stays the authoritative exactly-once
+record of terminal cells; state files are a live, lossy-but-convergent
+overlay.
 """
 
 from __future__ import annotations
@@ -59,37 +61,34 @@ import os
 import signal
 import threading
 import time
-import uuid
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 TELEMETRY_VERSION = 1
 
-SPOOL_PREFIX = "telemetry-"
-SPOOL_SUFFIX = ".jsonl"
+STATE_PREFIX = "telemetry-"
+STATE_SUFFIX = ".json"
 
 #: seconds between heartbeats
 DEFAULT_INTERVAL = 0.5
-
-#: rotate a spool once it grows past this (cumulative records make the
-#: history disposable, so the bound can be tight)
-DEFAULT_MAX_SPOOL_BYTES = 512 * 1024
 
 #: a worker whose newest heartbeat is older than this is flagged stale
 DEFAULT_STALE_AFTER = 5.0
 
 #: consecutive same-cycle running heartbeats before a worker is flagged
-#: frozen (the cell's sim-clock stopped advancing between samples)
+#: frozen (the cell's sim-clock stopped advancing between samples); the
+#: worker counts them into each record's ``frozen``
 FROZEN_SAMPLES = 4
 
 
 def spool_dir_for(manifest_path: Union[str, Path]) -> Path:
-    """Canonical spool directory for a campaign manifest path."""
+    """Canonical directory of a campaign manifest's worker state files."""
     return Path(str(manifest_path) + ".telemetry")
 
 
-def spool_path(spool_dir: Union[str, Path], worker: str) -> Path:
-    return Path(spool_dir) / f"{SPOOL_PREFIX}{worker}{SPOOL_SUFFIX}"
+def state_path(spool_dir: Union[str, Path], worker: str) -> Path:
+    """One worker's state file in ``spool_dir``."""
+    return Path(spool_dir) / f"{STATE_PREFIX}{worker}{STATE_SUFFIX}"
 
 
 def rss_bytes() -> int:
@@ -112,155 +111,6 @@ def rss_bytes() -> int:
 
 
 # ----------------------------------------------------------------------
-# Spool writer
-# ----------------------------------------------------------------------
-
-
-class TelemetrySpool:
-    """Crash-safe append-only heartbeat writer for one worker.
-
-    Every record is flushed to the OS immediately; cell-boundary records are
-    additionally fsynced (same durability split as the manifest: boundaries
-    are rare and precious, heartbeats are frequent and replaceable).
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        worker: str,
-        max_bytes: int = DEFAULT_MAX_SPOOL_BYTES,
-    ) -> None:
-        self.path = Path(path)
-        self.worker = worker
-        self.max_bytes = max_bytes
-        self.gen = ""
-        self._seq = 0
-        self._fh: Optional[Any] = None
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._open(fresh=not self.path.exists())
-
-    def _header(self) -> dict:
-        return {
-            "kind": "header",
-            "version": TELEMETRY_VERSION,
-            "worker": self.worker,
-            "pid": os.getpid(),
-            "gen": self.gen,
-        }
-
-    def _open(self, fresh: bool) -> None:
-        """(Re)open the spool and start a new generation.
-
-        A surviving file is appended to — the new header line mid-file tells
-        readers a new writer session began (worker respawn) without
-        discarding records a tailer may not have consumed yet.
-        """
-        self.gen = uuid.uuid4().hex[:12]
-        self._seq = 0
-        mode = "w" if fresh else "a"
-        self._fh = open(self.path, mode)
-        self._fh.write(json.dumps(self._header()) + "\n")
-        self._fh.flush()
-
-    def append(self, record: dict, durable: bool = False) -> None:
-        """Write one heartbeat; rotates first if the spool is over budget."""
-        fh = self._fh
-        if fh is None:
-            return
-        try:
-            if fh.tell() > self.max_bytes:
-                self._rotate()
-                fh = self._fh
-            self._seq += 1
-            fh.write(json.dumps({"seq": self._seq, **record}) + "\n")
-            fh.flush()
-            if durable:
-                os.fsync(fh.fileno())
-        except (OSError, ValueError):  # pragma: no cover - disk trouble
-            pass  # telemetry must never take the campaign down
-
-    def _rotate(self) -> None:
-        """Atomically replace the spool with a fresh single-header file.
-
-        Heartbeat state is cumulative, so dropping history loses nothing a
-        later record will not re-assert; readers notice the inode change and
-        restart from offset zero in the new generation.
-        """
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        self.gen = uuid.uuid4().hex[:12]
-        self._seq = 0
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps(self._header()) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        self._fh = open(self.path, "a")
-
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except (OSError, ValueError):
-                pass
-            self._fh.close()
-            self._fh = None
-
-
-# ----------------------------------------------------------------------
-# Tailing
-# ----------------------------------------------------------------------
-
-
-class SpoolTailer:
-    """A :class:`~repro.campaign.manifest.JsonlTailer` that understands
-    spool generations.
-
-    Header lines switch the current ``(worker, pid, gen)``; data records are
-    de-duplicated by ``(gen, seq)`` — append-only writers emit monotonically
-    increasing ``seq`` per generation, so a re-read from offset zero (after
-    rotation detection) can never double-count a record.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        from repro.campaign.manifest import JsonlTailer
-
-        self._tailer = JsonlTailer(path)
-        self.worker: Optional[str] = None
-        self.pid: Optional[int] = None
-        self.gen: Optional[str] = None
-        self._last_seq: Dict[str, int] = {}
-
-    def poll(self) -> List[dict]:
-        out: List[dict] = []
-        for rec in self._tailer.poll():
-            if rec.get("kind") == "header":
-                if rec.get("version") != TELEMETRY_VERSION:
-                    self.gen = None  # unknown format: ignore its records
-                    continue
-                self.worker = rec.get("worker", self.worker)
-                self.pid = rec.get("pid", self.pid)
-                self.gen = rec.get("gen")
-                continue
-            if self.gen is None:
-                continue  # data before any valid header
-            seq = rec.get("seq")
-            if isinstance(seq, int):
-                if seq <= self._last_seq.get(self.gen, 0):
-                    continue  # already consumed (re-read after rotation)
-                self._last_seq[self.gen] = seq
-            rec = dict(rec)
-            rec["worker"] = self.worker
-            rec["pid"] = self.pid
-            rec["gen"] = self.gen
-            out.append(rec)
-        return out
-
-
-# ----------------------------------------------------------------------
 # Worker-side sampler
 # ----------------------------------------------------------------------
 
@@ -273,29 +123,45 @@ class WorkerTelemetry:
     :func:`publish_system` from inside the cell runner; the sampler only
     *reads* it (``engine.now`` / ``engine._seq`` advance during the run), so
     the simulation never observes the telemetry.
+
+    Every record replaces the worker's state file.  One re-entrant lock
+    serializes the sampler thread, the cell runner and the SIGTERM handler
+    (which may interrupt a write on the same thread); cell-boundary and exit
+    records are also fsynced (boundaries are rare and precious, heartbeats
+    frequent and replaceable).
     """
 
     def __init__(
         self,
-        spool: TelemetrySpool,
+        spool_dir: Union[str, Path],
+        worker: str,
         interval: float = DEFAULT_INTERVAL,
     ) -> None:
-        self.spool = spool
+        self.path = state_path(spool_dir, worker)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        # per-process tmp name: a respawned worker in the same slot never
+        # shares one with a predecessor still finishing a write
+        self._tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+        self.worker = worker
         self.interval = interval
         self.system: Optional[Any] = None  # published by the cell runner
         self.cell: Optional[dict] = None
         self.cells_done = 0
         self.cells_ok = 0
         self.cells_failed = 0
+        self._seq = 0
+        self._frozen = 0  # consecutive running heartbeats at one cycle
+        self._last_beat: Optional[tuple] = None  # (cell id, cycle)
         self._last_events: Optional[int] = None
         self._last_wall = 0.0
+        self._lock = threading.RLock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._exited = False
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "WorkerTelemetry":
-        self.spool.append(self._record("idle"))
+        self._emit("idle")
         self._thread = threading.Thread(
             target=self._loop, name="repro-telemetry", daemon=True
         )
@@ -309,12 +175,11 @@ class WorkerTelemetry:
         shutdown from a termination signal from a worker that simply went
         silent (hung / SIGKILLed: no exit record at all).
         """
-        if self._exited:
-            return
-        self._exited = True
-        rec = self._record("exit")
-        rec["reason"] = reason
-        self.spool.append(rec, durable=True)
+        with self._lock:
+            if self._exited:
+                return
+            self._exited = True
+            self._emit("exit", durable=True, reason=reason)
 
     def stop(self, reason: str = "clean") -> None:
         self._stop.set()
@@ -322,38 +187,59 @@ class WorkerTelemetry:
             self._thread.join(timeout=2.0)
             self._thread = None
         self.write_exit(reason)
-        self.spool.close()
 
     def _loop(self) -> None:
         while not self._stop.wait(self.interval):
             try:
-                self.spool.append(self._record("running" if self.cell else "idle"))
+                with self._lock:
+                    self._emit("running" if self.cell else "idle")
             except Exception:  # pragma: no cover - never kill the worker
                 pass
 
+    def _emit(self, phase: str, durable: bool = False, **extra: Any) -> None:
+        """Replace the state file with this worker's latest record."""
+        with self._lock:
+            self._seq += 1
+            rec = {
+                "version": TELEMETRY_VERSION,
+                "worker": self.worker,
+                "pid": os.getpid(),
+                "seq": self._seq,
+                **self._record(phase),
+                **extra,
+            }
+            try:
+                with open(self._tmp, "w") as fh:
+                    fh.write(json.dumps(rec))
+                    if durable:
+                        fh.flush()
+                        os.fsync(fh.fileno())
+                os.replace(self._tmp, self.path)
+            except OSError:  # pragma: no cover - disk trouble
+                pass  # telemetry must never take the campaign down
+
     # -- cell boundaries ----------------------------------------------
     def cell_start(self, cell: Any, attempt: int) -> None:
-        self.cell = {
-            "id": cell.cell_id,
-            "workload": cell.workload,
-            "scheme": cell.scheme,
-            "attempt": attempt,
-        }
-        self._last_events = None
-        self.spool.append(self._record("start"))
+        with self._lock:
+            self.cell = {
+                "id": cell.cell_id,
+                "workload": cell.workload,
+                "scheme": cell.scheme,
+                "attempt": attempt,
+            }
+            self._last_events = None
+            self._emit("start")
 
     def cell_end(self, status: str, elapsed: float) -> None:
-        self.cells_done += 1
-        if status == "ok":
-            self.cells_ok += 1
-        else:
-            self.cells_failed += 1
-        rec = self._record("end")
-        rec["status"] = status
-        rec["elapsed"] = round(elapsed, 3)
-        self.spool.append(rec, durable=True)
-        self.cell = None
-        self.system = None
+        with self._lock:
+            self.cells_done += 1
+            if status == "ok":
+                self.cells_ok += 1
+            else:
+                self.cells_failed += 1
+            self._emit("end", durable=True, status=status, elapsed=round(elapsed, 3))
+            self.cell = None
+            self.system = None
 
     # -- sampling ------------------------------------------------------
     def _record(self, phase: str) -> dict:
@@ -375,6 +261,14 @@ class WorkerTelemetry:
                 self._sample_system(system, rec)
             except Exception:
                 pass  # a half-built system mid-cell must not kill sampling
+        beat = None
+        if phase == "running" and rec.get("cycle") is not None:
+            beat = (rec.get("cell", {}).get("id"), rec["cycle"])
+            self._frozen = self._frozen + 1 if beat == self._last_beat else 0
+            rec["frozen"] = self._frozen
+        else:
+            self._frozen = 0
+        self._last_beat = beat
         return rec
 
     def _sample_system(self, system: Any, rec: dict) -> None:
@@ -428,7 +322,7 @@ _sigterm_installed = False
 def _sigterm_exit_record(signum: int, frame: Any) -> None:
     """SIGTERM handler: durably record *why* this worker went quiet.
 
-    Without this only a clean interpreter exit writes the terminal spool
+    Without this only a clean interpreter exit writes the terminal exit
     record, so ``--watch`` cannot tell "terminated" from "hung".  The
     record is written here, then the previous disposition is restored and
     the signal re-delivered so termination semantics are unchanged.
@@ -437,7 +331,6 @@ def _sigterm_exit_record(signum: int, frame: Any) -> None:
     if w is not None:
         try:
             w.write_exit("sigterm")
-            w.spool.close()
         except Exception:
             pass
     prev = _prev_sigterm
@@ -495,13 +388,11 @@ def activate_worker(
     spool_dir: Union[str, Path],
     worker: str,
     interval: float = DEFAULT_INTERVAL,
-    max_bytes: int = DEFAULT_MAX_SPOOL_BYTES,
 ) -> WorkerTelemetry:
     """Arm heartbeat telemetry for this process; replaces any prior sampler."""
     global _worker
     deactivate_worker()
-    spool = TelemetrySpool(spool_path(spool_dir, worker), worker, max_bytes)
-    _worker = WorkerTelemetry(spool, interval).start()
+    _worker = WorkerTelemetry(spool_dir, worker, interval).start()
     _install_sigterm_handler()
     return _worker
 
@@ -527,21 +418,9 @@ class WorkerView:
         self.worker = worker
         self.pid: Optional[int] = None
         self.record: dict = {}
-        self.updated: float = 0.0  # local monotonic time of last record
-        self._frozen = 0  # consecutive running samples with a frozen cycle
+        self.updated: float = 0.0  # local monotonic time of last new record
 
     def update(self, rec: dict, now: float) -> None:
-        prev = self.record
-        if (
-            rec.get("phase") == "running"
-            and prev.get("phase") == "running"
-            and rec.get("cell", {}).get("id") == prev.get("cell", {}).get("id")
-            and rec.get("cycle") is not None
-            and rec.get("cycle") == prev.get("cycle")
-        ):
-            self._frozen += 1
-        else:
-            self._frozen = 0
         self.record = rec
         self.pid = rec.get("pid", self.pid)
         self.updated = now
@@ -559,7 +438,7 @@ class WorkerView:
         )
         if stall_polls:
             return f"watchdog: {stall_polls} stalled poll(s)"
-        if phase == "running" and self._frozen >= FROZEN_SAMPLES:
+        if phase == "running" and self.record.get("frozen", 0) >= FROZEN_SAMPLES:
             return f"sim-cycle frozen at {self.record.get('cycle')}"
         if self.age(now) > stale_after:
             return f"no heartbeat for {self.age(now):.0f}s"
@@ -637,8 +516,8 @@ def campaign_status(
 
 
 class CampaignView:
-    """Merged live state of one campaign: workers from the spools, every
-    count from the manifest."""
+    """Merged live state of one campaign: workers from their state files,
+    every count from the manifest."""
 
     def __init__(self, stale_after: float = DEFAULT_STALE_AFTER) -> None:
         self.workers: Dict[str, WorkerView] = {}
@@ -707,8 +586,8 @@ class CampaignView:
 
 
 class TelemetryAggregator:
-    """Tail the spools and the manifest (either optional) into a
-    CampaignView.
+    """Read the worker state files and tail the manifest (either optional)
+    into a CampaignView.
 
     :meth:`refresh` is cheap and incremental — safe to call from a UI loop
     and an HTTP handler concurrently (internally serialized).
@@ -724,7 +603,6 @@ class TelemetryAggregator:
 
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
         self.view = CampaignView(stale_after=stale_after)
-        self._tailers: Dict[str, SpoolTailer] = {}
         self._manifest = (
             ManifestFollower(manifest_path) if manifest_path is not None else None
         )
@@ -732,7 +610,7 @@ class TelemetryAggregator:
 
     def refresh(self) -> CampaignView:
         with self._lock:
-            self._poll_spools()
+            self._poll_workers()
             self._poll_manifest()
             return self.view
 
@@ -742,7 +620,7 @@ class TelemetryAggregator:
         with self._lock:
             return self.refresh().to_snapshot()
 
-    def _poll_spools(self) -> None:
+    def _poll_workers(self) -> None:
         if self.spool_dir is None:
             return
         try:
@@ -751,17 +629,25 @@ class TelemetryAggregator:
             return
         now = time.monotonic()
         for name in names:
-            if not (name.startswith(SPOOL_PREFIX) and name.endswith(SPOOL_SUFFIX)):
+            if not (name.startswith(STATE_PREFIX) and name.endswith(STATE_SUFFIX)):
                 continue
-            tailer = self._tailers.get(name)
-            if tailer is None:
-                tailer = self._tailers[name] = SpoolTailer(self.spool_dir / name)
-            for rec in tailer.poll():
-                worker = rec.get("worker") or name[len(SPOOL_PREFIX) : -len(SPOOL_SUFFIX)]
-                wv = self.view.workers.get(worker)
-                if wv is None:
-                    wv = self.view.workers[worker] = WorkerView(worker)
-                wv.update(rec, now)
+            try:
+                with open(self.spool_dir / name, "rb") as fh:
+                    rec = json.loads(fh.read())
+            except (OSError, ValueError):
+                continue  # replaced or removed between listdir and open
+            if not isinstance(rec, dict) or rec.get("version") != TELEMETRY_VERSION:
+                continue
+            worker = rec.get("worker") or name[len(STATE_PREFIX) : -len(STATE_SUFFIX)]
+            wv = self.view.workers.get(worker)
+            if wv is None:
+                wv = self.view.workers[worker] = WorkerView(worker)
+            elif (rec.get("pid"), rec.get("seq")) == (
+                wv.record.get("pid"),
+                wv.record.get("seq"),
+            ):
+                continue  # no new record: the heartbeat age keeps growing
+            wv.update(rec, now)
 
     def _poll_manifest(self) -> None:
         if self._manifest is None:

@@ -1,9 +1,10 @@
 """The terminal UI over live campaign telemetry.
 
-:func:`run_monitor` is the ``repro monitor`` loop: it tails a campaign's
-spool directory and manifest (:class:`~repro.obs.telemetry.TelemetryAggregator`)
-and repaints a multi-line board - campaign totals and ETA, per-worker rows,
-stall highlighting wired to the watchdog diagnosis - on an ANSI terminal;
+:func:`run_monitor` is the ``repro monitor`` loop: it reads a campaign's
+worker state files and tails its manifest
+(:class:`~repro.obs.telemetry.TelemetryAggregator`) and repaints a
+multi-line board - campaign totals and ETA, per-worker rows, stall
+highlighting wired to the watchdog diagnosis - on an ANSI terminal;
 on a non-TTY stream it degrades to one plain status line per refresh so CI
 logs stay useful.  It runs from a second terminal, from another host over a
 shared filesystem, or inside the campaign process itself as
@@ -183,11 +184,7 @@ def resolve_monitor_paths(target: Union[str, Path]) -> tuple:
         if len(spools) == 1:
             manifest = Path(str(spools[0])[: -len(".telemetry")])
             return spools[0], (manifest if manifest.exists() else None)
-        manifests = sorted(
-            p
-            for p in target.glob("*.jsonl")
-            if not p.name.startswith("telemetry-")
-        )
+        manifests = sorted(target.glob("*.jsonl"))
         if len(manifests) == 1:
             return spool_dir_for(manifests[0]), manifests[0]
         raise FileNotFoundError(
@@ -214,7 +211,7 @@ def run_monitor(
     stale_after: float = DEFAULT_STALE_AFTER,
     max_seconds: Optional[float] = None,
 ) -> dict:
-    """Tail a campaign's spools and manifest from outside its process.
+    """Watch a campaign's state files and manifest from outside its process.
 
     Returns the final snapshot (also printed as JSON with ``as_json``).
     Exits when the manifest reports every cell terminal, after one refresh

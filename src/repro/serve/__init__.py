@@ -3,8 +3,9 @@
 A long-running asyncio job server over the pooled campaign executor:
 admission-controlled bounded queues with priority lanes and 429 load
 shedding, a lease-based work-stealing queue layered onto the campaign
-manifest, graceful SIGTERM drain with queue checkpointing, and the chaos
-harness that proves all of it (:mod:`repro.serve.chaos`).
+manifest, graceful SIGTERM drain that hands unfinished cells back to the
+manifest as expired claims, and the chaos harness that proves all of it
+(:mod:`repro.serve.chaos`).
 
 Quickstart::
 
@@ -45,7 +46,6 @@ __all__, __getattr__ = lazy_exports(
         "WorkQueue": "steal",
         "cell_from_spec": "jobs",
         "cell_to_spec": "jobs",
-        "checkpoint_path": "server",
         "infer_lane": "admission",
         "nearest_rank": "admission",
         "run_serve": "server",

@@ -70,7 +70,7 @@ def kill_random_worker(pids: Sequence[int], rng: random.Random) -> Optional[int]
 
 
 def kill_process(pid: int) -> bool:
-    """SIGKILL a whole scheduler node (no drain, no checkpoint)."""
+    """SIGKILL a whole scheduler node (no drain, nothing released)."""
     return kill_worker(pid)
 
 

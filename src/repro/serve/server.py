@@ -27,10 +27,12 @@ Degradation ladder (documented in docs/API.md):
 2. **saturated** — a lane budget is full: submissions shed with 429 +
    ``retry_after`` while accepted work drains normally.
 3. **draining** — SIGTERM (or ``POST /drain``): `/readyz` flips to 503
-   immediately, submissions get 503, in-flight cells finish, the pending
-   queue is checkpointed to ``<manifest>.checkpoint.jsonl``, then the
-   process exits.  A peer (or a restart with ``resume=True``) picks the
-   checkpoint + manifest up with nothing lost.
+   immediately, submissions get 503, and every queued cell goes back into
+   the manifest as an already-expired claim; in-flight cells finish, any
+   cell still unfinished is released the same way, then the process exits.
+   A peer (or a restart with ``resume=True``) steals the released cells on
+   its first tick with nothing lost; they count in its ``stolen_total``
+   and get a ``steal`` span.
 4. **dead** — no clean exit.  The manifest's claim leases expire under the
    survivors' logical clock and peers steal the orphaned cells.
 """
@@ -44,7 +46,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from collections import deque
 
@@ -56,13 +58,7 @@ from repro.campaign.executor import (
     retry_delay,
     settle,
 )
-from repro.campaign.manifest import (
-    CellRecord,
-    Manifest,
-    ManifestFollower,
-    parse_line,
-    read_lines,
-)
+from repro.campaign.manifest import CellRecord, Manifest, ManifestFollower
 from repro.campaign.pool import STATUS_CRASH, CellPool, CellRunner, PoolResult
 from repro.campaign.spec import Cell
 from repro.experiments.runner import default_cache
@@ -99,12 +95,6 @@ from repro.serve.jobs import (
     cell_from_spec,
 )
 from repro.serve.steal import DEFAULT_LEASE_TICKS, WorkQueue
-
-CHECKPOINT_VERSION = 1
-
-
-def checkpoint_path(manifest_path: Any) -> str:
-    return str(manifest_path) + ".checkpoint.jsonl"
 
 
 class Saturated(Exception):
@@ -214,6 +204,8 @@ class ServeScheduler:
         self.stopped = asyncio.Event()
         self._resume_records: Dict[str, CellRecord] = {}
         self._unrecorded: List[CellRecord] = []
+        #: cells handed back to the manifest by the drain
+        self._released: Set[str] = set()
         self._job_events: Dict[str, asyncio.Event] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._tick_task: Optional[asyncio.Task] = None
@@ -230,7 +222,6 @@ class ServeScheduler:
         else:
             self.manifest.reset(meta={"jobs": self.cfg.jobs, "serve": True})
             self.queue.attach()
-        self._load_checkpoint()
         self.pool.start(self._pool_result_threadsafe)
         self._tick_task = asyncio.create_task(self._run())
 
@@ -243,6 +234,10 @@ class ServeScheduler:
             self._drain_task = self._loop.create_task(self._drain())
 
     async def _drain(self) -> None:
+        # hand the queued cells to peers first: one waiting for every claim
+        # in the manifest to settle must see them before our in-flight
+        # cells land, or it takes the manifest for complete
+        self._release_unfinished(running=False)
         # let in-flight cells finish (their results still flow through the
         # normal path and land in the manifest), then stop the pump
         loop = asyncio.get_running_loop()
@@ -250,13 +245,14 @@ class ServeScheduler:
             None, lambda: self.pool.stop(drain=True, timeout=self.cfg.drain_grace)
         )
         self._flush_unrecorded()
-        self._write_checkpoint()
+        # cells requeued during the drain, or cut off by its grace period
+        self._release_unfinished(running=True)
         if self._tick_task is not None:
             self._tick_task.cancel()
         self.stopped.set()
 
     async def aclose(self) -> None:
-        """Hard stop (tests): no drain, no checkpoint."""
+        """Hard stop (tests): no drain, nothing released."""
         if self._tick_task is not None:
             self._tick_task.cancel()
         if self._drain_task is not None:
@@ -513,7 +509,7 @@ class ServeScheduler:
     def _requeue_later(self, state: CellState, delay: float) -> None:
         state.status = CELL_PENDING
         if self._loop is None or self.draining:
-            return  # draining: stays pending, lands in the checkpoint
+            return  # draining: stays pending, released at the drain's end
 
         def _again() -> None:
             if state.terminal or state.status != CELL_PENDING or self.draining:
@@ -646,6 +642,11 @@ class ServeScheduler:
                         lane=infer_lane(spec),
                         trace_id=trace,
                     )
+                    rec = resolved_record(
+                        cell, self._resume_records, self._cached_records()
+                    )
+                    if self._resolve(state, rec):
+                        continue  # the result log already holds it
                 if state.status != CELL_PENDING or state.terminal:
                     continue
                 if state.trace_id is None:
@@ -699,88 +700,25 @@ class ServeScheduler:
         )
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # Drain hand-off
     # ------------------------------------------------------------------
-    def _write_checkpoint(self) -> None:
-        path = checkpoint_path(self.cfg.manifest)
-        pending = [
-            {"kind": "pending", "cell_id": s.cell_id, "spec": s.spec,
-             "lane": s.lane, "attempts": s.attempts,
-             **({"trace": s.trace_id} if s.trace_id is not None else {})}
+    def _release_unfinished(self, running: bool) -> None:
+        """Write every unfinished cell back into the manifest as an
+        already-expired claim (:meth:`WorkQueue.seed`), so any peer, or this
+        node restarted with ``resume=True``, steals it.  Cells still running
+        here are included only with ``running`` (once the pool has stopped)."""
+        cells = [
+            (s.cell_id, s.spec, s.trace_id)
             for s in self.cells.values()
             if not s.terminal
+            and s.cell_id not in self._released
+            and (running or s.status != CELL_RUNNING)
         ]
-        jobs = [
-            {"kind": "job", "job": j.job_id, "cells": j.cell_ids,
-             "lane": j.lane, "status": j.status}
-            for j in self.registry.jobs.values()
-        ]
-        if not pending and not jobs:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return
-        tmp = path + ".tmp"
         try:
-            with open(tmp, "w") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "kind": "checkpoint",
-                            "version": CHECKPOINT_VERSION,
-                            "worker": self.cfg.name,
-                            "ts": time.time(),
-                        }
-                    )
-                    + "\n"
-                )
-                for row in pending + jobs:
-                    fh.write(json.dumps(row) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except OSError:  # pragma: no cover - checkpoint is best-effort;
-            pass  # the manifest claims still allow stealing
-
-    def _load_checkpoint(self) -> None:
-        path = checkpoint_path(self.cfg.manifest)
-        if not self.cfg.resume or not os.path.exists(path):
-            return
-        cached = self._cached_records()
-        for line in read_lines(path):
-            raw = parse_line(line)
-            if raw is None or raw.get("kind") != "pending":
-                continue
-            spec = raw.get("spec")
-            cid = raw.get("cell_id")
-            if not isinstance(spec, dict) or not isinstance(cid, str):
-                continue
-            if cid in self.queue.done or cid in self.cells:
-                continue
-            try:
-                cell = cell_from_spec(spec)
-            except SpecError:
-                continue
-            if cell.cell_id != cid:
-                continue
-            lane = raw.get("lane") if raw.get("lane") in self.pending else LANE_BULK
-            trace = raw.get("trace")
-            state = self.cells[cid] = CellState(
-                cell=cell,
-                spec=spec,
-                lane=lane,
-                trace_id=trace if isinstance(trace, str) else None,
-            )
-            rec = resolved_record(cell, self._resume_records, cached)
-            if not self._resolve(state, rec):
-                state.enqueued = time.monotonic()
-                self.pending[lane].append(cid)
-                self.admission.queued[lane] += 1
-        try:
-            os.remove(path)
+            self.queue.seed(cells)
         except OSError:
-            pass
+            return  # claimed cells' leases still expire; retried at the end
+        self._released.update(cid for cid, _spec, _trace in cells)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -864,7 +802,7 @@ class ServeScheduler:
         return render_html(reports, title=f"repro serve job {job.job_id}")
 
     def snapshot(self) -> dict:
-        """The campaign view of this node's manifest (and worker spools),
+        """The campaign view of this node's manifest (and worker state files),
         plus the node's own ``serve`` block."""
         snap = self._view.snapshot()
         snap["serve"] = self.serve_stats()

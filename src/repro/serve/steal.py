@@ -160,26 +160,34 @@ class WorkQueue:
 
     # ------------------------------------------------------------------
     def seed(self, cells: List[Tuple]) -> None:
-        """Pre-load the queue with already-expired claims.
+        """Append an already-expired claim for each cell, under this
+        scheduler's generation.
 
-        Used to hand a cell list to a fleet of peer schedulers through the
-        manifest alone: a ``seed`` claim (generation 0, lease already in the
-        past) is immediately stealable by any attached scheduler.  Items are
+        Hands cells to a fleet of peer schedulers through the manifest
+        alone: any attached scheduler but this one steals them at once.
+        The seeder of a fleet run uses it, and so does a draining node,
+        releasing the cells it will not finish.  The claims are stamped one
+        clock past our own, so each outranks any claim we made on the cell
+        earlier (a crash-requeued cell was claimed at launch).  Items are
         ``(cell_id, spec)`` or ``(cell_id, spec, trace)`` tuples.
         """
+        if not cells:
+            return
+        self.clock += 1
         for item in cells:
             cell_id, spec, *rest = item
             self.manifest.append_claim(
                 ClaimRecord(
                     cell_id=cell_id,
-                    worker="seed",
-                    gen=0,
+                    worker=self.worker,
+                    gen=self.gen,
                     clock=self.clock,
                     lease=self.clock - 1,
                     spec=spec,
                     trace=rest[0] if rest else None,
                 )
             )
+            self.mine.discard(cell_id)
 
     def _follow(self) -> None:
         """Fold the lines peers (and we) appended since the last call."""

@@ -1,8 +1,8 @@
 """Shared NumPy state-array layer for the simulation kernel.
 
-Three kinds of consumers need *wide* scans over kernel state - scans whose
-working set is every bank in the device (or every record in a trace), not
-the two or three objects a single request touches:
+Two consumers need *wide* scans over kernel state - scans whose working
+set is every bank in the device (or every record in a trace), not the two
+or three objects a single request touches:
 
 * the trace replay loop retires hundreds of thousands of records whose
   per-record arithmetic (cycle bump, retire count) is a pure function of
@@ -11,21 +11,15 @@ the two or three objects a single request touches:
   ceil-division and two adds per record;
 * the observability tick (``repro.obs.timeseries``) folds every bank's
   row-buffer outcome counters into per-vault conflict rates each epoch -
-  :class:`BankArrays` gathers the 512-bank state in one fused pass and
-  hands the arithmetic to NumPy;
-* campaign- and bench-level analyses (readiness distributions, conflict
-  heat, idle accounting) want the same arrays without re-deriving the
-  gather loop - :meth:`BankArrays.refresh` plus the mask helpers are the
-  single shared implementation.
+  :class:`BankArrays` gathers the 512-bank counters in one fused pass and
+  hands the arithmetic to NumPy.
 
 The per-request hot paths (FR-FCFS pick, bank FSM timing) deliberately do
 **not** route through NumPy: their scan sets are tiny (the banks with
 queued work - typically one to four), and a vectorized op over a 16-wide
 array costs more in NumPy dispatch than the whole scalar scan.  The
-scalar inlined scans in ``repro.vault`` remain the hot-path
-implementation; this module is the wide-scan complement, and
-:meth:`BankArrays.ready_mask` / :meth:`BankArrays.frfcfs_candidates`
-provide the vectorized reference used to cross-check them in tests.
+scalar inlined scans in ``repro.vault`` are the only implementation of
+those.
 
 Everything here is read-only with respect to simulation state: gathers
 copy scalars out of the live objects, so using (or not using) this layer
@@ -34,11 +28,11 @@ can never perturb event order or result digests.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
-__all__ = ["replay_tables", "decode_arrays", "BankArrays"]
+__all__ = ["replay_tables", "BankArrays"]
 
 
 def replay_tables(gaps: Any, issue_width: int) -> Tuple[List[int], List[int]]:
@@ -61,31 +55,12 @@ def replay_tables(gaps: Any, issue_width: int) -> Tuple[List[int], List[int]]:
     return bumps.tolist(), retire.tolist()
 
 
-def decode_arrays(addrs: Any, mapping: Any) -> Dict[str, np.ndarray]:
-    """Vectorized address decode over a whole trace.
-
-    ``mapping`` is an :class:`~repro.hmc.address.AddressMapping` (or any
-    object exposing the same shift/mask attributes).  Returns int64 arrays
-    keyed ``vault`` / ``bank`` / ``row`` / ``column``, bit-identical to
-    per-address :meth:`~repro.hmc.address.AddressMapping.decode` (the
-    randomized equivalence is pinned in tests/test_arrays.py).
-    """
-    a = np.asarray(addrs, dtype=np.int64)
-    return {
-        "vault": (a >> mapping.vault_shift) & mapping.vault_mask,
-        "bank": (a >> mapping.bank_shift) & mapping.bank_mask,
-        "row": a >> mapping.row_shift,
-        "column": (a >> mapping.column_shift) & mapping.column_mask,
-    }
-
-
 class BankArrays:
-    """Fused NumPy snapshot of every bank's FSM and outcome state.
+    """Fused NumPy snapshot of every bank's row-buffer outcome counters.
 
-    One :meth:`refresh` walks all banks exactly once and refills the
-    preallocated arrays in place; all derived views (per-vault outcome
-    sums, readiness masks, conflict deltas) are then vectorized.  The
-    arrays are snapshots - call :meth:`refresh` again after simulation
+    One :meth:`refresh_outcomes` walks all banks exactly once and refills
+    the preallocated arrays in place; :meth:`vault_outcome_sums` is then
+    vectorized.  The arrays are snapshots - refresh again after simulation
     state may have moved.
     """
 
@@ -93,8 +68,6 @@ class BankArrays:
         "banks",
         "nvaults",
         "banks_per_vault",
-        "busy_until",
-        "open_row",
         "hits",
         "empties",
         "conflicts",
@@ -107,77 +80,29 @@ class BankArrays:
         self.banks: List[Any] = [b for vc in vaults for b in vc.banks]
         self.banks_per_vault = len(vaults[0].banks)
         n = len(self.banks)
-        self.busy_until = np.zeros(n, dtype=np.int64)
-        self.open_row = np.full(n, -1, dtype=np.int64)
         self.hits = np.zeros(n, dtype=np.int64)
         self.empties = np.zeros(n, dtype=np.int64)
         self.conflicts = np.zeros(n, dtype=np.int64)
-        self.refresh()
+        self.refresh_outcomes()
 
-    def refresh(self) -> None:
-        """One fused gather pass: refill every array from the live banks."""
+    def refresh_outcomes(self) -> None:
+        """One fused gather pass: refill the outcome counters
+        (hits/empties/conflicts) from the live banks."""
         # A single listcomp per field keeps the Python-level work at one
         # attribute read per bank per field with the loop body in C.
         banks = self.banks
-        self.busy_until[:] = [b.busy_until for b in banks]
-        self.open_row[:] = [
-            -1 if b.open_row is None else b.open_row for b in banks
-        ]
         self.hits[:] = [b.hits for b in banks]
         self.empties[:] = [b.empties for b in banks]
         self.conflicts[:] = [b.conflicts for b in banks]
-
-    def refresh_outcomes(self) -> None:
-        """Refill only the outcome counters (hits/empties/conflicts) - the
-        subset the per-epoch telemetry tick consumes.  Skipping the FSM
-        fields keeps the tick inside its < 3 % overhead budget."""
-        banks = self.banks
-        self.hits[:] = [b.hits for b in banks]
-        self.empties[:] = [b.empties for b in banks]
-        self.conflicts[:] = [b.conflicts for b in banks]
-
-    # ------------------------------------------------------------------
-    # Derived views (vectorized; operate on the last refresh() snapshot)
-    # ------------------------------------------------------------------
-    def per_vault(self, field: np.ndarray) -> np.ndarray:
-        """Reshape a flat per-bank array to ``(nvaults, banks_per_vault)``."""
-        return field.reshape(self.nvaults, self.banks_per_vault)
 
     def vault_outcome_sums(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(conflicts, total_accesses)`` summed per vault - the conflict
-        accounting the timeseries tick and campaign scans consume."""
+        accounting the timeseries tick consumes."""
         shape = (self.nvaults, self.banks_per_vault)
         conf = self.conflicts.reshape(shape).sum(axis=1)
         acc = conf + self.hits.reshape(shape).sum(axis=1)
         acc = acc + self.empties.reshape(shape).sum(axis=1)
         return conf, acc
-
-    def ready_mask(self, now: int) -> np.ndarray:
-        """Bank FSM timing check, vectorized: True where the bank can accept
-        a command at ``now`` (``busy_until <= now``)."""
-        return self.busy_until <= now
-
-    def row_hit_mask(self, rows: Any) -> np.ndarray:
-        """True where ``rows[i]`` is already open in bank ``i`` (vectorized
-        row-buffer classification; -1 never matches)."""
-        r = np.asarray(rows, dtype=np.int64)
-        return (self.open_row == r) & (r >= 0)
-
-    def frfcfs_candidates(self, now: int, rows: Any) -> np.ndarray:
-        """FR-FCFS candidate filter: banks ready at ``now`` whose open row
-        matches the requested ``rows[i]``.  The vectorized reference for
-        the scheduler's scalar first-ready scan."""
-        return self.ready_mask(now) & self.row_hit_mask(rows)
-
-    def min_busy_until(self, bank_ids: Optional[Any] = None) -> int:
-        """Earliest ``busy_until`` over ``bank_ids`` (all banks when None) -
-        the wake-timer input, vectorized."""
-        if bank_ids is None:
-            return int(self.busy_until.min())
-        idx = np.asarray(bank_ids, dtype=np.int64)
-        if idx.size == 0:
-            raise ValueError("bank_ids must be non-empty")
-        return int(self.busy_until[idx].min())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

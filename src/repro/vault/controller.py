@@ -606,13 +606,6 @@ class VaultController:
             self.buffer.finalize()
 
     @property
-    def queue_occupancy(self) -> float:
-        """Fraction of the combined read+write queue capacity in use (a
-        telemetry gauge; polled, never maintained on the hot path)."""
-        depth = self.queues.read_depth + self.queues.write_depth
-        return len(self.queues) / depth if depth else 0.0
-
-    @property
     def demand_accesses(self) -> int:
         """Bank-level demand accesses (buffer hits excluded)."""
         return sum(b.demand_accesses for b in self.banks)

@@ -17,7 +17,7 @@ without consulting the FIFO.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.request import MemoryRequest
 
@@ -162,12 +162,6 @@ class VaultQueues:
     @property
     def total_pending(self) -> int:
         return len(self)
-
-    def iter_reads(self) -> Iterator[MemoryRequest]:
-        return iter(self.reads)
-
-    def iter_writes(self) -> Iterator[MemoryRequest]:
-        return iter(self.writes)
 
     def count_row_reads(self, bank: int, row: int) -> int:
         """Read-queue requests targeting (bank, row) - BASE-HIT's signal."""

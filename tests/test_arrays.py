@@ -1,9 +1,8 @@
 """Tests for the shared NumPy state-array layer (repro.sim.arrays).
 
-Every helper here is a vectorized *mirror* of a scalar implementation that
-stays authoritative (core replay arithmetic, AddressMapping.decode, the
-scheduler's first-ready scan) - so each test pins randomized equivalence
-between the two, not just fixed examples.
+Each helper is a vectorized *mirror* of scalar arithmetic (core replay
+bumps and retire counts, per-vault sums of bank outcome counters), so each
+test pins randomized equivalence between the two, not just fixed examples.
 """
 
 from __future__ import annotations
@@ -11,15 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hmc.address import AddressMapping
-from repro.hmc.config import HMCConfig
-from repro.sim.arrays import BankArrays, decode_arrays, replay_tables
+from repro.sim.arrays import BankArrays, replay_tables
 
 
 class _FakeBank:
-    def __init__(self, busy_until=0, open_row=None, hits=0, empties=0, conflicts=0):
-        self.busy_until = busy_until
-        self.open_row = open_row
+    def __init__(self, hits=0, empties=0, conflicts=0):
         self.hits = hits
         self.empties = empties
         self.conflicts = conflicts
@@ -35,8 +30,6 @@ def _random_vaults(rng, nvaults=4, banks_per_vault=8):
     for _ in range(nvaults):
         banks = [
             _FakeBank(
-                busy_until=int(rng.integers(0, 500)),
-                open_row=None if rng.random() < 0.3 else int(rng.integers(0, 64)),
                 hits=int(rng.integers(0, 1000)),
                 empties=int(rng.integers(0, 1000)),
                 conflicts=int(rng.integers(0, 1000)),
@@ -74,22 +67,6 @@ def test_replay_tables_empty_trace():
 
 
 # ----------------------------------------------------------------------
-# decode_arrays
-# ----------------------------------------------------------------------
-def test_decode_arrays_matches_scalar_decode():
-    mapping = AddressMapping(HMCConfig())
-    rng = np.random.default_rng(11)
-    addrs = rng.integers(0, 1 << 32, size=500)
-    decoded = decode_arrays(addrs, mapping)
-    for addr, i in zip(addrs.tolist(), range(len(addrs))):
-        d = mapping.decode(addr)
-        assert decoded["vault"][i] == d.vault
-        assert decoded["bank"][i] == d.bank
-        assert decoded["row"][i] == d.row
-        assert decoded["column"][i] == d.column
-
-
-# ----------------------------------------------------------------------
 # BankArrays
 # ----------------------------------------------------------------------
 def test_bank_arrays_requires_vaults():
@@ -118,57 +95,8 @@ def test_bank_arrays_refresh_tracks_mutation():
     # snapshots are stale until refreshed
     conf, acc = arrays.vault_outcome_sums()
     assert conf[0] == stale_conf[0] and acc[1] == stale_acc[1]
-    arrays.refresh()
+    arrays.refresh_outcomes()
     conf, acc = arrays.vault_outcome_sums()
     assert conf[0] == stale_conf[0] + 17
     assert acc[0] == stale_acc[0] + 17
     assert acc[1] == stale_acc[1] + 5
-
-
-def test_refresh_outcomes_skips_fsm_fields():
-    vaults = _random_vaults(np.random.default_rng(9))
-    arrays = BankArrays(vaults)
-    vaults[0].banks[0].busy_until += 1000
-    vaults[0].banks[0].conflicts += 3
-    arrays.refresh_outcomes()
-    # outcome counters move, FSM snapshot does not
-    assert arrays.conflicts[0] == vaults[0].banks[0].conflicts
-    assert arrays.busy_until[0] == vaults[0].banks[0].busy_until - 1000
-
-
-def test_ready_and_row_hit_masks_match_scalar_scan():
-    rng = np.random.default_rng(13)
-    vaults = _random_vaults(rng)
-    arrays = BankArrays(vaults)
-    banks = [b for vc in vaults for b in vc.banks]
-    now = 250
-    rows = rng.integers(-1, 64, size=len(banks))
-    ready = arrays.ready_mask(now)
-    hit = arrays.row_hit_mask(rows)
-    cand = arrays.frfcfs_candidates(now, rows)
-    for i, b in enumerate(banks):
-        assert ready[i] == (b.busy_until <= now)
-        expect_hit = (
-            rows[i] >= 0 and b.open_row is not None and b.open_row == rows[i]
-        )
-        assert hit[i] == expect_hit
-        assert cand[i] == (ready[i] and expect_hit)
-
-
-def test_min_busy_until():
-    vaults = _random_vaults(np.random.default_rng(17))
-    arrays = BankArrays(vaults)
-    banks = [b for vc in vaults for b in vc.banks]
-    assert arrays.min_busy_until() == min(b.busy_until for b in banks)
-    subset = [3, 7, 11]
-    assert arrays.min_busy_until(subset) == min(banks[i].busy_until for i in subset)
-    with pytest.raises(ValueError):
-        arrays.min_busy_until([])
-
-
-def test_per_vault_reshape():
-    vaults = _random_vaults(np.random.default_rng(19), nvaults=2, banks_per_vault=4)
-    arrays = BankArrays(vaults)
-    shaped = arrays.per_vault(arrays.hits)
-    assert shaped.shape == (2, 4)
-    assert shaped[1][2] == vaults[1].banks[2].hits

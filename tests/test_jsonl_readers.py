@@ -1,6 +1,6 @@
 """Every JSONL file reader skips the same damaged lines.
 
-Manifests, span logs and serve checkpoints are all read
+Manifests (their records, claims and span lines) are all read
 through one line source and one line parser
 (:func:`repro.campaign.manifest.read_lines` / ``parse_line``).  These tests
 feed each reader the lines a crashed or garbling writer leaves behind (a
@@ -19,8 +19,6 @@ import pytest
 from repro.campaign.manifest import Manifest, ManifestFollower
 from repro.cli import main
 from repro.obs.spans import STAGE_MERGE, STAGE_QUEUE, Span, read_spans
-from repro.serve import LANE_BULK, ServeConfig, ServeScheduler, cell_from_spec
-from repro.serve.server import CHECKPOINT_VERSION, checkpoint_path
 
 HEADER = {"kind": "header", "version": 1}
 TRACE = "4bf92f3577b34da6a3ce929d0e0e4736"
@@ -29,7 +27,7 @@ TRACE = "4bf92f3577b34da6a3ce929d0e0e4736"
 BLANK = b"\n"
 TORN = b'{"kind": "span", "cell_id": "cX", "workload": "WX", "bench": "b\n'
 GARBLED = b'{"kind": "span", "cell_id": "\xff\xfe", \x80 "bench": "bX"}\n'
-TAIL = b'{"kind": "pending", "cell_id": "cY", "workload": "WY", "v": 1, "be'
+TAIL = b'{"kind": "span", "cell_id": "cY", "workload": "WY", "v": 1, "be'
 
 
 def _record(i):
@@ -42,15 +40,6 @@ def _record(i):
 
 def _span(i, name=STAGE_QUEUE):
     return Span(TRACE, name, float(i), 0.5, worker="n0", cell_id=f"c{i}").to_payload()
-
-
-def _spec(i):
-    return {"workload": "HM1", "scheme": "base", "refs": 100, "seed": i + 1}
-
-
-def _pending(i):
-    cid = cell_from_spec(_spec(i)).cell_id
-    return {"kind": "pending", "cell_id": cid, "spec": _spec(i), "lane": LANE_BULK}
 
 
 # ----------------------------------------------------------------------
@@ -72,20 +61,6 @@ def _spans(path):
     return [s.cell_id for s in read_spans(path)]
 
 
-def _checkpoint(path):
-    manifest = path.with_name("serve.jsonl")
-    path.rename(checkpoint_path(manifest))
-    node = ServeScheduler(
-        ServeConfig(manifest=str(manifest), resume=True, use_cache=False,
-                    telemetry=False)
-    )
-    try:
-        node._load_checkpoint()
-    finally:
-        node.pool.stop(drain=False)  # never started: closes its wake sockets
-    return list(node.pending[LANE_BULK])
-
-
 def _report_rows(path):
     out = path.with_name("dash.html")
     assert main(["report", "--manifest", str(path), "--out", str(out),
@@ -101,12 +76,6 @@ READERS = {
     "Manifest.records": (_records, HEADER, _record, "cell_id"),
     "ManifestFollower": (_follow, HEADER, _record, "cell_id"),
     "read_spans": (_spans, HEADER, _span, "cell_id"),
-    "checkpoint": (
-        _checkpoint,
-        {"kind": "checkpoint", "version": CHECKPOINT_VERSION, "worker": "n0", "ts": 0},
-        _pending,
-        "cell_id",
-    ),
     "report_rows": (_report_rows, HEADER, _record, "workload"),
 }
 

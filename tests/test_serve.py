@@ -3,7 +3,8 @@
 Fast fake runners stand in for the simulator (the digest-parity contract
 against real simulations lives in tests/test_serve_chaos.py); these tests
 pin the service semantics: 429 + retry_after under saturation, quick-lane
-priority, dedupe across jobs, drain -> checkpoint -> resume, quarantine of
+priority, dedupe across jobs, drain -> released claims -> resume (and the
+hand-off of a draining node's queue to a live peer), quarantine of
 diagnosed failures, crash/flake requeue, ENOSPC retry of terminal records,
 both wire protocols, and the degradation of health endpoints.
 """
@@ -34,7 +35,6 @@ from repro.serve import (
     SpecError,
     cell_from_spec,
     cell_to_spec,
-    checkpoint_path,
     infer_lane,
 )
 from repro.serve.chaos import drop_connection, enospc_manifest
@@ -637,8 +637,21 @@ class TestFailureHandling:
 
 
 # ----------------------------------------------------------------------
-# Drain -> checkpoint -> resume
+# Drain -> released claims -> resume
 # ----------------------------------------------------------------------
+
+
+def _released_claims(manifest_path):
+    """The manifest's winning claims on cells it holds no record for, each
+    already expired: what a drain hands back."""
+    from repro.campaign.manifest import Manifest
+
+    scan = Manifest(manifest_path).scan()
+    open_claims = {
+        cid: c for cid, c in scan.claims.items() if cid not in scan.records
+    }
+    assert all(c.lease < scan.clock for c in open_claims.values())
+    return open_claims
 
 
 class TestCheckpointResume:
@@ -653,29 +666,98 @@ class TestCheckpointResume:
             await asyncio.wait_for(node.stopped.wait(), 30.0)
 
         _with_node(cfg, slow_runner, first)
-        ckpt = checkpoint_path(cfg.manifest)
-        assert os.path.exists(ckpt)
-        rows = [json.loads(ln) for ln in Path(ckpt).read_text().splitlines()]
-        assert rows[0]["kind"] == "checkpoint"
-        pending = [r for r in rows if r["kind"] == "pending"]
         from repro.campaign.manifest import Manifest
 
+        assert not list(tmp_path.glob("*.checkpoint.jsonl"))
         done_before = set(Manifest(cfg.manifest).records())
-        assert {r["cell_id"] for r in pending} == {
+        released = _released_claims(cfg.manifest)
+        assert set(released) == {
             cell_from_spec(s).cell_id for s in specs
         } - done_before
-        assert pending  # the drain really did leave work behind
+        assert released  # the drain really did leave work behind
+        assert all(c.spec is not None for c in released.values())
 
         cfg2 = _cfg(tmp_path, resume=True, exit_when_complete=True)
 
         async def second(node):
             await asyncio.wait_for(node.stopped.wait(), 60.0)
+            # resumed cells arrive through the steal path
+            assert node.queue.stolen_total == len(released)
 
         _with_node(cfg2, ok_runner, second)
-        assert not os.path.exists(ckpt)  # consumed
+        assert _released_claims(cfg.manifest) == {}  # all settled
         records = Manifest(cfg.manifest).records()
         assert set(records) == {cell_from_spec(s).cell_id for s in specs}
         assert all(r.ok for r in records.values())
+
+    def test_drain_hands_queued_cells_to_a_live_peer(self, tmp_path):
+        """A peer already running on the shared manifest finishes what a
+        draining node leaves queued, instead of taking the manifest for
+        complete once the draining node's in-flight cell lands."""
+        cfg_a = _cfg(tmp_path, worker_name="a")
+        cfg_b = _cfg(tmp_path, worker_name="b", resume=True,
+                     exit_when_complete=True)
+        specs = [_spec(seed=s) for s in (1, 2, 3)]
+
+        async def main():
+            a = ServeScheduler(cfg_a, runner=slow_runner)
+            b = ServeScheduler(cfg_b, runner=ok_runner)
+            await a.start()
+            try:
+                a.submit(specs)
+                await asyncio.sleep(0.2)  # one cell in flight, two queued
+                await b.start()
+                await asyncio.sleep(0.3)  # b is ticking on the manifest
+                a.begin_drain()
+                await asyncio.wait_for(a.stopped.wait(), 30.0)
+                await asyncio.wait_for(b.stopped.wait(), 60.0)
+                assert b.queue.stolen_total == 2
+            finally:
+                await a.aclose()
+                await b.aclose()
+
+        asyncio.run(main())
+        from repro.campaign.manifest import Manifest
+
+        records = Manifest(cfg_a.manifest).records()
+        assert set(records) == {cell_from_spec(s).cell_id for s in specs}
+        assert all(r.ok for r in records.values())
+        assert _released_claims(cfg_a.manifest) == {}
+
+    def test_resumed_cell_in_the_result_log_is_not_rerun(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.campaign.manifest import Manifest
+
+        log = tmp_path / "results.jsonl"
+        monkeypatch.setenv("REPRO_CACHE", str(log))
+        spec = _spec(seed=1)
+        cid = cell_from_spec(spec).cell_id
+
+        async def warm(node):
+            out = node.submit([spec])
+            await _wait_job(node, out["job"])
+
+        # the result log learns the cell from another manifest
+        _with_node(ServeConfig(manifest=str(tmp_path / "other.jsonl"), jobs=1,
+                               telemetry=False, tick_interval=0.1),
+                   full_runner, warm)
+        cfg = _cfg(tmp_path)
+
+        async def first(node):
+            node.queue.seed([(cid, spec)])  # as a drain leaves it
+
+        _with_node(cfg, full_runner, first)
+        cfg2 = _cfg(tmp_path, use_cache=True, resume=True,
+                    exit_when_complete=True)
+
+        async def second(node):
+            await asyncio.wait_for(node.stopped.wait(), 30.0)
+            assert node.completed_cells == 0
+
+        _with_node(cfg2, full_runner, second)
+        (rec,) = Manifest(cfg.manifest).records().values()
+        assert rec.cell_id == cid and rec.cached
 
     def test_resume_skips_already_terminal_cells(self, tmp_path):
         cfg = _cfg(tmp_path)
@@ -861,10 +943,8 @@ class TestTracing:
             await asyncio.wait_for(node.stopped.wait(), 30.0)
 
         _with_node(cfg, slow_runner, first)
-        ckpt = checkpoint_path(cfg.manifest)
-        rows = [json.loads(ln) for ln in Path(ckpt).read_text().splitlines()]
-        pending = [r for r in rows if r["kind"] == "pending"]
-        assert pending and all(r.get("trace") == trace for r in pending)
+        released = _released_claims(cfg.manifest)
+        assert released and all(c.trace == trace for c in released.values())
 
         cfg2 = _cfg(tmp_path, resume=True, exit_when_complete=True)
 
@@ -872,12 +952,17 @@ class TestTracing:
             await asyncio.wait_for(node.stopped.wait(), 60.0)
 
         _with_node(cfg2, ok_runner, second)
-        # the resumed node's execute/merge spans carry the original trace
+        # the resumed node's steal/execute/merge spans carry the original trace
         resumed = [
             s for s in read_spans(cfg.manifest, trace_id=trace)
             if s.name in ("execute", "merge")
         ]
         assert len(resumed) >= 2
+        steals = [
+            s for s in read_spans(cfg.manifest, trace_id=trace)
+            if s.name == "steal"
+        ]
+        assert {s.cell_id for s in steals} == set(released)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Tests for live campaign telemetry (repro.obs.telemetry and friends).
 
-Covers the spool writer (headers, rotation, generations), the tail-following
-reader (torn trailing lines, mid-read appends, rotation — no duplicated or
-lost records), the aggregator that merges worker spools plus the manifest
+Covers the per-worker state-file writer (latest record only, atomic
+replace, worker-side frozen-cycle counting), the manifest tail-follower
+(torn trailing lines, mid-read appends, rotation — no duplicated or lost
+lines), the aggregator that merges worker state files plus the manifest
 into a CampaignView, the Prometheus text exposition, the /snapshot + /metrics
 HTTP endpoint, the terminal board renderers, and an end-to-end run_campaign
 with telemetry armed (exactly-once cell accounting, out-of-process monitor
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignOptions, Manifest, grid_cells, run_campaign
-from repro.campaign.manifest import MANIFEST_VERSION, JsonlTailer
+from repro.campaign.manifest import MANIFEST_VERSION, JsonlTailer, parse_line
 from repro.experiments.runner import ExperimentConfig
 from repro.obs import telemetry
 from repro.obs.promtext import parse_exposition, render_metrics
@@ -28,14 +29,12 @@ from repro.obs.telemetry import (
     FROZEN_SAMPLES,
     TELEMETRY_VERSION,
     CampaignView,
-    SpoolTailer,
     TelemetryAggregator,
-    TelemetrySpool,
     WorkerTelemetry,
     WorkerView,
     publish_system,
     spool_dir_for,
-    spool_path,
+    state_path,
 )
 from repro.obs.watch import (
     monitor_done,
@@ -75,64 +74,26 @@ class _FakeCell:
     scheme = "base"
 
 
-def _lines(path):
-    return [json.loads(ln) for ln in path.read_text().splitlines() if ln.strip()]
+def _state(path):
+    return json.loads(path.read_text())
 
 
-# ----------------------------------------------------------------------
-# Spool writer
-# ----------------------------------------------------------------------
+class _FakeEngine:
+    def __init__(self, now=100):
+        self.now = now  # a frozen sim-clock unless a test moves it
+        self._seq = 0
 
 
-class TestTelemetrySpool:
-    def test_header_written_first(self, tmp_path):
-        spool = TelemetrySpool(tmp_path / "telemetry-w0.jsonl", "w0")
-        spool.append({"phase": "idle"})
-        spool.close()
-        lines = _lines(tmp_path / "telemetry-w0.jsonl")
-        assert lines[0]["kind"] == "header"
-        assert lines[0]["version"] == TELEMETRY_VERSION
-        assert lines[0]["worker"] == "w0"
-        assert lines[0]["pid"] == os.getpid()
-        assert lines[0]["gen"]
+class _FakeSystem:
+    def __init__(self):
+        self.engine = _FakeEngine()
 
-    def test_seq_monotonic_per_generation(self, tmp_path):
-        spool = TelemetrySpool(tmp_path / "telemetry-w0.jsonl", "w0")
-        for _ in range(5):
-            spool.append({"phase": "idle"})
-        spool.close()
-        seqs = [ln["seq"] for ln in _lines(spool.path) if "seq" in ln]
-        assert seqs == [1, 2, 3, 4, 5]
 
-    def test_rotation_bounds_file_and_bumps_generation(self, tmp_path):
-        path = tmp_path / "telemetry-w0.jsonl"
-        spool = TelemetrySpool(path, "w0", max_bytes=512)
-        gen0 = spool.gen
-        payload = {"phase": "running", "pad": "x" * 128}
-        for _ in range(50):
-            spool.append(payload)
-        spool.close()
-        assert path.stat().st_size < 2048  # bounded, not 50 * 140 bytes
-        lines = _lines(path)
-        assert lines[0]["kind"] == "header"
-        assert lines[0]["gen"] != gen0
-        # seq restarted with the new generation
-        assert lines[1]["seq"] == 1
-
-    def test_respawn_appends_header_midfile(self, tmp_path):
-        path = tmp_path / "telemetry-w0.jsonl"
-        first = TelemetrySpool(path, "w0")
-        first.append({"phase": "idle"})
-        first.close()
-        second = TelemetrySpool(path, "w0")  # same slot, new writer session
-        second.append({"phase": "idle"})
-        second.close()
-        headers = [ln for ln in _lines(path) if ln.get("kind") == "header"]
-        assert len(headers) == 2
-        assert headers[0]["gen"] != headers[1]["gen"]
-        # readers see both sessions' records exactly once
-        records = SpoolTailer(path).poll()
-        assert [r["phase"] for r in records] == ["idle", "idle"]
+def _write_state(spool_dir, worker, **rec):
+    """A worker state file as WorkerTelemetry writes it."""
+    rec = {"version": TELEMETRY_VERSION, "worker": worker, "pid": 1,
+           "seq": 1, **rec}
+    state_path(spool_dir, worker).write_text(json.dumps(rec))
 
 
 # ----------------------------------------------------------------------
@@ -140,46 +101,52 @@ class TestTelemetrySpool:
 # ----------------------------------------------------------------------
 
 
+def _poll(tailer):
+    """The JSON objects of the lines a tailer poll yields, parsed the way
+    every JSONL reader parses them."""
+    return [r for r in map(parse_line, tailer.poll_lines()) if r is not None]
+
+
 class TestJsonlTailer:
     def test_torn_trailing_line_buffered_until_complete(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"a": 1}\n{"b":')  # second record torn mid-write
         tailer = JsonlTailer(path)
-        assert tailer.poll() == [{"a": 1}]
-        assert tailer.poll() == []  # torn tail stays buffered, not parsed
+        assert _poll(tailer) == [{"a": 1}]
+        assert _poll(tailer) == []  # torn tail stays buffered, not parsed
         with open(path, "a") as fh:
             fh.write(' 2}\n')  # writer completes the line
-        assert tailer.poll() == [{"b": 2}]
-        assert tailer.poll() == []  # and it is emitted exactly once
+        assert _poll(tailer) == [{"b": 2}]
+        assert _poll(tailer) == []  # and it is emitted exactly once
 
     def test_record_appended_mid_read(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"a": 1}\n')
         tailer = JsonlTailer(path)
-        assert tailer.poll() == [{"a": 1}]
+        assert _poll(tailer) == [{"a": 1}]
         with open(path, "a") as fh:
             fh.write('{"b": 2}\n{"c": 3}\n')
-        assert tailer.poll() == [{"b": 2}, {"c": 3}]
-        assert tailer.poll() == []
+        assert _poll(tailer) == [{"b": 2}, {"c": 3}]
+        assert _poll(tailer) == []
 
     def test_rotation_resets_to_new_file(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"a": 1}\n{"a": 2}\n')
         tailer = JsonlTailer(path)
-        assert len(tailer.poll()) == 2
+        assert len(_poll(tailer)) == 2
         # atomic rotation: new inode replaces the old file
         tmp = tmp_path / "t.jsonl.tmp"
         tmp.write_text('{"b": 1}\n')
         os.replace(tmp, path)
-        assert tailer.poll() == [{"b": 1}]  # reader restarted at offset 0
+        assert _poll(tailer) == [{"b": 1}]  # reader restarted at offset 0
 
     def test_truncation_detected_as_reset(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"a": 1}\n{"a": 2}\n{"a": 3}\n')
         tailer = JsonlTailer(path)
-        assert len(tailer.poll()) == 3
+        assert len(_poll(tailer)) == 3
         path.write_text('{"b": 1}\n')  # same inode, shrunk below offset
-        assert tailer.poll() == [{"b": 1}]
+        assert _poll(tailer) == [{"b": 1}]
 
     def test_truncate_then_regrow_past_offset_resets(self, tmp_path):
         """Regression: truncation masked by regrowth (satellite fix).
@@ -193,33 +160,33 @@ class TestJsonlTailer:
         path = tmp_path / "t.jsonl"
         path.write_text('{"old": 1}\n{"old": 2}\n')
         tailer = JsonlTailer(path)
-        assert len(tailer.poll()) == 2
+        assert len(_poll(tailer)) == 2
         # same inode: truncate + rewrite, ending *larger* than the old offset
         new = "".join(f'{{"new": {i}}}\n' for i in range(10))
         assert len(new) > path.stat().st_size
         path.write_text(new)
-        assert tailer.poll() == [{"new": i} for i in range(10)]
-        assert tailer.poll() == []  # exactly once
+        assert _poll(tailer) == [{"new": i} for i in range(10)]
+        assert _poll(tailer) == []  # exactly once
 
     def test_regrow_same_prefix_not_misreset(self, tmp_path):
         """An append-only writer never trips the anchor check."""
         path = tmp_path / "t.jsonl"
         path.write_text('{"a": 1}\n')
         tailer = JsonlTailer(path)
-        assert tailer.poll() == [{"a": 1}]
+        assert _poll(tailer) == [{"a": 1}]
         with open(path, "a") as fh:
             for i in range(5):
                 fh.write(f'{{"b": {i}}}\n')
-        assert tailer.poll() == [{"b": i} for i in range(5)]
+        assert _poll(tailer) == [{"b": i} for i in range(5)]
 
     def test_garbage_complete_line_skipped(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"a": 1}\nnot json at all\n{"b": 2}\n[1, 2]\n')
-        assert JsonlTailer(path).poll() == [{"a": 1}, {"b": 2}]
+        assert _poll(JsonlTailer(path)) == [{"a": 1}, {"b": 2}]
 
     def test_missing_file_polls_empty(self, tmp_path):
         tailer = JsonlTailer(tmp_path / "absent.jsonl")
-        assert tailer.poll() == []
+        assert _poll(tailer) == []
 
     @pytest.mark.parametrize("chunk", [1, 5, 7, 64])
     def test_lines_spanning_chunk_boundaries_come_back_whole(
@@ -231,60 +198,18 @@ class TestJsonlTailer:
         body = "".join(json.dumps(r) + "\n" for r in recs)
         path.write_text(body + '{"torn":')
         tailer = JsonlTailer(path)
-        assert tailer.poll() == recs
+        assert _poll(tailer) == recs
         with open(path, "a") as fh:
             fh.write(' 1}\n')
-        assert tailer.poll() == [{"torn": 1}]
-        assert tailer.poll() == []
+        assert _poll(tailer) == [{"torn": 1}]
+        assert _poll(tailer) == []
         resets = tailer.resets
         # the head anchor spans chunks too: a same-size rewrite resets
         path.write_text(body.replace('"i"', '"j"') + '{"torn": 1}\n')
-        assert tailer.poll() == [
+        assert _poll(tailer) == [
             {"j": r["i"], "pad": r["pad"]} for r in recs
         ] + [{"torn": 1}]
         assert tailer.resets == resets + 1
-
-
-class TestSpoolTailer:
-    def test_rotation_no_duplicate_no_lost_records(self, tmp_path):
-        """Exactly-once consumption across writer rotations.
-
-        The writer rotates every ~512 bytes while a tailer polls after each
-        append; every record's unique id must be seen exactly once.
-        """
-        path = tmp_path / "telemetry-w0.jsonl"
-        spool = TelemetrySpool(path, "w0", max_bytes=512)
-        tailer = SpoolTailer(path)
-        seen = []
-        for i in range(60):
-            spool.append({"phase": "running", "i": i, "pad": "x" * 64})
-            seen.extend(r["i"] for r in tailer.poll())
-        spool.close()
-        seen.extend(r["i"] for r in tailer.poll() if "i" in r)
-        assert seen == list(range(60))
-
-    def test_records_before_header_ignored(self, tmp_path):
-        path = tmp_path / "telemetry-w0.jsonl"
-        path.write_text('{"seq": 1, "phase": "running"}\n')
-        assert SpoolTailer(path).poll() == []
-
-    def test_unknown_version_generation_ignored(self, tmp_path):
-        path = tmp_path / "telemetry-w0.jsonl"
-        header = {"kind": "header", "version": TELEMETRY_VERSION + 1,
-                  "worker": "w0", "pid": 1, "gen": "aaa"}
-        path.write_text(json.dumps(header) + "\n" +
-                        '{"seq": 1, "phase": "running"}\n')
-        assert SpoolTailer(path).poll() == []
-
-    def test_attaches_worker_identity(self, tmp_path):
-        path = tmp_path / "telemetry-w3.jsonl"
-        spool = TelemetrySpool(path, "w3")
-        spool.append({"phase": "idle"})
-        spool.close()
-        (rec,) = [r for r in SpoolTailer(path).poll() if r["phase"] == "idle"]
-        assert rec["worker"] == "w3"
-        assert rec["pid"] == os.getpid()
-        assert rec["gen"]
 
 
 # ----------------------------------------------------------------------
@@ -294,25 +219,68 @@ class TestSpoolTailer:
 
 class TestWorkerTelemetry:
     def test_cell_lifecycle_records(self, tmp_path):
-        spool = TelemetrySpool(spool_path(tmp_path, "w0"), "w0")
-        wt = WorkerTelemetry(spool, interval=60.0)  # no timer heartbeats
-        wt.start()
-        wt.cell_start(_FakeCell(), 1)
-        wt.cell_end("ok", 1.25)
-        wt.cell_start(_FakeCell(), 2)
-        wt.cell_end("error", 0.5)
-        wt.stop()
-        records = SpoolTailer(spool.path).poll()
+        wt = WorkerTelemetry(tmp_path, "w0", interval=60.0)  # no timer beats
+        records = []
+
+        def step(fn, *args):
+            fn(*args)
+            records.append(_state(wt.path))  # the file holds the latest only
+
+        step(wt.start)
+        step(wt.cell_start, _FakeCell(), 1)
+        step(wt.cell_end, "ok", 1.25)
+        step(wt.cell_start, _FakeCell(), 2)
+        step(wt.cell_end, "error", 0.5)
+        step(wt.stop)
         phases = [r["phase"] for r in records]
         assert phases == ["idle", "start", "end", "start", "end", "exit"]
+        assert [r["seq"] for r in records] == [1, 2, 3, 4, 5, 6]
+        assert {(r["worker"], r["pid"], r["version"]) for r in records} == {
+            ("w0", os.getpid(), TELEMETRY_VERSION)}
         ends = [r for r in records if r["phase"] == "end"]
         assert ends[0]["status"] == "ok" and ends[0]["elapsed"] == 1.25
         assert ends[1]["status"] == "error"
         # cumulative, not delta: the last record carries full totals
-        assert ends[-1]["cells"] == {"done": 2, "ok": 1, "failed": 1}
+        assert records[-1]["cells"] == {"done": 2, "ok": 1, "failed": 1}
         starts = [r for r in records if r["phase"] == "start"]
         assert starts[1]["cell"]["attempt"] == 2
         assert all("rss" in r for r in records)
+        # every write replaced the file: no tmp file is left beside it
+        assert [p.name for p in tmp_path.iterdir()] == ["telemetry-w0.json"]
+
+    def test_concurrent_writers_never_tear_the_state_file(self, tmp_path):
+        """The sampler thread and cell-boundary writers share one lock:
+        every read parses, ``seq`` never goes back, and no write is lost."""
+        import threading
+
+        wt = WorkerTelemetry(tmp_path, "w0", interval=0.001).start()
+        beats_per_thread, threads = 150, 4
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def writer():
+                for _ in range(beats_per_thread):
+                    wt.cell_start(_FakeCell(), 1)
+                    wt.cell_end("ok", 0.0)
+
+            pool = [threading.Thread(target=writer) for _ in range(threads)]
+            for t in pool:
+                t.start()
+            seen = []
+            while any(t.is_alive() for t in pool):
+                seen.append(_state(wt.path)["seq"])  # never torn
+            for t in pool:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in pool)
+        finally:
+            sys.setswitchinterval(old)
+            wt.stop()
+        assert seen == sorted(seen)
+        final = _state(wt.path)
+        assert final["phase"] == "exit"
+        assert final["cells"]["done"] == beats_per_thread * threads
+        assert final["seq"] == wt._seq
+        assert [p.name for p in tmp_path.iterdir()] == ["telemetry-w0.json"]
 
     def test_publish_system_is_noop_when_disarmed(self):
         assert telemetry.current_worker() is None
@@ -324,8 +292,7 @@ class TestWorkerTelemetry:
         from repro.system import System, SystemConfig
         from repro.workloads.mixes import mix as make_mix
 
-        spool = TelemetrySpool(spool_path(tmp_path, "w0"), "w0")
-        wt = WorkerTelemetry(spool, interval=60.0)
+        wt = WorkerTelemetry(tmp_path, "w0", interval=60.0)
         system = System(make_mix("MX1", 150, seed=1),
                         SystemConfig(scheme="camps"), workload="MX1")
         system.run()
@@ -334,7 +301,6 @@ class TestWorkerTelemetry:
         rec = wt._record("running")
         assert rec["cycle"] == int(system.engine.now)
         assert rec["events"] > 0
-        spool.close()
 
     def test_activate_deactivate_roundtrip(self, tmp_path):
         wt = telemetry.activate_worker(tmp_path, "w9", interval=60.0)
@@ -345,7 +311,7 @@ class TestWorkerTelemetry:
         finally:
             telemetry.deactivate_worker()
         assert telemetry.current_worker() is None
-        assert spool_path(tmp_path, "w9").exists()
+        assert state_path(tmp_path, "w9").exists()
 
 
 # ----------------------------------------------------------------------
@@ -355,23 +321,25 @@ class TestWorkerTelemetry:
 
 class TestExitRecords:
     def _exits(self, path):
-        return [r for r in _lines(path) if r.get("phase") == "exit"]
+        rec = _state(path)
+        return [rec] if rec.get("phase") == "exit" else []
 
     def test_clean_stop_writes_exit_reason(self, tmp_path):
         wt = telemetry.activate_worker(tmp_path, "w0", interval=60.0)
         telemetry.deactivate_worker()
-        (rec,) = self._exits(wt.spool.path)
+        (rec,) = self._exits(wt.path)
         assert rec["reason"] == "clean"
 
     def test_write_exit_idempotent(self, tmp_path):
-        spool = TelemetrySpool(spool_path(tmp_path, "w0"), "w0")
-        wt = WorkerTelemetry(spool, interval=60.0)
+        wt = WorkerTelemetry(tmp_path, "w0", interval=60.0)
         wt.write_exit("sigterm")
+        seq = _state(wt.path)["seq"]
         wt.write_exit("clean")  # late double-stop must not add a record
         wt.stop()
-        exits = self._exits(spool.path)
+        exits = self._exits(wt.path)
         assert len(exits) == 1
         assert exits[0]["reason"] == "sigterm"
+        assert exits[0]["seq"] == seq
 
     def test_sigterm_writes_exit_record_and_dies_by_signal(self, tmp_path):
         """A SIGTERMed worker leaves reason="sigterm" *and* still dies with
@@ -398,7 +366,7 @@ class TestExitRecords:
             timeout=60,
         )
         assert proc.returncode == -signal.SIGTERM
-        exits = self._exits(spool_path(tmp_path, "w0"))
+        exits = self._exits(state_path(tmp_path, "w0"))
         assert len(exits) == 1
         assert exits[0]["reason"] == "sigterm"
 
@@ -426,7 +394,7 @@ class TestExitRecords:
             timeout=60,
         )
         assert proc.returncode == -signal.SIGKILL
-        assert self._exits(spool_path(tmp_path, "w0")) == []
+        assert self._exits(state_path(tmp_path, "w0")) == []
 
 
 # ----------------------------------------------------------------------
@@ -445,13 +413,12 @@ def _write_manifest(path, cells, records):
 class TestAggregator:
     def test_merges_workers_and_manifest(self, tmp_path):
         for name in ("w0", "w1"):
-            spool = TelemetrySpool(spool_path(tmp_path, name), name)
-            spool.append({"phase": "running", "ts": 0.0,
-                          "cells": {"done": 1, "ok": 1, "failed": 0},
-                          "cell": {"id": "c", "workload": "HM1",
-                                   "scheme": "base", "attempt": 1},
-                          "cycle": 100, "rss": 1 << 20})
-            spool.close()
+            _write_state(tmp_path, name, phase="running", ts=0.0,
+                         cells={"done": 1, "ok": 1, "failed": 0},
+                         cell={"id": "c", "workload": "HM1",
+                               "scheme": "base", "attempt": 1},
+                         cycle=100, rss=1 << 20)
+        _write_state(tmp_path, "w2", version=TELEMETRY_VERSION + 1)  # unknown
         manifest = tmp_path / "m.jsonl"
         _write_manifest(manifest, 4, [
             {"cell_id": "a", "workload": "HM1", "scheme": "base",
@@ -518,13 +485,16 @@ class TestAggregator:
         assert snap["failures"] == []
 
     def test_incremental_refresh_picks_up_appends(self, tmp_path):
-        spool = TelemetrySpool(spool_path(tmp_path, "w0"), "w0")
-        spool.append({"phase": "idle", "ts": 0.0, "cells": {"done": 0}})
+        _write_state(tmp_path, "w0", seq=1, phase="idle", cells={"done": 0})
         agg = TelemetryAggregator(tmp_path)
-        assert agg.refresh().workers["w0"].record["phase"] == "idle"
-        spool.append({"phase": "running", "ts": 1.0, "cells": {"done": 0}})
-        spool.close()
+        wv = agg.refresh().workers["w0"]
+        assert wv.record["phase"] == "idle"
+        updated = wv.updated
+        agg.refresh()  # same (pid, seq): the record's age keeps growing
+        assert wv.updated == updated
+        _write_state(tmp_path, "w0", seq=2, phase="running", cells={"done": 0})
         assert agg.refresh().workers["w0"].record["phase"] == "running"
+        assert wv.updated > updated
 
 
 class TestWorkerViewStalls:
@@ -532,20 +502,53 @@ class TestWorkerViewStalls:
         return {"phase": "running", "cycle": cycle,
                 "cell": {"id": cell, "workload": "HM1", "scheme": "base"}}
 
-    def test_frozen_cycle_flagged_after_threshold(self):
-        wv = WorkerView("w0")
-        wv.update(self._running(100), now=0.0)
-        for i in range(FROZEN_SAMPLES):
-            assert wv.stall_reason(float(i), stale_after=60.0) is None
-            wv.update(self._running(100), now=float(i))
-        reason = wv.stall_reason(float(FROZEN_SAMPLES), stale_after=60.0)
-        assert reason is not None and "frozen" in reason
+    def _frozen_worker(self, tmp_path):
+        wt = WorkerTelemetry(tmp_path, "w0", interval=60.0)  # beats by hand
+        wt.cell_start(_FakeCell(), 1)
+        wt.system = _FakeSystem()
+        return wt
 
-    def test_advancing_cycle_resets_frozen_count(self):
-        wv = WorkerView("w0")
+    def test_frozen_cycle_flagged_after_threshold(self, tmp_path):
+        wt = self._frozen_worker(tmp_path)
+        agg = TelemetryAggregator(tmp_path)
+        wt._emit("running")  # the first beat at a cycle sets the baseline
+        for _ in range(FROZEN_SAMPLES):
+            wv = agg.refresh().workers["w0"]
+            assert wv.stall_reason(wv.updated, stale_after=60.0) is None
+            wt._emit("running")
+        wv = agg.refresh().workers["w0"]
+        reason = wv.stall_reason(wv.updated, stale_after=60.0)
+        assert reason is not None and "frozen at 100" in reason
+
+    def test_frozen_detection_independent_of_poll_rate(self, tmp_path):
+        """A reader polling at a third of the heartbeat rate still sees the
+        frozen cycle after FROZEN_SAMPLES heartbeats: the worker counts."""
+        wt = self._frozen_worker(tmp_path)
+        agg = TelemetryAggregator(tmp_path)
+        polls = []
+        for beat in range(1, 2 * FROZEN_SAMPLES + 1):
+            wt._emit("running")
+            if beat % 3 == 0:
+                wv = agg.refresh().workers["w0"]
+                stalled = wv.stall_reason(wv.updated, stale_after=60.0)
+                polls.append((beat, stalled is not None))
+        # beat 1 is the baseline; FROZEN_SAMPLES beats later it is frozen
+        assert polls == [(b, b > FROZEN_SAMPLES) for b, _ in polls]
+        assert polls[-1][1]
+
+    def test_advancing_cycle_resets_frozen_count(self, tmp_path):
+        wt = self._frozen_worker(tmp_path)
         for i in range(FROZEN_SAMPLES * 2):
-            wv.update(self._running(100 + i), now=float(i))
-        assert wv.stall_reason(10.0, stale_after=60.0) is None
+            wt.system.engine.now = 100 + i
+            wt._emit("running")
+            assert _state(wt.path)["frozen"] == 0
+        wt._emit("running")  # the cycle stops moving
+        assert _state(wt.path)["frozen"] == 1
+        wt.cell_end("ok", 1.0)
+        wt.cell_start(_FakeCell(), 2)
+        wt.system = _FakeSystem()
+        wt._emit("running")  # a new cell restarts the count
+        assert _state(wt.path)["frozen"] == 0
 
     def test_stale_heartbeat_flagged(self):
         wv = WorkerView("w0")
@@ -744,8 +747,8 @@ class TestCampaignTelemetry:
         )
         assert res.stats["ok"] == 4
         sdir = spool_dir_for(manifest)
-        names = sorted(p.name for p in sdir.glob("telemetry-*.jsonl"))
-        assert names == [f"telemetry-w{i}.jsonl" for i in range(jobs)]
+        names = sorted(p.name for p in sdir.iterdir())
+        assert names == [f"telemetry-w{i}.json" for i in range(jobs)]
         # the merged view converges to the manifest's exactly-once record
         agg = TelemetryAggregator(sdir, manifest_path=manifest)
         view = agg.refresh()
